@@ -26,6 +26,10 @@ PLANE_AXES = {
 
 DEFAULT_ANGLE_GRID = np.arange(-90.0, 90.0 + 1e-9, 0.25)
 
+# Cap on the element x angle terms in one block of a pattern cut; it bounds
+# the temporaries of ``directivity_pattern`` whatever the grid or array size.
+_BLOCK_TERMS = 4096
+
 
 @dataclass
 class RisArray:
@@ -210,18 +214,23 @@ def _incident_at_elements(wave: Wave, positions: np.ndarray, k: float):
 
 
 def _element_cosines(array: RisArray, wave: Wave, observation, far_field):
-    """Incidence and departure cosines against the broadside normal."""
+    """Incidence and departure cosines against the broadside normal.
+
+    ``observation`` is one 3-vector or a (B, 3) block of them; the departure
+    cosines then come back as (B, N) rows, one per observation.
+    """
     pos = array.element_positions
     if wave.kind == "spherical":
         to_src = wave.vector[None, :] - pos
         cos_in = (to_src @ array.normal) / np.linalg.norm(to_src, axis=1)
     else:
         cos_in = np.full(len(pos), abs(float(wave.vector @ array.normal)))
+    obs = np.asarray(observation)
     if far_field:
-        cos_out = np.full(len(pos), float(np.asarray(observation) @ array.normal))
+        cos_out = np.broadcast_to((obs @ array.normal)[..., None], obs.shape[:-1] + (len(pos),))
     else:
-        to_obs = np.asarray(observation)[None, :] - pos
-        cos_out = (to_obs @ array.normal) / np.linalg.norm(to_obs, axis=1)
+        to_obs = obs[..., None, :] - pos
+        cos_out = (to_obs @ array.normal) / np.linalg.norm(to_obs, axis=-1)
     return np.maximum(cos_in, 0.0), np.maximum(cos_out, 0.0)
 
 
@@ -273,29 +282,78 @@ def _cut_directions(array: RisArray, angles_deg: np.ndarray, cut: PatternCut):
     return np.sin(th)[:, None] * axis[None, :] + np.cos(th)[:, None] * ref[None, :]
 
 
+def _outgoing_block(array: RisArray, k: float, dirs: np.ndarray, radius):
+    """(B, N) propagation factors from every element to B cut observations.
+
+    Returns the factors and the observations (unit directions, or points on
+    the arc). Each row carries the same per-element values that
+    ``reflected_field`` computes for that observation.
+    """
+    pos = array.element_positions
+    if radius is None:
+        # row-wise dot products: the same rounding as np.linalg.norm of one row
+        obs = dirs / np.sqrt(dirs[:, None, :] @ dirs[:, :, None])[:, 0]
+        return np.exp(1j * k * (obs @ pos.T)), obs
+    obs = array.center + radius * dirs
+    d = np.linalg.norm(obs[:, None, :] - pos[None, :, :], axis=2)
+    if np.any(d <= 0):
+        raise ValueError("observation point coincides with an array element")
+    return np.exp(-1j * k * d) / d, obs
+
+
 def directivity_pattern(array: RisArray, state: ScatteringState, incident: Wave,
                         angle_grid_deg=None, cut: PatternCut = PatternCut()) -> np.ndarray:
-    """Normalized power pattern over a cut; returns (angle_deg, power_db) rows.
+    """Normalized power pattern over a cut, as (angle_deg, power_db) rows.
 
-    Power is normalized so the peak sits at 0 dB. Powers more than 300 dB
+    ``state.gammas`` is one scattering state (N,) or a stack (S, N) of states
+    at the same frequency, e.g. one per tuning of the surface; the result is
+    (A, 2) rows for one state and (S, A, 2) for a stack, each pattern
+    normalized on its own so its peak sits at 0 dB. Powers more than 300 dB
     below the peak are floored to keep the dB scale finite.
+
+    The incident amplitude at the elements is computed once; the cut is then
+    evaluated in blocks of angles, each an (angles x elements) propagation
+    matrix summed along the element axis. Every row reproduces the
+    ``reflected_field`` sum at that observation.
     """
     angles = DEFAULT_ANGLE_GRID if angle_grid_deg is None else np.asarray(angle_grid_deg, dtype=float)
     if angles.ndim != 1 or len(angles) < 1:
         raise ValueError("angle grid must be a non-empty 1-D array")
+    if state.frequency != incident.frequency:
+        raise FrequencyMismatchError(
+            f"scattering state at {state.frequency} Hz but incident wave at "
+            f"{incident.frequency} Hz")
+    gammas = np.asarray(state.gammas)
+    if gammas.ndim not in (1, 2) or gammas.shape[-1] != array.n_elements:
+        raise ValueError("scattering state does not match the array size")
+    k = 2.0 * np.pi * incident.frequency / SPEED_OF_LIGHT
+    a_in = _incident_at_elements(incident, array.element_positions, k)
+    stack = gammas.reshape(-1, array.n_elements)
     dirs = _cut_directions(array, angles, cut)
-    power = np.empty(len(angles))
-    for i, u in enumerate(dirs):
-        if cut.radius is None:
-            f = reflected_field(array, state, incident, u, far_field=True)
-        else:
-            f = reflected_field(array, state, incident, array.center + cut.radius * u)
-        power[i] = np.abs(f) ** 2
-    peak = np.max(power)
-    if peak <= 0:
+    block = max(1, _BLOCK_TERMS // array.n_elements)
+    power = np.empty((len(stack), len(angles)))
+    for start in range(0, len(angles), block):
+        rows = slice(start, start + block)
+        a_out, obs = _outgoing_block(array, k, dirs[rows], cut.radius)
+        if array.element_pattern == "cosine":
+            cos_in, cos_out = _element_cosines(array, incident, obs, cut.radius is None)
+        for s, g in enumerate(stack):
+            terms = a_in * g * a_out
+            if array.element_pattern == "cosine":
+                terms = terms * cos_in * cos_out
+            power[s, rows] = np.abs(np.sum(terms, axis=1)) ** 2
+    peak = np.max(power, axis=1, keepdims=True)
+    if np.any(peak <= 0):
         raise ValueError("pattern is identically zero")
-    power_db = 10.0 * np.log10(np.maximum(power, peak * 1e-30) / peak)
-    return np.column_stack([angles, power_db])
+    # to dB in place: a stack of many states keeps no extra copies alive
+    np.maximum(power, peak * 1e-30, out=power)
+    power /= peak
+    np.log10(power, out=power)
+    power *= 10.0
+    result = np.empty(power.shape + (2,))
+    result[..., 0] = angles
+    result[..., 1] = power
+    return result[0] if gammas.ndim == 1 else result
 
 
 def main_lobe_angle(pattern: np.ndarray) -> float:

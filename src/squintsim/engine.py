@@ -109,13 +109,15 @@ class PatternConfig:
     cut_radius: float | str | None = "target-distance"
     reference_angle_deg: float | None = None
     reference_window_deg: float = 10.0
+    # validated sweep block: frequency_hz, l_top_h, c_ranges_f, window_deg,
+    # angle_step_deg, with defaults filled in
     sensitivity: dict | None = None
 
-    def angle_grid(self) -> np.ndarray:
-        if self.angle_stop_deg <= self.angle_start_deg or self.angle_step_deg <= 0:
+    def angle_grid(self, step: float | None = None) -> np.ndarray:
+        step = self.angle_step_deg if step is None else step
+        if self.angle_stop_deg <= self.angle_start_deg or step <= 0:
             raise ConfigError("pattern angle grid is empty")
-        return np.arange(self.angle_start_deg,
-                         self.angle_stop_deg + 1e-9, self.angle_step_deg)
+        return np.arange(self.angle_start_deg, self.angle_stop_deg + 1e-9, step)
 
 
 @dataclass
@@ -213,14 +215,34 @@ def _vector3(value, path: str) -> np.ndarray:
     return v
 
 
-def _positive(value, path: str) -> float:
+def _finite(value, path: str) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path} must be a number") from None
-    if not np.isfinite(x) or x <= 0:
+    if not np.isfinite(x):
+        raise ConfigError(f"{path} must be finite")
+    return x
+
+
+def _positive(value, path: str) -> float:
+    x = _finite(value, path)
+    if x <= 0:
         raise ConfigError(f"{path} must be positive")
     return x
+
+
+def _non_negative(value, path: str) -> float:
+    x = _finite(value, path)
+    if x < 0:
+        raise ConfigError(f"{path} must be non-negative")
+    return x
+
+
+def _non_empty_list(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path} must be a non-empty list")
+    return value
 
 
 def _parse_ue(raw: dict, path: str, expected_role: str) -> UeConfig:
@@ -289,30 +311,56 @@ def _parse_pattern(raw: dict, path: str) -> PatternConfig:
                 optional=("angle_start_deg", "angle_stop_deg", "angle_step_deg",
                           "cut_plane", "cut_radius", "reference_angle_deg",
                           "reference_window_deg", "sensitivity"))
-    freqs = raw["frequencies_hz"]
-    if not isinstance(freqs, list) or not freqs:
-        raise ConfigError(f"{path}.frequencies_hz must be a non-empty list")
-    freqs = tuple(_positive(f, f"{path}.frequencies_hz[{i}]") for i, f in enumerate(freqs))
+    freqs = tuple(_positive(f, f"{path}.frequencies_hz[{i}]")
+                  for i, f in enumerate(_non_empty_list(raw["frequencies_hz"],
+                                                        f"{path}.frequencies_hz")))
+    start = _finite(raw.get("angle_start_deg", -90.0), f"{path}.angle_start_deg")
+    stop = _finite(raw.get("angle_stop_deg", 90.0), f"{path}.angle_stop_deg")
+    if stop <= start:
+        raise ConfigError(f"{path}.angle_stop_deg must exceed angle_start_deg")
+    step = _positive(raw.get("angle_step_deg", 0.25), f"{path}.angle_step_deg")
     cut_plane = raw.get("cut_plane", "terminals")
     if cut_plane not in ("terminals", "array-u", "array-v"):
         raise ConfigError(f"{path}.cut_plane must be 'terminals', 'array-u' or 'array-v'")
     radius = raw.get("cut_radius", "target-distance")
     if radius is not None and radius != "target-distance":
         radius = _positive(radius, f"{path}.cut_radius")
+    reference = raw.get("reference_angle_deg")
+    if reference is not None:
+        reference = _finite(reference, f"{path}.reference_angle_deg")
     sensitivity = raw.get("sensitivity")
     if sensitivity is not None:
-        _check_keys(sensitivity, f"{path}.sensitivity",
-                    required=("frequency_hz", "l_top_h", "c_ranges_f"),
-                    optional=("window_deg", "angle_step_deg"))
-    reference = raw.get("reference_angle_deg")
-    return PatternConfig(frequencies_hz=freqs,
-                         angle_start_deg=float(raw.get("angle_start_deg", -90.0)),
-                         angle_stop_deg=float(raw.get("angle_stop_deg", 90.0)),
-                         angle_step_deg=float(raw.get("angle_step_deg", 0.25)),
+        sensitivity = _parse_sensitivity(sensitivity, f"{path}.sensitivity", step)
+    return PatternConfig(frequencies_hz=freqs, angle_start_deg=start,
+                         angle_stop_deg=stop, angle_step_deg=step,
                          cut_plane=cut_plane, cut_radius=radius,
-                         reference_angle_deg=None if reference is None else float(reference),
-                         reference_window_deg=float(raw.get("reference_window_deg", 10.0)),
+                         reference_angle_deg=reference,
+                         reference_window_deg=_non_negative(
+                             raw.get("reference_window_deg", 10.0),
+                             f"{path}.reference_window_deg"),
                          sensitivity=sensitivity)
+
+
+def _parse_sensitivity(raw: dict, path: str, default_step: float) -> dict:
+    _check_keys(raw, path, required=("frequency_hz", "l_top_h", "c_ranges_f"),
+                optional=("window_deg", "angle_step_deg"))
+    l_values = [_positive(v, f"{path}.l_top_h[{i}]")
+                for i, v in enumerate(_non_empty_list(raw["l_top_h"], f"{path}.l_top_h"))]
+    ranges = []
+    for i, pair in enumerate(_non_empty_list(raw["c_ranges_f"], f"{path}.c_ranges_f")):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"{path}.c_ranges_f[{i}] must be [c_min, c_max]")
+        lo = _positive(pair[0], f"{path}.c_ranges_f[{i}][0]")
+        hi = _positive(pair[1], f"{path}.c_ranges_f[{i}][1]")
+        if not lo < hi:
+            raise ConfigError(f"{path}.c_ranges_f[{i}] must be [c_min, c_max] "
+                              "with c_min < c_max")
+        ranges.append((lo, hi))
+    return {"frequency_hz": _positive(raw["frequency_hz"], f"{path}.frequency_hz"),
+            "l_top_h": l_values, "c_ranges_f": ranges,
+            "window_deg": _non_negative(raw.get("window_deg", 5.0), f"{path}.window_deg"),
+            "angle_step_deg": _positive(raw.get("angle_step_deg", default_step),
+                                        f"{path}.angle_step_deg")}
 
 
 def load_scenario(config) -> Scenario:
@@ -889,14 +937,13 @@ def _pattern_cut(scenario: Scenario, array: RisArray) -> PatternCut:
 
 
 def _tune_for_pattern(scenario: Scenario, array: RisArray,
-                      params: CircuitParams | None = None) -> TuningResult:
+                      params: CircuitParams) -> TuningResult:
     """Focus the surface on the owner's first user at the design carrier.
 
     The feed is collapsed to a point source so the single-target closed
     form applies; the direct path is ignored for the pattern study.
     """
     owner = scenario.owner
-    params = params or scenario.ris.circuit
     f_design = scenario.ris.design_frequency_hz or owner.carrier_hz
     feed = Node(position=owner.bs.position)
     ue_node = Node(position=owner.ues[0].position)
@@ -905,17 +952,13 @@ def _tune_for_pattern(scenario: Scenario, array: RisArray,
                      ris_to_ue=los_channel(array, ue_node, f_design),
                      frequency=f_design, direct_blocked=True)
     theta = align_phases_single_target(chs)
-    result = realize_capacitances(theta, params, channel_sets=[chs])
-    array.capacitances = result.capacitances
-    return result
+    return realize_capacitances(theta, params, channel_sets=[chs])
 
 
-def _pattern_at(scenario: Scenario, array: RisArray, tuning: TuningResult,
-                frequency: float, angles: np.ndarray, cut: PatternCut,
-                params: CircuitParams | None = None) -> np.ndarray:
-    state = evaluate_off_frequency(tuning, frequency,
-                                   params or scenario.ris.circuit)
-    wave = Wave.spherical(scenario.owner.bs.position, frequency)
+def _pattern_at(scenario: Scenario, array: RisArray, state: ScatteringState,
+                angles: np.ndarray, cut: PatternCut) -> np.ndarray:
+    """Pattern(s) of one state or a stack of states, fed from the owner's BS."""
+    wave = Wave.spherical(scenario.owner.bs.position, state.frequency)
     return directivity_pattern(array, state, wave, angles, cut)
 
 
@@ -930,8 +973,9 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     if scenario.pattern is None:
         raise ConfigError("config.pattern section is required for a pattern study")
     cfg = scenario.pattern
+    params = scenario.ris.circuit
     array = build_surface(scenario.ris, scenario.owner.carrier_hz)
-    tuning = _tune_for_pattern(scenario, array)
+    tuning = _tune_for_pattern(scenario, array, params)
     cut = _pattern_cut(scenario, array)
     angles = cfg.angle_grid()
     os.makedirs(out_dir, exist_ok=True)
@@ -939,7 +983,8 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     entries = []
     peaks = {}
     for f in cfg.frequencies_hz:
-        pattern = _pattern_at(scenario, array, tuning, f, angles, cut)
+        pattern = _pattern_at(scenario, array, evaluate_off_frequency(tuning, f, params),
+                              angles, cut)
         name = f"pattern_{f / 1e9:.3f}GHz.csv"
         pattern_to_csv(pattern, os.path.join(out_dir, name))
         peaks[f] = main_lobe_angle(pattern)
@@ -959,11 +1004,13 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
         # the probe defaults to the last listed carrier; a sensitivity block
         # may name a different one
         if cfg.sensitivity is not None:
-            probe_f = float(cfg.sensitivity["frequency_hz"])
+            probe_f = cfg.sensitivity["frequency_hz"]
         else:
             probe_f = cfg.frequencies_hz[-1]
         if probe_f not in peaks:
-            pattern = _pattern_at(scenario, array, tuning, probe_f, angles, cut)
+            pattern = _pattern_at(scenario, array,
+                                  evaluate_off_frequency(tuning, probe_f, params),
+                                  angles, cut)
             peaks[probe_f] = main_lobe_angle(pattern)
         offset = peaks[probe_f] - cfg.reference_angle_deg
         summary["reference"] = {
@@ -1004,44 +1051,42 @@ def squint_sensitivity_report(scenario: Scenario, out_path=None) -> tuple[list, 
         raise ConfigError("config.pattern.reference_angle_deg is required for "
                           "a sensitivity sweep")
     sens = cfg.sensitivity
-    probe_f = float(sens["frequency_hz"])
-    window = float(sens.get("window_deg", 5.0))
-    step = float(sens.get("angle_step_deg", cfg.angle_step_deg))
-    angles = np.arange(cfg.angle_start_deg, cfg.angle_stop_deg + 1e-9, step)
+    angles = cfg.angle_grid(sens["angle_step_deg"])
     f_design = scenario.ris.design_frequency_hz or scenario.owner.carrier_hz
     base = scenario.ris.circuit
 
-    l_values = [float(l) for l in sens["l_top_h"]]
-    ranges = []
-    for i, pair in enumerate(sens["c_ranges_f"]):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not float(pair[0]) < float(pair[1])):
-            raise ConfigError(f"config.pattern.sensitivity.c_ranges_f[{i}] must be "
-                              "[c_min, c_max] with c_min < c_max")
-        ranges.append((float(pair[0]), float(pair[1])))
-
+    # the surface and the cut do not depend on the circuit constants: every
+    # case is retuned on one geometry, then each carrier's patterns are
+    # evaluated in one stacked call
+    array = build_surface(scenario.ris, scenario.owner.carrier_hz)
+    cut = _pattern_cut(scenario, array)
+    carriers = (f_design, sens["frequency_hz"])
+    n_cases = len(sens["l_top_h"]) * len(sens["c_ranges_f"])
+    stacks = np.empty((len(carriers), n_cases, array.n_elements), dtype=complex)
     rows = []
-    for l_top in l_values:
-        for c_lo, c_hi in ranges:
+    for l_top in sens["l_top_h"]:
+        for c_lo, c_hi in sens["c_ranges_f"]:
             params = CircuitParams(l_bottom=base.l_bottom, l_top=l_top,
                                    r_loss=base.r_loss, z0=base.z0,
                                    c_min=c_lo, c_max=c_hi)
-            array = build_surface(scenario.ris, scenario.owner.carrier_hz)
             tuning = _tune_for_pattern(scenario, array, params)
-            cut = _pattern_cut(scenario, array)
-            f1_peak = main_lobe_angle(_pattern_at(
-                scenario, array, tuning, f_design, angles, cut, params))
-            f3_peak = main_lobe_angle(_pattern_at(
-                scenario, array, tuning, probe_f, angles, cut, params))
+            for stack, f in zip(stacks, carriers):
+                stack[len(rows)] = evaluate_off_frequency(tuning, f, params).gammas
             rows.append({
                 "l_top_h": l_top, "c_min_f": c_lo, "c_max_f": c_hi,
-                "f1_peak_deg": f1_peak, "f3_peak_deg": f3_peak,
                 "clamped_fraction": len(tuning.clamp_report) / array.n_elements,
-                "offset_from_reference_deg": f3_peak - cfg.reference_angle_deg,
             })
+    f1_peaks, f3_peaks = (
+        [main_lobe_angle(p) for p in
+         _pattern_at(scenario, array, ScatteringState(stack, f), angles, cut)]
+        for stack, f in zip(stacks, carriers))
+    for row, f1_peak, f3_peak in zip(rows, f1_peaks, f3_peaks):
+        row["f1_peak_deg"] = f1_peak
+        row["f3_peak_deg"] = f3_peak
+        row["offset_from_reference_deg"] = f3_peak - cfg.reference_angle_deg
 
     closest = dict(min(rows, key=lambda r: abs(r["offset_from_reference_deg"])))
-    closest["within_window"] = abs(closest["offset_from_reference_deg"]) <= window
+    closest["within_window"] = abs(closest["offset_from_reference_deg"]) <= sens["window_deg"]
 
     if out_path is not None:
         lines = [",".join(SENSITIVITY_COLUMNS)]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squintsim import (CircuitParams, PatternCut, ScatteringState, Wave, build_array,
                        directivity_pattern, main_lobe_angle, pattern_to_csv,
@@ -204,6 +206,109 @@ def test_pattern_floor_is_finite():
     pattern = directivity_pattern(array, state, wave)
     assert np.all(np.isfinite(pattern[:, 1]))
     assert np.min(pattern[:, 1]) >= -300.0 - 1e-9
+
+
+def pointwise_power(array, state, wave, angles, cut):
+    """|field|^2 at each cut angle from one ``reflected_field`` call per angle."""
+    axis = np.asarray(cut.sweep) if cut.sweep is not None else \
+        (array.u_axis if cut.axis == "u" else array.v_axis)
+    ref = np.asarray(cut.reference) if cut.reference is not None else array.normal
+    power = []
+    for th in np.radians(angles):
+        direction = np.sin(th) * axis + np.cos(th) * ref
+        if cut.radius is None:
+            f = reflected_field(array, state, wave, direction, far_field=True)
+        else:
+            f = reflected_field(array, state, wave, array.center + cut.radius * direction)
+        power.append(abs(f) ** 2)
+    return np.asarray(power)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8),
+       plane=st.sampled_from(["xz", "xy", "yz"]),
+       element_pattern=st.sampled_from(["isotropic", "cosine"]),
+       radius=st.one_of(st.none(), st.floats(2.0, 60.0)),
+       axis=st.sampled_from(["u", "v"]),
+       n_angles=st.integers(1, 200),
+       spherical=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_directivity_pattern_matches_pointwise_oracle(rows, cols, plane, element_pattern,
+                                                      radius, axis, n_angles, spherical,
+                                                      seed):
+    """The block evaluation reproduces a per-angle reflected_field loop.
+
+    Up to 64 elements and 200 angles, so many cases span several angle
+    blocks. Powers are compared on the pattern's own scale (peak 1).
+    """
+    rng = np.random.default_rng(seed)
+    array = build_array(rows, cols, F_REF, center=rng.uniform(-3, 3, 3), plane=plane,
+                        element_pattern=element_pattern)
+    n = array.n_elements
+    gammas = rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    state = ScatteringState(gammas=gammas, frequency=F_REF)
+    # the source sits in front of the surface, so the cosine factor is not
+    # zero on every element
+    front = (array.normal * rng.uniform(0.5, 1.0)
+             + 0.5 * rng.uniform(-1, 1) * array.u_axis + 0.5 * rng.uniform(-1, 1) * array.v_axis)
+    if spherical:
+        wave = Wave.spherical(array.center + rng.uniform(2, 30) * front, F_REF,
+                              amplitude=float(rng.uniform(0.5, 2.0)))
+    else:
+        wave = Wave.plane(-front, F_REF)
+    angles = np.sort(rng.uniform(-85.0, 85.0, n_angles))
+    cut = PatternCut(radius=radius, axis=axis)
+
+    pattern = directivity_pattern(array, state, wave, angles, cut)
+    want = pointwise_power(array, state, wave, angles, cut)
+    assert pattern.shape == (n_angles, 2)
+    assert np.array_equal(pattern[:, 0], angles)
+    np.testing.assert_allclose(10.0 ** (pattern[:, 1] / 10.0), want / want.max(),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [None, 12.0])
+def test_directivity_pattern_stack_equals_single_calls(radius, rng):
+    # 400 elements and 150 angles: the cut spans many angle blocks
+    array = build_array(20, 20, F_REF)
+    wave = Wave.spherical([4.0, 30.0, 2.0], F_REF)
+    angles = np.linspace(-75.0, 75.0, 150)
+    cut = PatternCut(radius=radius)
+    gammas = np.exp(1j * rng.uniform(-np.pi, np.pi, (3, array.n_elements)))
+    stacked = directivity_pattern(array, ScatteringState(gammas, F_REF), wave, angles, cut)
+    assert stacked.shape == (3, len(angles), 2)
+    for s in range(3):
+        single = directivity_pattern(array, ScatteringState(gammas[s], F_REF), wave,
+                                     angles, cut)
+        assert np.array_equal(stacked[s], single)
+
+
+def test_directivity_pattern_frequency_mismatch():
+    array = build_array(2, 2, F_REF)
+    state = ScatteringState(gammas=np.ones((2, 4), dtype=complex), frequency=F_REF)
+    wave = Wave.spherical([0.0, 10.0, 0.0], 2.6e9)
+    with pytest.raises(FrequencyMismatchError):
+        directivity_pattern(array, state, wave)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5), (2, 2, 4), ()])
+def test_directivity_pattern_state_shape_mismatch(shape):
+    array = build_array(2, 2, F_REF)
+    state = ScatteringState(gammas=np.ones(shape, dtype=complex), frequency=F_REF)
+    wave = Wave.spherical([0.0, 10.0, 0.0], F_REF)
+    with pytest.raises(ValueError, match="array size"):
+        directivity_pattern(array, state, wave)
+
+
+def test_directivity_pattern_observation_on_element():
+    # zero angle points exactly along the row, so the arc of radius one
+    # spacing passes through the last element
+    array = build_array(1, 3, F_REF)
+    state = ScatteringState(gammas=np.ones(3, dtype=complex), frequency=F_REF)
+    wave = Wave.spherical([0.0, 10.0, 0.0], F_REF)
+    cut = PatternCut(radius=array.spacing, sweep=(0.0, 1.0, 0.0), reference=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="coincides"):
+        directivity_pattern(array, state, wave, np.array([30.0, 0.0]), cut)
 
 
 def test_total_scattered_power_bounded(rng):

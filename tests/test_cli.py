@@ -7,6 +7,7 @@ import pytest
 from squintsim import load_scenario
 from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS
+from squintsim.presets import preset_config
 
 
 def small_config_file(tmp_path, extra=None):
@@ -113,6 +114,36 @@ def test_pattern_command(tmp_path, capsys):
     assert (out_dir / "pattern_2.500GHz.csv").exists()
     assert (out_dir / "pattern_summary.json").exists()
     assert summary["design_frequency_hz"] == 2.5e9
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("sensitivity", "l_top_h", 0.7e-9, "pattern.sensitivity.l_top_h"),
+    ("sensitivity", "l_top_h", [], "pattern.sensitivity.l_top_h"),
+    ("sensitivity", "l_top_h", [-1e-9], "pattern.sensitivity.l_top_h[0]"),
+    ("sensitivity", "c_ranges_f", [], "pattern.sensitivity.c_ranges_f"),
+    ("sensitivity", "c_ranges_f", [["a", 1e-12]], "pattern.sensitivity.c_ranges_f[0][0]"),
+    ("sensitivity", "c_ranges_f", [[2e-12, 1e-12]], "pattern.sensitivity.c_ranges_f[0]"),
+    ("sensitivity", "window_deg", "x", "pattern.sensitivity.window_deg"),
+    ("sensitivity", "angle_step_deg", 0, "pattern.sensitivity.angle_step_deg"),
+    ("sensitivity", "frequency_hz", -1, "pattern.sensitivity.frequency_hz"),
+    ("pattern", "angle_start_deg", "abc", "pattern.angle_start_deg"),
+    ("pattern", "angle_stop_deg", -90.0, "pattern.angle_stop_deg"),
+    ("pattern", "angle_step_deg", 0, "pattern.angle_step_deg"),
+    ("pattern", "reference_angle_deg", "x", "pattern.reference_angle_deg"),
+    ("pattern", "reference_window_deg", float("nan"), "pattern.reference_window_deg"),
+])
+def test_pattern_bad_field_fails_at_load(tmp_path, capsys, section, key, value, field):
+    cfg = preset_config("fig3")
+    block = cfg["pattern"] if section == "pattern" else cfg["pattern"]["sensitivity"]
+    block[key] = value
+    path = tmp_path / "fig3.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "patterns"
+    assert main(["pattern", str(path), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"config.{field} " in err
+    assert not out_dir.exists()
 
 
 def test_unknown_config_arg(capsys):

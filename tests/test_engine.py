@@ -11,7 +11,8 @@ from squintsim import (ConfigError, ConfigWarning, SweepSpec, derive_seed,
                        export_results, fractional_boi, grid_shape, load_preset,
                        load_scenario, preset_config, preset_text, run_case,
                        run_pattern, sweep, table_from_json)
-from squintsim.engine import EXPORT_COLUMNS
+from squintsim.array_field import PatternCut
+from squintsim.engine import EXPORT_COLUMNS, build_surface
 from squintsim.errors import CorrelatedChannelsError
 from squintsim.presets import PRESET_NAMES
 
@@ -562,3 +563,25 @@ def test_run_pattern_deterministic(tmp_path):
     for name in ("pattern_2.500GHz.csv", "pattern_summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_fig3_probe_lobe_is_the_straight_through_direction(tmp_path):
+    """Why criterion 1 misses: at 2.75 GHz the lobe follows the feed, not the target.
+
+    The fig3 feed sits behind the xz surface, at 134.10 degrees in the
+    terminals cut, so a wave passing straight through would leave at
+    134.10 - 180 = -45.90 degrees. The frozen profile has lost its steering
+    gradient at 2.75 GHz and the lobe lands there, not at the published
+    -14 degrees.
+    """
+    cfg = preset_config("fig3")
+    del cfg["pattern"]["sensitivity"]
+    sc = load_scenario(cfg)
+    summary = run_pattern(sc, tmp_path)
+    lobes = {e["frequency_hz"]: e["main_lobe_deg"] for e in summary["frequencies"]}
+    array = build_surface(sc.ris, sc.owner.carrier_hz)
+    cut = PatternCut.through_points(array, sc.owner.bs.position, sc.owner.ues[0].position)
+    feed = cut.angle_of(array, sc.owner.bs.position)
+    assert feed == pytest.approx(134.10, abs=0.005)
+    assert lobes[2.75e9] == pytest.approx(-46.32, abs=0.005)
+    assert abs(lobes[2.75e9] - (feed - 180.0)) <= 0.5
