@@ -14,12 +14,11 @@ from .array_field import (PatternCut, RisArray, ScatteringState, Wave, build_arr
 from .channels import (ChannelSet, Node, cascade_gains, effective_channel,
                        freespace_pathloss, los_channel)
 from .circuit import (CapacitanceSolution, CircuitParams, Reflection,
-                      element_impedance, element_reflection, phase_to_capacitance,
-                      reflection_phase_interval)
+                      element_impedance, element_reflection, phase_to_capacitance)
 from .engine import (CaseMetrics, OperatorConfig, RisConfig, Scenario, SweepSpec,
                      UeConfig, derive_seed, export_results, fractional_boi,
                      grid_shape, load_scenario, run_case, run_pattern,
-                     squint_sensitivity_report, sweep, table_from_json)
+                     squint_sensitivity_report, sweep)
 from .errors import (ConfigError, ConfigWarning, CorrelatedChannelsError,
                      DegenerateChannelError, FrequencyMismatchError,
                      NumericalError, SingularityError, SquintSimError)
@@ -28,15 +27,14 @@ from .precoding import (LinkMetrics, PrecodeResult, link_metrics, mrt_precoder,
 from .presets import PRESET_NAMES, load_preset, preset_config, preset_text
 from .tuning import (ClampEntry, OptimizationLog, TuningResult,
                      align_phases_single_target, evaluate_off_frequency,
-                     optimize_weighted_sum_power, quantize_phases,
-                     realize_capacitances, weighted_sum_power)
+                     optimize_weighted_sum_power, realize_capacitances,
+                     weighted_sum_power)
 
 __all__ = [
     "__version__",
     # circuit
     "CircuitParams", "Reflection", "CapacitanceSolution",
     "element_impedance", "element_reflection", "phase_to_capacitance",
-    "reflection_phase_interval",
     # array field
     "RisArray", "ScatteringState", "Wave", "PatternCut",
     "build_array", "scattering_state", "reflected_field",
@@ -51,11 +49,10 @@ __all__ = [
     "ClampEntry", "OptimizationLog", "TuningResult",
     "align_phases_single_target", "optimize_weighted_sum_power",
     "weighted_sum_power", "realize_capacitances", "evaluate_off_frequency",
-    "quantize_phases",
     # engine
     "UeConfig", "OperatorConfig", "RisConfig", "Scenario", "SweepSpec",
     "CaseMetrics", "load_scenario", "run_case", "sweep", "fractional_boi",
-    "export_results", "table_from_json", "run_pattern",
+    "export_results", "run_pattern",
     "squint_sensitivity_report", "derive_seed", "grid_shape",
     # presets
     "PRESET_NAMES", "preset_config", "preset_text", "load_preset",

@@ -12,16 +12,17 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from ._version import __version__
-from .array_field import (PatternCut, RisArray, ScatteringState, Wave, build_array,
-                          directivity_pattern, main_lobe_angle, pattern_to_csv)
+from .array_field import (PLANE_AXES, PatternCut, RisArray, ScatteringState, Wave,
+                          build_array, directivity_pattern, main_lobe_angle,
+                          pattern_to_csv)
 from .channels import ChannelSet, Node, effective_channel, los_channel
 from .circuit import CircuitParams
-from .errors import ConfigError, ConfigWarning, CorrelatedChannelsError
+from .errors import ConfigError, ConfigWarning, CorrelatedChannelsError, NumericalError
 from .precoding import (LinkMetrics, PrecodeResult, link_metrics, mrt_precoder,
                         noise_power, zf_precoder)
 from .tuning import (OptimizationLog, TuningResult, align_phases_single_target,
@@ -41,14 +42,18 @@ EXPORT_COLUMNS = ("n_elements", "ris_x", "ris_y", "ris_z",
 
 
 # ---------------------------------------------------------------------------
-# scenario model
+# scenario model: what load_scenario builds from a parsed config. Field
+# types, bounds and defaults live in the config schema tables below.
 
 @dataclass
 class UeConfig:
     id: str
     position: np.ndarray
-    role: str                   # "target" or "non-target"
-    blocked: bool = False
+    role: str
+    blocked: bool
+
+    def __post_init__(self):
+        self.position = np.asarray(self.position, dtype=float)
 
 
 @dataclass
@@ -57,9 +62,9 @@ class OperatorConfig:
     carrier_hz: float
     bs: Node
     ues: list
-    power_w: float = 1.0
-    precoder: str = "zf"
-    zf_condition_limit: float | None = None
+    power_w: float
+    precoder: str
+    zf_condition_limit: float | None
 
 
 @dataclass
@@ -68,14 +73,17 @@ class RisConfig:
     rows: int
     cols: int
     position: np.ndarray
-    plane: str = "xz"
-    spacing_fraction: float = 0.5
-    design_frequency_hz: float | None = None
-    enabled: bool = True
-    narrowband: bool = False
-    element_pattern: str = "isotropic"
-    circuit: CircuitParams = field(default_factory=CircuitParams)
-    influence_band_hz: tuple | None = None
+    plane: str
+    spacing_fraction: float
+    design_frequency_hz: float | None
+    enabled: bool
+    narrowband: bool
+    element_pattern: str
+    circuit: CircuitParams
+    influence_band_hz: list | None
+
+    def __post_init__(self):
+        self.position = np.asarray(self.position, dtype=float)
 
     @property
     def n_elements(self) -> int:
@@ -86,37 +94,30 @@ class RisConfig:
 class SweepSpec:
     """Grid of surface sizes and placements for a Fig. 5-style study."""
 
-    element_counts: tuple
-    positions: tuple
-    metrics: tuple | None = None
+    element_counts: list
+    positions: list
+    metrics: list | None = None
 
     def __post_init__(self):
-        if len(self.element_counts) == 0:
-            raise ConfigError("sweep.element_counts must be non-empty")
-        if len(self.positions) == 0:
-            raise ConfigError("sweep.positions must be non-empty")
-        if any(int(n) < 1 for n in self.element_counts):
-            raise ConfigError("sweep.element_counts entries must be positive")
+        # a spec built in code gets the checks of the config's sweep section
+        _list_of(_integer(1))(list(self.element_counts), "sweep.element_counts")
+        _list_of(_VECTOR)([list(p) for p in self.positions], "sweep.positions")
 
 
 @dataclass
 class PatternConfig:
-    frequencies_hz: tuple
-    angle_start_deg: float = -90.0
-    angle_stop_deg: float = 90.0
-    angle_step_deg: float = 0.25
-    cut_plane: str = "terminals"        # "terminals", "array-u" or "array-v"
-    cut_radius: float | str | None = "target-distance"
-    reference_angle_deg: float | None = None
-    reference_window_deg: float = 10.0
-    # validated sweep block: frequency_hz, l_top_h, c_ranges_f, window_deg,
-    # angle_step_deg, with defaults filled in
-    sensitivity: dict | None = None
+    frequencies_hz: list
+    angle_start_deg: float
+    angle_stop_deg: float
+    angle_step_deg: float
+    cut_plane: str
+    cut_radius: float | str | None
+    reference_angle_deg: float | None
+    reference_window_deg: float
+    sensitivity: dict | None            # the parsed sensitivity section
 
     def angle_grid(self, step: float | None = None) -> np.ndarray:
         step = self.angle_step_deg if step is None else step
-        if self.angle_stop_deg <= self.angle_start_deg or step <= 0:
-            raise ConfigError("pattern angle grid is empty")
         return np.arange(self.angle_start_deg, self.angle_stop_deg + 1e-9, step)
 
 
@@ -127,10 +128,10 @@ class Scenario:
     operators: list
     ris: RisConfig
     noise_w: float
-    k_factor_db: float | None = None
-    sweep_spec: SweepSpec | None = None
-    pattern: PatternConfig | None = None
-    config_echo: dict = field(default_factory=dict)
+    k_factor_db: float | None
+    sweep_spec: SweepSpec | None
+    pattern: PatternConfig | None
+    config_echo: dict
 
     @property
     def owner(self) -> OperatorConfig:
@@ -169,198 +170,175 @@ class CaseMetrics:
 
     def to_dict(self) -> dict:
         d = dict(zip(EXPORT_COLUMNS, self.to_row()))
-        d.update({
-            "realizations": self.realizations,
-            "stderr_target_ris": self.stderr_target_ris,
-            "stderr_target_noris": self.stderr_target_noris,
-            "stderr_nontarget_ris": self.stderr_nontarget_ris,
-            "stderr_nontarget_noris": self.stderr_nontarget_noris,
-            "stderr_target_diff": self.stderr_target_diff,
-            "stderr_nontarget_diff": self.stderr_nontarget_diff,
-            "degradation_stderr": self.degradation_stderr,
-            "clamp_fraction": self.clamp_fraction,
-            "tuning_converged_fraction": self.tuning_converged_fraction,
-            "per_ue": self.per_ue,
-        })
+        d.update((name, getattr(self, name)) for name in METRIC_NAMES[len(EXPORT_COLUMNS):])
         return d
+
+
+# every key of CaseMetrics.to_dict: the export columns, then the remaining
+# fields (ris_position is exported as ris_x, ris_y, ris_z)
+METRIC_NAMES = EXPORT_COLUMNS + tuple(
+    f.name for f in fields(CaseMetrics) if f.name not in EXPORT_COLUMNS + ("ris_position",))
 
 
 # ---------------------------------------------------------------------------
 # config schema
+#
+# Each section is a table mapping a field to (check, default). A check takes
+# (value, path) and returns the validated value or raises a ConfigError that
+# names the path. A missing field takes its default, run through the same
+# check so nested sections and lists are materialized; _REQUIRED fields must
+# be present. A field whose default is null also takes an explicit null. The
+# parsed config is the echo.
 
-_NOISE_DEFAULTS = {"bandwidth_hz": 1e7, "noise_figure_db": 9.0,
-                   "density_dbm_per_hz": -174.0}
-_CIRCUIT_DEFAULTS = {"l_bottom_h": 2.5e-9, "l_top_h": 0.7e-9, "r_loss_ohm": 1.0,
-                     "z0_ohm": 376.730313668, "c_min_f": 0.47e-12, "c_max_f": 2.35e-12}
-
-
-def _check_keys(section: dict, path: str, required: tuple, optional: tuple) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path} must be an object")
-    for key in section:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key} is not a recognized field")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"{path}.{key} is required")
+_REQUIRED = object()
 
 
-def _vector3(value, path: str) -> np.ndarray:
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be a 3-vector of numbers") from None
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise ConfigError(f"{path} must be a finite 3-vector")
-    return v
+def _number(positive: bool = False, non_negative: bool = False):
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                             np.floating)):
+            raise ConfigError(f"{path} must be a number")
+        try:
+            x = float(value)
+        except OverflowError:       # a JSON integer beyond the float range
+            x = float("inf")
+        if not np.isfinite(x):
+            raise ConfigError(f"{path} must be finite")
+        if positive and x <= 0:
+            raise ConfigError(f"{path} must be positive")
+        if non_negative and x < 0:
+            raise ConfigError(f"{path} must be non-negative")
+        return x
+    return check
 
 
-def _finite(value, path: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be a number") from None
-    if not np.isfinite(x):
-        raise ConfigError(f"{path} must be finite")
-    return x
+_FINITE = _number()
+_POSITIVE = _number(positive=True)
+_NON_NEGATIVE = _number(non_negative=True)
 
 
-def _positive(value, path: str) -> float:
-    x = _finite(value, path)
-    if x <= 0:
-        raise ConfigError(f"{path} must be positive")
-    return x
+def _integer(minimum: int):
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{path} must be an integer")
+        if value < minimum:
+            raise ConfigError(f"{path} must be at least {minimum}")
+        return int(value)
+    return check
 
 
-def _non_negative(value, path: str) -> float:
-    x = _finite(value, path)
-    if x < 0:
-        raise ConfigError(f"{path} must be non-negative")
-    return x
+def _one_of(*choices):
+    def check(value, path):
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{path} must be one of {', '.join(map(repr, choices))}")
+        return value
+    return check
 
 
-def _non_empty_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path} must be a non-empty list")
+def _flag(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path} must be true or false")
     return value
 
 
-def _parse_ue(raw: dict, path: str, expected_role: str) -> UeConfig:
-    _check_keys(raw, path, required=("id", "position"), optional=("role", "blocked"))
-    if not isinstance(raw["id"], str) or not raw["id"]:
-        raise ConfigError(f"{path}.id must be a non-empty string")
-    role = raw.get("role", expected_role)
-    if role not in ("target", "non-target"):
-        raise ConfigError(f"{path}.role must be 'target' or 'non-target'")
-    if role != expected_role:
-        raise ConfigError(f"{path}.role must be '{expected_role}' because surface "
-                          "ownership decides which users are targets")
-    return UeConfig(id=raw["id"], position=_vector3(raw["position"], f"{path}.position"),
-                    role=role, blocked=bool(raw.get("blocked", False)))
+def _name(value, path):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path} must be a non-empty string")
+    return value
 
 
-def _parse_operator(raw: dict, path: str, ris_owner: str) -> OperatorConfig:
-    _check_keys(raw, path, required=("id", "carrier_hz", "bs", "ues"),
-                optional=("power_w", "precoder", "zf_condition_limit"))
-    op_id = raw["id"]
-    if not isinstance(op_id, str) or not op_id:
-        raise ConfigError(f"{path}.id must be a non-empty string")
-    bs_raw = raw["bs"]
-    _check_keys(bs_raw, f"{path}.bs", required=("position",),
-                optional=("antennas", "spacing_fraction", "axis"))
-    try:
-        bs = Node(position=_vector3(bs_raw["position"], f"{path}.bs.position"),
-                  n_antennas=int(bs_raw.get("antennas", 1)),
-                  spacing_fraction=float(bs_raw.get("spacing_fraction", 0.5)),
-                  axis=np.asarray(bs_raw.get("axis", [1.0, 0.0, 0.0]), dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.bs: {exc}") from None
-    precoder = raw.get("precoder", "zf")
-    if precoder not in ("zf", "mrt"):
-        raise ConfigError(f"{path}.precoder must be 'zf' or 'mrt'")
-    limit = raw.get("zf_condition_limit")
-    if limit is not None:
-        limit = _positive(limit, f"{path}.zf_condition_limit")
-    if not isinstance(raw["ues"], list) or not raw["ues"]:
-        raise ConfigError(f"{path}.ues must be a non-empty list")
-    expected_role = "target" if op_id == ris_owner else "non-target"
-    ues = [_parse_ue(u, f"{path}.ues[{i}]", expected_role)
-           for i, u in enumerate(raw["ues"])]
-    return OperatorConfig(id=op_id, carrier_hz=_positive(raw["carrier_hz"], f"{path}.carrier_hz"),
-                          bs=bs, ues=ues, power_w=float(raw.get("power_w", 1.0)),
-                          precoder=precoder, zf_condition_limit=limit)
+def _list_of(check, length: int | None = None):
+    def check_list(value, path):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{path} must be a non-empty list")
+        if length is not None and len(value) != length:
+            raise ConfigError(f"{path} must have {length} entries")
+        return [check(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return check_list
 
 
-def _parse_circuit(raw: dict, path: str) -> CircuitParams:
-    merged = dict(_CIRCUIT_DEFAULTS)
-    _check_keys(raw, path, required=(), optional=tuple(_CIRCUIT_DEFAULTS))
-    merged.update(raw)
-    try:
-        return CircuitParams(l_bottom=float(merged["l_bottom_h"]),
-                             l_top=float(merged["l_top_h"]),
-                             r_loss=float(merged["r_loss_ohm"]),
-                             z0=float(merged["z0_ohm"]),
-                             c_min=float(merged["c_min_f"]),
-                             c_max=float(merged["c_max_f"]))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+_VECTOR = _list_of(_FINITE, length=3)
 
 
-def _parse_pattern(raw: dict, path: str) -> PatternConfig:
-    _check_keys(raw, path, required=("frequencies_hz",),
-                optional=("angle_start_deg", "angle_stop_deg", "angle_step_deg",
-                          "cut_plane", "cut_radius", "reference_angle_deg",
-                          "reference_window_deg", "sensitivity"))
-    freqs = tuple(_positive(f, f"{path}.frequencies_hz[{i}]")
-                  for i, f in enumerate(_non_empty_list(raw["frequencies_hz"],
-                                                        f"{path}.frequencies_hz")))
-    start = _finite(raw.get("angle_start_deg", -90.0), f"{path}.angle_start_deg")
-    stop = _finite(raw.get("angle_stop_deg", 90.0), f"{path}.angle_stop_deg")
-    if stop <= start:
-        raise ConfigError(f"{path}.angle_stop_deg must exceed angle_start_deg")
-    step = _positive(raw.get("angle_step_deg", 0.25), f"{path}.angle_step_deg")
-    cut_plane = raw.get("cut_plane", "terminals")
-    if cut_plane not in ("terminals", "array-u", "array-v"):
-        raise ConfigError(f"{path}.cut_plane must be 'terminals', 'array-u' or 'array-v'")
-    radius = raw.get("cut_radius", "target-distance")
-    if radius is not None and radius != "target-distance":
-        radius = _positive(radius, f"{path}.cut_radius")
-    reference = raw.get("reference_angle_deg")
-    if reference is not None:
-        reference = _finite(reference, f"{path}.reference_angle_deg")
-    sensitivity = raw.get("sensitivity")
-    if sensitivity is not None:
-        sensitivity = _parse_sensitivity(sensitivity, f"{path}.sensitivity", step)
-    return PatternConfig(frequencies_hz=freqs, angle_start_deg=start,
-                         angle_stop_deg=stop, angle_step_deg=step,
-                         cut_plane=cut_plane, cut_radius=radius,
-                         reference_angle_deg=reference,
-                         reference_window_deg=_non_negative(
-                             raw.get("reference_window_deg", 10.0),
-                             f"{path}.reference_window_deg"),
-                         sensitivity=sensitivity)
+def _interval(value, path):
+    lo, hi = _list_of(_POSITIVE, length=2)(value, path)
+    if not lo < hi:
+        raise ConfigError(f"{path} must be [low, high] with low < high")
+    return [lo, hi]
 
 
-def _parse_sensitivity(raw: dict, path: str, default_step: float) -> dict:
-    _check_keys(raw, path, required=("frequency_hz", "l_top_h", "c_ranges_f"),
-                optional=("window_deg", "angle_step_deg"))
-    l_values = [_positive(v, f"{path}.l_top_h[{i}]")
-                for i, v in enumerate(_non_empty_list(raw["l_top_h"], f"{path}.l_top_h"))]
-    ranges = []
-    for i, pair in enumerate(_non_empty_list(raw["c_ranges_f"], f"{path}.c_ranges_f")):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"{path}.c_ranges_f[{i}] must be [c_min, c_max]")
-        lo = _positive(pair[0], f"{path}.c_ranges_f[{i}][0]")
-        hi = _positive(pair[1], f"{path}.c_ranges_f[{i}][1]")
-        if not lo < hi:
-            raise ConfigError(f"{path}.c_ranges_f[{i}] must be [c_min, c_max] "
-                              "with c_min < c_max")
-        ranges.append((lo, hi))
-    return {"frequency_hz": _positive(raw["frequency_hz"], f"{path}.frequency_hz"),
-            "l_top_h": l_values, "c_ranges_f": ranges,
-            "window_deg": _non_negative(raw.get("window_deg", 5.0), f"{path}.window_deg"),
-            "angle_step_deg": _positive(raw.get("angle_step_deg", default_step),
-                                        f"{path}.angle_step_deg")}
+def _section(schema: dict):
+    def check(raw, path):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} must be an object")
+        for key in raw:
+            if key not in schema:
+                raise ConfigError(f"{path}.{key} is not a recognized field")
+        out = {}
+        for key, (check_field, default) in schema.items():
+            value = raw.get(key, default)
+            if value is _REQUIRED:
+                raise ConfigError(f"{path}.{key} is required")
+            keep_null = value is None and default is None
+            out[key] = None if keep_null else check_field(value, f"{path}.{key}")
+        return out
+    return check
+
+
+def _cut_radius(value, path):
+    # null selects the far field
+    if value is None or value == "target-distance":
+        return value
+    if isinstance(value, str):
+        raise ConfigError(f"{path} must be 'target-distance', a positive number or null")
+    return _POSITIVE(value, path)
+
+
+# a UE's role is filled in from surface ownership when omitted
+_UE = {"id": (_name, _REQUIRED), "position": (_VECTOR, _REQUIRED),
+       "role": (_one_of("target", "non-target"), None), "blocked": (_flag, False)}
+_BS = {"position": (_VECTOR, _REQUIRED), "antennas": (_integer(1), 1),
+       "spacing_fraction": (_POSITIVE, 0.5), "axis": (_VECTOR, [1.0, 0.0, 0.0])}
+_OPERATOR = {"id": (_name, _REQUIRED), "carrier_hz": (_POSITIVE, _REQUIRED),
+             "bs": (_section(_BS), _REQUIRED), "ues": (_list_of(_section(_UE)), _REQUIRED),
+             "power_w": (_POSITIVE, 1.0), "precoder": (_one_of("zf", "mrt"), "zf"),
+             "zf_condition_limit": (_POSITIVE, None)}
+# the CircuitParams fields, with a unit suffix
+_CIRCUIT = {"l_bottom_h": (_POSITIVE, 2.5e-9), "l_top_h": (_POSITIVE, 0.7e-9),
+            "r_loss_ohm": (_NON_NEGATIVE, 1.0), "z0_ohm": (_POSITIVE, 376.730313668),
+            "c_min_f": (_POSITIVE, 0.47e-12), "c_max_f": (_POSITIVE, 2.35e-12)}
+_RIS = {"owner": (_name, _REQUIRED), "rows": (_integer(1), _REQUIRED),
+        "cols": (_integer(1), _REQUIRED), "position": (_VECTOR, _REQUIRED),
+        "plane": (_one_of(*PLANE_AXES), "xz"), "spacing_fraction": (_POSITIVE, 0.5),
+        "design_frequency_hz": (_POSITIVE, None), "enabled": (_flag, True),
+        "narrowband": (_flag, False),
+        "element_pattern": (_one_of("isotropic", "cosine"), "isotropic"),
+        "circuit": (_section(_CIRCUIT), {}), "influence_band_hz": (_interval, None)}
+_NOISE = {"bandwidth_hz": (_POSITIVE, 1e7), "noise_figure_db": (_FINITE, 9.0),
+          "density_dbm_per_hz": (_FINITE, -174.0)}
+_SWEEP = {"element_counts": (_list_of(_integer(1)), _REQUIRED),
+          "positions": (_list_of(_VECTOR), _REQUIRED),
+          "metrics": (_list_of(_one_of(*METRIC_NAMES)), None)}
+# the sensitivity step defaults to the pattern's step
+_SENSITIVITY = {"frequency_hz": (_POSITIVE, _REQUIRED),
+                "l_top_h": (_list_of(_POSITIVE), _REQUIRED),
+                "c_ranges_f": (_list_of(_interval), _REQUIRED),
+                "window_deg": (_NON_NEGATIVE, 5.0), "angle_step_deg": (_POSITIVE, None)}
+_PATTERN = {"frequencies_hz": (_list_of(_POSITIVE), _REQUIRED),
+            "angle_start_deg": (_FINITE, -90.0), "angle_stop_deg": (_FINITE, 90.0),
+            "angle_step_deg": (_POSITIVE, 0.25),
+            "cut_plane": (_one_of("terminals", "array-u", "array-v"), "terminals"),
+            "cut_radius": (_cut_radius, "target-distance"),
+            "reference_angle_deg": (_FINITE, None),
+            "reference_window_deg": (_NON_NEGATIVE, 10.0),
+            "sensitivity": (_section(_SENSITIVITY), None)}
+_CONFIG = _section({
+    "operators": (_list_of(_section(_OPERATOR)), _REQUIRED),
+    "ris": (_section(_RIS), _REQUIRED),
+    "master_seed": (_integer(0), 0), "realizations": (_integer(1), 100),
+    "noise": (_section(_NOISE), {}),
+    "channel": (_section({"k_factor_db": (_FINITE, None)}), {}),
+    "sweep": (_section(_SWEEP), None), "pattern": (_section(_PATTERN), None)})
 
 
 def load_scenario(config) -> Scenario:
@@ -372,149 +350,73 @@ def load_scenario(config) -> Scenario:
     """
     if isinstance(config, (str, bytes)):
         try:
-            raw = json.loads(config)
+            config = json.loads(config)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    else:
-        raw = config
-    _check_keys(raw, "config", required=("operators", "ris"),
-                optional=("master_seed", "realizations", "noise", "channel",
-                          "sweep", "pattern"))
-    # an explicit null for an optional section means the same as leaving it out,
-    # so an echoed manifest config loads back unchanged
-    raw = {k: v for k, v in raw.items() if v is not None}
+    if isinstance(config, dict):
+        # an explicit null for a top-level section means the same as leaving
+        # it out, so an echoed manifest config loads back unchanged
+        config = {k: v for k, v in config.items() if v is not None}
+    cfg = _CONFIG(config, "config")
+    ris, ops, pattern = cfg["ris"], cfg["operators"], cfg["pattern"]
 
-    noise_raw = dict(_NOISE_DEFAULTS)
-    if "noise" in raw:
-        _check_keys(raw["noise"], "config.noise", required=(),
-                    optional=tuple(_NOISE_DEFAULTS))
-        noise_raw.update(raw["noise"])
-    noise_w = noise_power(bandwidth_hz=float(noise_raw["bandwidth_hz"]),
-                          noise_figure_db=float(noise_raw["noise_figure_db"]),
-                          density_dbm_per_hz=float(noise_raw["density_dbm_per_hz"]))
-
-    k_factor_db = None
-    if "channel" in raw:
-        _check_keys(raw["channel"], "config.channel", required=(), optional=("k_factor_db",))
-        if raw["channel"].get("k_factor_db") is not None:
-            k_factor_db = float(raw["channel"]["k_factor_db"])
-
-    ris_raw = raw["ris"]
-    _check_keys(ris_raw, "config.ris", required=("owner", "rows", "cols", "position"),
-                optional=("plane", "spacing_fraction", "design_frequency_hz", "enabled",
-                          "narrowband", "element_pattern", "circuit", "influence_band_hz"))
-    band = ris_raw.get("influence_band_hz")
-    if band is not None:
-        if (not isinstance(band, list) or len(band) != 2
-                or not all(np.isfinite(float(b)) and float(b) > 0 for b in band)
-                or float(band[0]) >= float(band[1])):
-            raise ConfigError("config.ris.influence_band_hz must be [low, high] with low < high")
-        band = (float(band[0]), float(band[1]))
-    rows, cols = int(ris_raw["rows"]), int(ris_raw["cols"])
-    if rows < 1 or cols < 1:
-        raise ConfigError("config.ris.rows and config.ris.cols must be at least 1")
-    design_f = ris_raw.get("design_frequency_hz")
-    ris = RisConfig(owner=str(ris_raw["owner"]), rows=rows, cols=cols,
-                    position=_vector3(ris_raw["position"], "config.ris.position"),
-                    plane=str(ris_raw.get("plane", "xz")),
-                    spacing_fraction=float(ris_raw.get("spacing_fraction", 0.5)),
-                    design_frequency_hz=None if design_f is None else _positive(
-                        design_f, "config.ris.design_frequency_hz"),
-                    enabled=bool(ris_raw.get("enabled", True)),
-                    narrowband=bool(ris_raw.get("narrowband", False)),
-                    element_pattern=str(ris_raw.get("element_pattern", "isotropic")),
-                    circuit=_parse_circuit(ris_raw.get("circuit", {}), "config.ris.circuit"),
-                    influence_band_hz=band)
-
-    if not isinstance(raw["operators"], list) or not raw["operators"]:
-        raise ConfigError("config.operators must be a non-empty list")
-    operators = [_parse_operator(op, f"config.operators[{i}]", ris.owner)
-                 for i, op in enumerate(raw["operators"])]
-    ids = [op.id for op in operators]
+    ids = [op["id"] for op in ops]
     if len(set(ids)) != len(ids):
         raise ConfigError("config.operators ids must be unique")
-    if ris.owner not in ids:
-        raise ConfigError(f"config.ris.owner '{ris.owner}' does not match any operator id")
-    carriers = [op.carrier_hz for op in operators]
+    if ris["owner"] not in ids:
+        raise ConfigError(f"config.ris.owner '{ris['owner']}' does not match any operator id")
+    carriers = [op["carrier_hz"] for op in ops]
     if len(set(carriers)) != len(carriers):
         raise ConfigError("config.operators carrier frequencies must be distinct")
-    ue_ids = [ue.id for op in operators for ue in op.ues]
+    ue_ids = [ue["id"] for op in ops for ue in op["ues"]]
     dupes = {u for u in ue_ids if ue_ids.count(u) > 1}
     if dupes:
         raise ConfigError(f"duplicate UE identifiers: {sorted(dupes)}")
+    for i, op in enumerate(ops):
+        if not any(op["bs"]["axis"]):
+            raise ConfigError(f"config.operators[{i}].bs.axis must be a non-zero vector")
+        expected_role = "target" if op["id"] == ris["owner"] else "non-target"
+        for j, ue in enumerate(op["ues"]):
+            if ue["role"] is None:
+                ue["role"] = expected_role
+            elif ue["role"] != expected_role:
+                raise ConfigError(f"config.operators[{i}].ues[{j}].role must be "
+                                  f"'{expected_role}' because surface ownership "
+                                  "decides which users are targets")
+    circuit = ris["circuit"]
+    if not circuit["c_min_f"] < circuit["c_max_f"]:
+        raise ConfigError("config.ris.circuit.c_max_f must exceed c_min_f")
+    if pattern is not None:
+        if pattern["angle_stop_deg"] <= pattern["angle_start_deg"]:
+            raise ConfigError("config.pattern.angle_stop_deg must exceed angle_start_deg")
+        sens = pattern["sensitivity"]
+        if sens is not None and sens["angle_step_deg"] is None:
+            sens["angle_step_deg"] = pattern["angle_step_deg"]
 
-    if ris.influence_band_hz is not None:
-        lo, hi = ris.influence_band_hz
-        for op in operators:
-            if not (lo <= op.carrier_hz <= hi):
+    if ris["influence_band_hz"] is not None:
+        lo, hi = ris["influence_band_hz"]
+        for op in ops:
+            if not (lo <= op["carrier_hz"] <= hi):
                 warnings.warn(ConfigWarning(
-                    f"operator '{op.id}' carrier {op.carrier_hz:g} Hz lies outside the "
-                    f"surface influence band [{lo:g}, {hi:g}] Hz; scattering impact "
+                    f"operator '{op['id']}' carrier {op['carrier_hz']:g} Hz lies outside "
+                    f"the surface influence band [{lo:g}, {hi:g}] Hz; scattering impact "
                     "there is negligible"))
 
-    sweep_spec = None
-    if "sweep" in raw:
-        _check_keys(raw["sweep"], "config.sweep", required=("element_counts", "positions"),
-                    optional=("metrics",))
-        counts = raw["sweep"]["element_counts"]
-        positions = raw["sweep"]["positions"]
-        if not isinstance(counts, list) or not isinstance(positions, list):
-            raise ConfigError("config.sweep lists are malformed")
-        metrics = raw["sweep"].get("metrics")
-        sweep_spec = SweepSpec(
-            element_counts=tuple(int(n) for n in counts),
-            positions=tuple(tuple(_vector3(p, f"config.sweep.positions[{i}]"))
-                            for i, p in enumerate(positions)),
-            metrics=None if metrics is None else tuple(metrics))
-
-    pattern = None
-    if "pattern" in raw:
-        pattern = _parse_pattern(raw["pattern"], "config.pattern")
-
-    master_seed = int(raw.get("master_seed", 0))
-    if master_seed < 0:
-        raise ConfigError("config.master_seed must be non-negative")
-    realizations = int(raw.get("realizations", 100))
-    if realizations < 1:
-        raise ConfigError("config.realizations must be at least 1")
-
-    echo = {
-        "master_seed": master_seed,
-        "realizations": realizations,
-        "noise": noise_raw,
-        "channel": {"k_factor_db": k_factor_db},
-        "ris": {
-            "owner": ris.owner, "rows": ris.rows, "cols": ris.cols,
-            "position": [float(x) for x in ris.position], "plane": ris.plane,
-            "spacing_fraction": ris.spacing_fraction,
-            "design_frequency_hz": ris.design_frequency_hz,
-            "enabled": ris.enabled, "narrowband": ris.narrowband,
-            "element_pattern": ris.element_pattern,
-            "circuit": {"l_bottom_h": ris.circuit.l_bottom, "l_top_h": ris.circuit.l_top,
-                        "r_loss_ohm": ris.circuit.r_loss, "z0_ohm": ris.circuit.z0,
-                        "c_min_f": ris.circuit.c_min, "c_max_f": ris.circuit.c_max},
-            "influence_band_hz": None if band is None else list(band),
-        },
-        "operators": [
-            {"id": op.id, "carrier_hz": op.carrier_hz, "power_w": op.power_w,
-             "precoder": op.precoder, "zf_condition_limit": op.zf_condition_limit,
-             "bs": {"position": [float(x) for x in op.bs.position],
-                    "antennas": op.bs.n_antennas,
-                    "spacing_fraction": op.bs.spacing_fraction,
-                    "axis": [float(x) for x in op.bs.axis]},
-             "ues": [{"id": ue.id, "position": [float(x) for x in ue.position],
-                      "role": ue.role, "blocked": ue.blocked} for ue in op.ues]}
-            for op in operators],
-        "sweep": None if sweep_spec is None else {
-            "element_counts": list(sweep_spec.element_counts),
-            "positions": [list(p) for p in sweep_spec.positions],
-            "metrics": None if sweep_spec.metrics is None else list(sweep_spec.metrics)},
-        "pattern": raw.get("pattern"),
-    }
-    return Scenario(master_seed=master_seed, realizations=realizations,
-                    operators=operators, ris=ris, noise_w=noise_w,
-                    k_factor_db=k_factor_db, sweep_spec=sweep_spec,
-                    pattern=pattern, config_echo=echo)
+    operators = [
+        OperatorConfig(**{**op, "bs": Node(position=op["bs"]["position"],
+                                          n_antennas=op["bs"]["antennas"],
+                                          spacing_fraction=op["bs"]["spacing_fraction"],
+                                          axis=op["bs"]["axis"]),
+                          "ues": [UeConfig(**ue) for ue in op["ues"]]})
+        for op in ops]
+    surface = RisConfig(**{**ris, "circuit": CircuitParams(
+        **{key.rsplit("_", 1)[0]: value for key, value in circuit.items()})})
+    return Scenario(master_seed=cfg["master_seed"], realizations=cfg["realizations"],
+                    operators=operators, ris=surface, noise_w=noise_power(**cfg["noise"]),
+                    k_factor_db=cfg["channel"]["k_factor_db"],
+                    sweep_spec=None if cfg["sweep"] is None else SweepSpec(**cfg["sweep"]),
+                    pattern=None if pattern is None else PatternConfig(**pattern),
+                    config_echo=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -580,22 +482,19 @@ def _zero_state(n_elements: int, frequency: float) -> ScatteringState:
                            frequency=float(frequency))
 
 
-def _tune_surface(scenario: Scenario, target_sets) -> tuple[TuningResult, OptimizationLog]:
+def _tune_surface(scenario: Scenario, target_sets) -> TuningResult:
     log = OptimizationLog()
     theta = optimize_weighted_sum_power(target_sets, log=log)
-    result = realize_capacitances(theta, scenario.ris.circuit, channel_sets=target_sets)
-    result.objective_trace = tuple(log.objectives)
+    result = realize_capacitances(theta, scenario.ris.circuit)
     result.converged = log.converged
-    return result, log
+    return result
 
 
 def _surface_state(scenario: Scenario, tuning: TuningResult | None,
                    frequency: float) -> ScatteringState:
-    n = scenario.ris.n_elements
-    if tuning is None:
-        return _zero_state(n, frequency)
-    if scenario.ris.narrowband and abs(frequency - tuning.frequency) > 1e-6 * tuning.frequency:
-        return _zero_state(n, frequency)
+    if tuning is None or (scenario.ris.narrowband and
+                          abs(frequency - tuning.frequency) > 1e-6 * tuning.frequency):
+        return _zero_state(scenario.ris.n_elements, frequency)
     return evaluate_off_frequency(tuning, frequency, scenario.ris.circuit)
 
 
@@ -643,9 +542,7 @@ def _operator_metrics(op: OperatorConfig, design_rows, actual_rows,
 def _run_realization(scenario: Scenario, array: RisArray, realization: int) -> dict:
     channels = _ue_channels(scenario, array, realization)
     owner = scenario.owner
-    tuning = None
-    if scenario.ris.enabled:
-        tuning, _ = _tune_surface(scenario, channels[owner.id])
+    tuning = _tune_surface(scenario, channels[owner.id]) if scenario.ris.enabled else None
 
     out = {"se_ris": {}, "se_noris": {}, "sinr_ris": {}, "sinr_noris": {},
            "clamp_fraction": 0.0, "converged": True}
@@ -703,10 +600,8 @@ def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
         chunks = [indices[i::n_chunks] for i in range(n_chunks)]
         with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             parts = list(pool.map(_case_worker, [(scenario, c) for c in chunks]))
-        results = [None] * len(indices)
-        for chunk, part in zip(chunks, parts):
-            for r, res in zip(chunk, part):
-                results[r] = res
+        # chunk c holds realizations c, c + n_chunks, ...
+        results = [parts[r % n_chunks][r // n_chunks] for r in indices]
     else:
         array = build_surface(scenario.ris, scenario.owner.carrier_hz)
         results = [_run_realization(scenario, array, r) for r in indices]
@@ -784,18 +679,8 @@ def grid_shape(n_elements: int) -> tuple[int, int]:
 
 def _with_surface(scenario: Scenario, n_elements: int, position) -> Scenario:
     rows, cols = grid_shape(n_elements)
-    ris = RisConfig(owner=scenario.ris.owner, rows=rows, cols=cols,
-                    position=np.asarray(position, dtype=float), plane=scenario.ris.plane,
-                    spacing_fraction=scenario.ris.spacing_fraction,
-                    design_frequency_hz=scenario.ris.design_frequency_hz,
-                    enabled=scenario.ris.enabled, narrowband=scenario.ris.narrowband,
-                    element_pattern=scenario.ris.element_pattern,
-                    circuit=scenario.ris.circuit,
-                    influence_band_hz=scenario.ris.influence_band_hz)
-    return Scenario(master_seed=scenario.master_seed, realizations=scenario.realizations,
-                    operators=scenario.operators, ris=ris, noise_w=scenario.noise_w,
-                    k_factor_db=scenario.k_factor_db, sweep_spec=scenario.sweep_spec,
-                    pattern=scenario.pattern, config_echo=scenario.config_echo)
+    return replace(scenario, ris=replace(scenario.ris, rows=rows, cols=cols,
+                                         position=position))
 
 
 def _sweep_worker(case_scenario: Scenario) -> CaseMetrics:
@@ -850,72 +735,50 @@ def export_results(table, fmt: str, path, scenario: Scenario | None = None) -> N
 
     The manifest echoes the materialized config, the seed rule, and the
     tool version; it carries no timestamps, so re-exporting an identical
-    run is byte-identical.
+    run is byte-identical. A NaN or infinite value raises NumericalError
+    before any file is written.
     """
     if not table:
         raise ValueError("result table is empty")
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
     path = str(path)
+    non_finite = NumericalError(f"the result table holds a NaN or infinite value; "
+                                f"nothing was written to '{path}'")
+    if fmt == "csv":
+        rows = [case.to_row() for case in table]
+        if not np.all(np.isfinite(np.asarray(rows, dtype=float))):
+            raise non_finite
+        lines = [",".join(EXPORT_COLUMNS)]
+        lines += [",".join(_format_value(v) for v in row) for row in rows]
+        payload = "\n".join(lines) + "\n"
+    else:
+        spec = None if scenario is None else scenario.sweep_spec
+        keep = set(METRIC_NAMES) if spec is None or spec.metrics is None \
+            else set(spec.metrics) | {"n_elements", "ris_x", "ris_y", "ris_z"}
+        cases = [{k: v for k, v in case.to_dict().items() if k in keep} for case in table]
+        try:
+            payload = json.dumps({"cases": cases}, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n"
+        except ValueError:
+            raise non_finite from None
+    manifest = {
+        "version": __version__,
+        "seed_rule": ("SeedSequence([master_seed, realization, operator_index, "
+                      "ue_slot, link_code]); ue_slot 0 is the shared BS-to-surface "
+                      "link, otherwise ue_index + 1; link codes 0=direct, "
+                      "1=bs_to_ris, 2=ris_to_ue"),
+        "columns": list(EXPORT_COLUMNS),
+        "cases": len(table),
+        "config": None if scenario is None else scenario.config_echo,
+    }
     try:
-        if fmt == "csv":
-            lines = [",".join(EXPORT_COLUMNS)]
-            lines += [",".join(_format_value(v) for v in case.to_row()) for case in table]
-            payload = "\n".join(lines) + "\n"
-        else:
-            cases = []
-            for case in table:
-                d = case.to_dict()
-                metrics = None if scenario is None or scenario.sweep_spec is None \
-                    else scenario.sweep_spec.metrics
-                if metrics is not None:
-                    keep = set(metrics) | {"n_elements", "ris_x", "ris_y", "ris_z"}
-                    d = {k: v for k, v in d.items() if k in keep}
-                cases.append(d)
-            payload = json.dumps({"cases": cases}, indent=2, sort_keys=True) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
-        manifest = {
-            "version": __version__,
-            "seed_rule": ("SeedSequence([master_seed, realization, operator_index, "
-                          "ue_slot, link_code]); ue_slot 0 is the shared BS-to-surface "
-                          "link, otherwise ue_index + 1; link codes 0=direct, "
-                          "1=bs_to_ris, 2=ris_to_ue"),
-            "columns": list(EXPORT_COLUMNS),
-            "cases": len(table),
-            "config": None if scenario is None else scenario.config_echo,
-        }
         with open(path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing results to '{path}': {exc}") from exc
-
-
-def table_from_json(text: str) -> list:
-    """Rebuild CaseMetrics rows from an exported JSON document."""
-    doc = json.loads(text)
-    out = []
-    for case in doc["cases"]:
-        out.append(CaseMetrics(
-            n_elements=int(case["n_elements"]),
-            ris_position=(case["ris_x"], case["ris_y"], case["ris_z"]),
-            realizations=int(case.get("realizations", 0)),
-            sumse_target_ris=case.get("sumse_target_ris", 0.0),
-            sumse_target_noris=case.get("sumse_target_noris", 0.0),
-            sumse_nontarget_ris=case.get("sumse_nontarget_ris", 0.0),
-            sumse_nontarget_noris=case.get("sumse_nontarget_noris", 0.0),
-            degradation_ratio=case.get("degradation_ratio", 0.0),
-            stderr_target_ris=case.get("stderr_target_ris", 0.0),
-            stderr_target_noris=case.get("stderr_target_noris", 0.0),
-            stderr_nontarget_ris=case.get("stderr_nontarget_ris", 0.0),
-            stderr_nontarget_noris=case.get("stderr_nontarget_noris", 0.0),
-            stderr_target_diff=case.get("stderr_target_diff", 0.0),
-            stderr_nontarget_diff=case.get("stderr_nontarget_diff", 0.0),
-            degradation_stderr=case.get("degradation_stderr", 0.0),
-            clamp_fraction=case.get("clamp_fraction", 0.0),
-            tuning_converged_fraction=case.get("tuning_converged_fraction", 1.0),
-            per_ue=case.get("per_ue", {})))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -936,12 +799,13 @@ def _pattern_cut(scenario: Scenario, array: RisArray) -> PatternCut:
     return PatternCut(radius=radius, axis=axis)
 
 
-def _tune_for_pattern(scenario: Scenario, array: RisArray,
-                      params: CircuitParams) -> TuningResult:
-    """Focus the surface on the owner's first user at the design carrier.
+def _pattern_phases(scenario: Scenario, array: RisArray) -> ScatteringState:
+    """Ideal phases focusing the owner's first user at the design carrier.
 
     The feed is collapsed to a point source so the single-target closed
-    form applies; the direct path is ignored for the pattern study.
+    form applies; the direct path is ignored for the pattern study. The
+    phases do not depend on the circuit constants, which only enter when
+    they are realized as capacitances.
     """
     owner = scenario.owner
     f_design = scenario.ris.design_frequency_hz or owner.carrier_hz
@@ -951,8 +815,7 @@ def _tune_for_pattern(scenario: Scenario, array: RisArray,
                      bs_to_ris=los_channel(feed, array, f_design),
                      ris_to_ue=los_channel(array, ue_node, f_design),
                      frequency=f_design, direct_blocked=True)
-    theta = align_phases_single_target(chs)
-    return realize_capacitances(theta, params, channel_sets=[chs])
+    return align_phases_single_target(chs)
 
 
 def _pattern_at(scenario: Scenario, array: RisArray, state: ScatteringState,
@@ -975,7 +838,7 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     cfg = scenario.pattern
     params = scenario.ris.circuit
     array = build_surface(scenario.ris, scenario.owner.carrier_hz)
-    tuning = _tune_for_pattern(scenario, array, params)
+    tuning = realize_capacitances(_pattern_phases(scenario, array), params)
     cut = _pattern_cut(scenario, array)
     angles = cfg.angle_grid()
     os.makedirs(out_dir, exist_ok=True)
@@ -1055,21 +918,20 @@ def squint_sensitivity_report(scenario: Scenario, out_path=None) -> tuple[list, 
     f_design = scenario.ris.design_frequency_hz or scenario.owner.carrier_hz
     base = scenario.ris.circuit
 
-    # the surface and the cut do not depend on the circuit constants: every
-    # case is retuned on one geometry, then each carrier's patterns are
-    # evaluated in one stacked call
+    # the surface, the cut and the ideal phases do not depend on the circuit
+    # constants: every case realizes the same phases, then each carrier's
+    # patterns are evaluated in one stacked call
     array = build_surface(scenario.ris, scenario.owner.carrier_hz)
     cut = _pattern_cut(scenario, array)
+    theta = _pattern_phases(scenario, array)
     carriers = (f_design, sens["frequency_hz"])
     n_cases = len(sens["l_top_h"]) * len(sens["c_ranges_f"])
     stacks = np.empty((len(carriers), n_cases, array.n_elements), dtype=complex)
     rows = []
     for l_top in sens["l_top_h"]:
         for c_lo, c_hi in sens["c_ranges_f"]:
-            params = CircuitParams(l_bottom=base.l_bottom, l_top=l_top,
-                                   r_loss=base.r_loss, z0=base.z0,
-                                   c_min=c_lo, c_max=c_hi)
-            tuning = _tune_for_pattern(scenario, array, params)
+            params = replace(base, l_top=l_top, c_min=c_lo, c_max=c_hi)
+            tuning = realize_capacitances(theta, params)
             for stack, f in zip(stacks, carriers):
                 stack[len(rows)] = evaluate_off_frequency(tuning, f, params).gammas
             rows.append({

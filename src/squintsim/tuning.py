@@ -205,12 +205,3 @@ def evaluate_off_frequency(result: TuningResult, f_m: float,
     gammas = element_reflection(result.capacitances, f_m, params).gamma
     return ScatteringState(gammas=np.atleast_1d(gammas), frequency=float(f_m))
 
-
-def quantize_phases(state: ScatteringState, bits: int) -> ScatteringState:
-    """Snap phases to the nearest of 2**bits uniform levels, keeping magnitudes."""
-    if bits < 1:
-        raise ValueError("bits must be at least 1")
-    step = 2.0 * np.pi / (2 ** bits)
-    phases = step * np.round(np.angle(state.gammas) / step)
-    return ScatteringState(gammas=np.abs(state.gammas) * np.exp(1j * phases),
-                           frequency=state.frequency)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from squintsim import (CircuitParams, element_impedance, element_reflection,
-                       phase_to_capacitance, reflection_phase_interval)
-from squintsim.circuit import wrap_phase
+                       phase_to_capacitance)
+from squintsim.circuit import reflection_phase_interval, wrap_phase
 
 F_REF = 2.5e9
 

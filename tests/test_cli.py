@@ -146,6 +146,71 @@ def test_pattern_bad_field_fails_at_load(tmp_path, capsys, section, key, value, 
     assert not out_dir.exists()
 
 
+def hole_config(path, value):
+    """fig4d at 2 realizations with a sweep block, one field set by its path."""
+    cfg = preset_config("fig4d")
+    cfg["realizations"] = 2
+    cfg["sweep"] = {"element_counts": [4], "positions": [[0.0, 0.0, 0.0]]}
+    node = cfg
+    keys = path.split(".")
+    for key in keys[:-1]:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    node[keys[-1]] = value
+    return cfg
+
+
+def test_hole_base_config_loads():
+    sc = load_scenario(hole_config("ris.rows", 10))
+    assert sc.sweep_spec.element_counts == [4]
+
+
+@pytest.mark.parametrize("path, value, field", [
+    # raised a raw ValueError or TypeError before
+    ("ris.rows", "abc", "ris.rows"),
+    ("master_seed", "x", "master_seed"),
+    ("ris.influence_band_hz", ["a", 2], "ris.influence_band_hz[0]"),
+    ("noise.bandwidth_hz", -5, "noise.bandwidth_hz"),
+    ("noise.bandwidth_hz", "x", "noise.bandwidth_hz"),
+    ("channel.k_factor_db", "x", "channel.k_factor_db"),
+    ("sweep.element_counts", ["a"], "sweep.element_counts[0]"),
+    ("sweep.metrics", 5, "sweep.metrics"),
+    # loaded without error before
+    ("ris.rows", 2.7, "ris.rows"),
+    ("ris.rows", 20.0, "ris.rows"),
+    ("ris.plane", "ab", "ris.plane"),
+    ("ris.element_pattern", "x", "ris.element_pattern"),
+    ("ris.spacing_fraction", 0, "ris.spacing_fraction"),
+    ("operators.0.power_w", -1, "operators[0].power_w"),
+    ("operators.0.power_w", float("nan"), "operators[0].power_w"),
+    ("operators.0.carrier_hz", "2.5e9", "operators[0].carrier_hz"),
+    ("operators.0.carrier_hz", True, "operators[0].carrier_hz"),
+    ("realizations", 2.9, "realizations"),
+    ("realizations", True, "realizations"),
+    ("ris.enabled", "no", "ris.enabled"),
+    ("operators.0.ues.0.blocked", "false", "operators[0].ues[0].blocked"),
+    ("noise.noise_figure_db", float("nan"), "noise.noise_figure_db"),
+    ("channel.k_factor_db", float("nan"), "channel.k_factor_db"),
+    ("operators.1.bs.antennas", 2.5, "operators[1].bs.antennas"),
+    ("ris.design_frequency_hz", True, "ris.design_frequency_hz"),
+    ("sweep.element_counts", [4.5], "sweep.element_counts[0]"),
+    ("sweep.metrics", ["bogus"], "sweep.metrics[0]"),
+    ("ris.owner", 5, "ris.owner"),
+])
+def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
+    config = tmp_path / "fig4d.json"
+    config.write_text(json.dumps(hole_config(path, value)), encoding="utf-8")
+    out = tmp_path / "case.csv"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"config.{field} " in err
+    if field == "sweep.metrics[0]":
+        assert "'degradation_ratio'" in err
+    if field == "ris.owner":
+        assert "role" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_unknown_config_arg(capsys):
     assert main(["run", "no_such_thing"]) == 2
     err = capsys.readouterr().err

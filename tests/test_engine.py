@@ -6,14 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squintsim import (ConfigError, ConfigWarning, SweepSpec, derive_seed,
                        export_results, fractional_boi, grid_shape, load_preset,
                        load_scenario, preset_config, preset_text, run_case,
-                       run_pattern, sweep, table_from_json)
+                       run_pattern, sweep)
 from squintsim.array_field import PatternCut
 from squintsim.engine import EXPORT_COLUMNS, build_surface
-from squintsim.errors import CorrelatedChannelsError
+from squintsim.errors import CorrelatedChannelsError, NumericalError
 from squintsim.presets import PRESET_NAMES
 
 
@@ -179,6 +181,68 @@ def test_config_echo_round_trips():
     sc = load_scenario(base_config())
     again = load_scenario(sc.config_echo)
     assert again.config_echo == sc.config_echo
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_config_echo_round_trips(name):
+    echo = load_preset(name).config_echo
+    text = json.dumps(echo, sort_keys=True)
+    assert load_scenario(echo).config_echo == echo
+    assert json.dumps(load_scenario(text).config_echo, sort_keys=True) == text
+
+
+def config_nodes(node, path="config"):
+    """(path, keys) of every section, list and leaf of a config, the root included."""
+    yield path, ()
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        sub = f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]"
+        for child_path, keys in config_nodes(child, sub):
+            yield child_path, (key,) + keys
+
+
+def bad_values(value):
+    """Wrong-typed, non-finite, negative, zero, empty and null stand-ins for a value."""
+    if isinstance(value, bool):
+        return ["yes", 0, None]
+    if isinstance(value, (int, float)):
+        return ["1.0", True, float("nan"), float("inf"), -1, -abs(value) - 1.0, 0, None]
+    if isinstance(value, str):
+        return [1.5, True, "", None]
+    if isinstance(value, list):
+        return ["x", [], [None], {}, None]
+    return ["x", [], {}, None]
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.data())
+def test_mutated_presets_fail_closed(data):
+    """One bad value anywhere in a preset is named by a ConfigError or runs finite."""
+    name = data.draw(st.sampled_from(PRESET_NAMES))
+    cfg = preset_config(name)
+    path, keys = data.draw(st.sampled_from(list(config_nodes(cfg))))
+    parent, target = None, cfg
+    for key in keys:
+        parent, target = target, target[key]
+    value = data.draw(st.sampled_from(bad_values(target)))
+    if keys:
+        parent[keys[-1]] = value
+    else:
+        cfg = value
+    try:
+        sc = load_scenario(cfg)
+    except ConfigError as exc:
+        assert path in str(exc)
+        return
+    if sc.pattern is not None:
+        return
+    sc.realizations = 1
+    try:
+        case = run_case(sc)
+    except NumericalError:
+        return
+    json.dumps(case.to_dict(), allow_nan=False)     # raises on a NaN or an infinity
 
 
 # --- seeding -------------------------------------------------------------------
@@ -439,11 +503,20 @@ def test_export_json_round_trip(tmp_path):
     sc, table = small_sweep_table()
     path = tmp_path / "out.json"
     export_results(table, "json", path, scenario=sc)
-    text = path.read_text(encoding="utf-8")
-    rebuilt = table_from_json(text)
-    assert len(rebuilt) == len(table)
-    for ours, theirs in zip(table, rebuilt):
-        assert ours.to_dict() == theirs.to_dict()
+    cases = json.loads(path.read_text(encoding="utf-8"))["cases"]
+    assert cases == [case.to_dict() for case in table]
+
+
+@pytest.mark.parametrize("fmt, column", [
+    ("csv", "sumse_nontarget_ris"), ("json", "sumse_nontarget_ris"),
+    ("json", "stderr_target_diff"),
+])
+def test_export_rejects_non_finite_values(tmp_path, fmt, column):
+    sc, table = small_sweep_table()
+    setattr(table[1], column, float("nan"))
+    with pytest.raises(NumericalError, match="NaN or infinite"):
+        export_results(table, fmt, tmp_path / f"out.{fmt}", scenario=sc)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_metrics_filter(tmp_path):

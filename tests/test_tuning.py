@@ -7,8 +7,8 @@ import pytest
 
 from squintsim import (ChannelSet, OptimizationLog, ScatteringState,
                        align_phases_single_target, evaluate_off_frequency,
-                       optimize_weighted_sum_power, quantize_phases,
-                       realize_capacitances, weighted_sum_power)
+                       optimize_weighted_sum_power, realize_capacitances,
+                       weighted_sum_power)
 from squintsim.circuit import element_reflection, reflection_phase_interval
 from squintsim.errors import DegenerateChannelError
 
@@ -228,21 +228,3 @@ def test_off_frequency_small_shift_small_change(params, rng):
     nearby = evaluate_off_frequency(result, F1 * (1.0 + 1e-7), params)
     assert np.allclose(nearby.gammas, result.realized_gammas, atol=1e-4)
 
-
-# --- quantization -------------------------------------------------------------
-
-def test_quantize_levels():
-    phases = np.array([0.1, 1.4, -2.0, 3.1])
-    state = ScatteringState(gammas=0.9 * np.exp(1j * phases), frequency=F1)
-    one_bit = quantize_phases(state, 1)
-    step = np.pi
-    snapped = np.angle(one_bit.gammas)
-    assert np.allclose(np.abs(one_bit.gammas), 0.9, atol=1e-12)
-    assert np.all(np.isclose(np.mod(snapped / step, 1.0), 0.0, atol=1e-9) |
-                  np.isclose(np.mod(snapped / step, 1.0), 1.0, atol=1e-9))
-    two_bit = quantize_phases(state, 2)
-    snapped2 = np.angle(two_bit.gammas)
-    err = np.abs(np.angle(np.exp(1j * (snapped2 - phases))))
-    assert np.max(err) <= np.pi / 4 + 1e-9
-    with pytest.raises(ValueError):
-        quantize_phases(state, 0)
