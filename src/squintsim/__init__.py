@@ -10,7 +10,7 @@ was never meant to serve.
 from ._version import __version__
 from .array_field import (PatternCut, RisArray, ScatteringState, Wave, build_array,
                           directivity_pattern, main_lobe_angle, pattern_to_csv,
-                          reflected_field, scattering_state)
+                          reflected_field)
 from .channels import (ChannelSet, Node, cascade_gains, effective_channel,
                        freespace_pathloss, los_channel)
 from .circuit import (CapacitanceSolution, CircuitParams, Reflection,
@@ -37,7 +37,7 @@ __all__ = [
     "element_impedance", "element_reflection", "phase_to_capacitance",
     # array field
     "RisArray", "ScatteringState", "Wave", "PatternCut",
-    "build_array", "scattering_state", "reflected_field",
+    "build_array", "reflected_field",
     "directivity_pattern", "main_lobe_angle", "pattern_to_csv",
     # channels
     "Node", "ChannelSet", "freespace_pathloss", "los_channel",

@@ -10,11 +10,11 @@ the 1/d amplitude. Elements are isotropic scalar scatterers by default
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import SPEED_OF_LIGHT, CircuitParams, element_reflection
+from .circuit import SPEED_OF_LIGHT
 from .errors import FrequencyMismatchError
 
 PLANE_AXES = {
@@ -44,7 +44,6 @@ class RisArray:
     normal: np.ndarray          # broadside
     element_positions: np.ndarray  # (N, 3)
     element_pattern: str = "isotropic"
-    capacitances: np.ndarray | None = field(default=None)
 
     @property
     def n_elements(self) -> int:
@@ -188,17 +187,6 @@ def build_array(rows, cols, f_design, spacing_fraction=0.5, center=(0.0, 0.0, 0.
     return RisArray(rows=rows, cols=cols, spacing=spacing, center=center,
                     u_axis=u_axis, v_axis=v_axis, normal=normal,
                     element_positions=positions, element_pattern=element_pattern)
-
-
-def scattering_state(array: RisArray, frequency, params: CircuitParams) -> ScatteringState:
-    """Per-element reflection coefficients from the array's capacitances."""
-    if array.capacitances is None:
-        raise ValueError("array capacitances are not set")
-    caps = np.asarray(array.capacitances, dtype=float)
-    if caps.shape != (array.n_elements,):
-        raise ValueError("capacitances must have one entry per element")
-    gammas = element_reflection(caps, frequency, params).gamma
-    return ScatteringState(gammas=np.asarray(gammas), frequency=float(frequency))
 
 
 def _incident_at_elements(wave: Wave, positions: np.ndarray, k: float):

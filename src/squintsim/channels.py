@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_field import RisArray, ScatteringState, SPEED_OF_LIGHT
-from .errors import DegenerateChannelError, FrequencyMismatchError
+from .errors import FrequencyMismatchError
 
 MIN_LINK_DISTANCE = 1e-9  # m, below this tx and rx count as coincident
 
@@ -159,8 +159,3 @@ def cascade_gains(chs: ChannelSet) -> np.ndarray:
     """
     return chs.ris_to_ue[:, :, None] * chs.bs_to_ris[None, :, :]
 
-
-def require_nonzero(matrix: np.ndarray, what: str) -> None:
-    """Raise the degenerate-channel diagnostic when a matrix is all zero."""
-    if not np.any(matrix):
-        raise DegenerateChannelError(f"{what} is identically zero")

@@ -7,9 +7,10 @@ and loss resistance:
     Z(c, f) = jwL1 * (jwL2 + 1/(jwc) + R) / (jwL1 + jwL2 + 1/(jwc) + R)
 
 with w = 2*pi*f. The reflection coefficient against the surface impedance
-z0 is gamma = (Z - z0) / (Z + z0). The phase of gamma is a continuous,
-monotone function of the capacitance at fixed frequency, which is what
-makes bisection inversion (phase -> capacitance) well posed.
+z0 is gamma = (Z - z0) / (Z + z0), a Mobius map of the real reactance
+wL2 - 1/(wc), so a phase inverts to a capacitance in closed form. With
+enough loss the phase is not monotone in c and its achievable arc is
+short; targets off the arc clamp to its nearest point.
 
 All element operations broadcast over numpy arrays of capacitances and
 frequencies.
@@ -25,9 +26,6 @@ from .errors import SingularityError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 FREE_SPACE_IMPEDANCE = 376.730313668  # ohm
-
-# Capacitance bisection stops when the bracket is narrower than this (F).
-CAPACITANCE_TOL = 1e-21
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ class Reflection:
 class CapacitanceSolution:
     """Result of inverting a target reflection phase to a capacitance.
 
-    ``clamped`` marks targets outside the achievable phase interval; those
-    get the boundary capacitance whose phase is circularly closest.
+    ``clamped`` marks targets outside the achievable phase arc; those get
+    the capacitance of the circularly nearest achievable phase.
     """
 
     capacitance: float | np.ndarray
@@ -125,55 +123,53 @@ def wrap_phase(phi):
     return np.pi - out
 
 
-def _unwrapped_phase(c, f, params, phase_ref):
-    """Reflection phase on the decreasing branch anchored at phase_ref.
-
-    phase_ref is the wrapped phase at c_min. The phase decreases with c by
-    less than a full turn over any capacitance range, so values wrapped
-    above the anchor belong one turn down.
-    """
-    ph = np.angle(element_reflection(c, f, params).gamma)
-    return np.where(ph > phase_ref + 1e-12, ph - 2.0 * np.pi, ph)
+def _real_roots(p2, p1, p0):
+    """Both roots of p2*y**2 + p1*y + p0: NaN when complex, one infinite when p2 = 0."""
+    q = -0.5 * (p1 + np.copysign(np.sqrt(p1 * p1 - 4.0 * p2 * p0), p1))
+    return q / p2, p0 / q
 
 
 def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> CapacitanceSolution:
-    """Invert a reflection phase to the capacitance realizing it.
+    """Invert a reflection phase to the capacitance realizing it, in closed form.
 
-    Bisects the monotone (decreasing) unwrapped phase-versus-capacitance
-    curve. Targets outside the achievable interval are clamped to the
-    circularly nearest range boundary and flagged. Accepts scalars or
-    arrays of target phases in (-pi, pi].
+    With y = wL2 - 1/(wc) real, gamma = (a*y + b) / (c*y + d), so arg gamma
+    = phi is the real quadratic Im(exp(-j phi) (a*y + b) conj(c*y + d)) = 0.
+    A target is reachable when a root lies in [y(c_min), y(c_max)] with
+    exp(-j phi) gamma > 0. Other targets are clamped to the circularly
+    nearest achievable phase, which is the phase at c_min, at c_max or at
+    a phase extremum inside the range (ties go to c_min), and flagged.
+    Accepts scalars or arrays of target phases at one frequency.
     """
     target = wrap_phase(np.asarray(target_phase, dtype=float))
     scalar_in = target.ndim == 0
     target = np.atleast_1d(target)
 
-    phase_at_cmin = float(np.angle(element_reflection(params.c_min, frequency, params).gamma))
-    phase_at_cmax_raw = float(np.angle(element_reflection(params.c_max, frequency, params).gamma))
-    phase_at_cmax = phase_at_cmax_raw
-    if phase_at_cmax > phase_at_cmin:
-        phase_at_cmax -= 2.0 * np.pi
-
-    # Candidate unwrapped target on the decreasing branch.
-    unwrapped = np.where(target > phase_at_cmin + 1e-12, target - 2.0 * np.pi, target)
-    reachable = unwrapped >= phase_at_cmax - 1e-12
-
-    # Clamp unreachable targets to the circularly nearest boundary.
-    dist_min = np.abs(wrap_phase(target - phase_at_cmin))
-    dist_max = np.abs(wrap_phase(target - phase_at_cmax_raw))
-    clamp_to_cmin = dist_min <= dist_max
-
-    lo = np.full(target.shape, params.c_min)
-    hi = np.full(target.shape, params.c_max)
-    goal = np.clip(unwrapped, phase_at_cmax, phase_at_cmin)
-    while np.max(hi - lo) > CAPACITANCE_TOL:
-        mid = 0.5 * (lo + hi)
-        ph = _unwrapped_phase(mid, frequency, params, phase_at_cmin)
-        go_right = ph > goal  # phase decreases with c
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    cap = 0.5 * (lo + hi)
-    cap = np.where(reachable, cap, np.where(clamp_to_cmin, params.c_min, params.c_max))
+    w = 2.0 * np.pi * frequency
+    z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
+    a, b = 1j * (z_b - z0), r * (z_b - z0) - z0 * z_b
+    c, d = 1j * (z_b + z0), r * (z_b + z0) + z0 * z_b
+    y_lo, y_hi = w * params.l_top - 1.0 / (w * np.array([params.c_min, params.c_max]))
+    # (a*y + b) conj(c*y + d) = p2 y^2 + p1 y + p0 for real y
+    p2, p1, p0 = a * np.conj(c), a * np.conj(d) + b * np.conj(c), b * np.conj(d)
+    # the phase is stationary where Im((ad - bc) conj((a*y + b)(c*y + d))) = 0
+    k = a * d - b * c
+    rot = np.exp(-1j * target)
+    y = np.full(target.shape, np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for root in _real_roots((rot * p2).imag, (rot * p1).imag, (rot * p0).imag):
+            hit = (np.isnan(y) & (root >= y_lo) & (root <= y_hi)
+                   & ((rot * ((p2 * root + p1) * root + p0)).real > 0))
+            y = np.where(hit, root, y)
+        extrema = [e for e in _real_roots((k * np.conj(a * c)).imag,
+                                          (k * np.conj(a * d + b * c)).imag,
+                                          (k * np.conj(b * d)).imag) if y_lo < e < y_hi]
+    reachable = ~np.isnan(y)
+    cap = np.clip(1.0 / (w * (w * params.l_top - y)), params.c_min, params.c_max)
+    edges = np.array([params.c_min, *(1.0 / (w * (w * params.l_top - e)) for e in extrema),
+                      params.c_max])
+    edge_phase = np.angle(element_reflection(edges, frequency, params).gamma)
+    nearest = np.argmin(np.abs(wrap_phase(target[None, :] - edge_phase[:, None])), axis=0)
+    cap = np.where(reachable, cap, edges[nearest])
 
     achieved = np.angle(element_reflection(cap, frequency, params).gamma)
     clamped = ~reachable

@@ -375,6 +375,9 @@ def load_scenario(config) -> Scenario:
     for i, op in enumerate(ops):
         if not any(op["bs"]["axis"]):
             raise ConfigError(f"config.operators[{i}].bs.axis must be a non-zero vector")
+        if op["precoder"] == "zf" and len(op["ues"]) > op["bs"]["antennas"]:
+            raise ConfigError(f"config.operators[{i}].bs.antennas must be at least "
+                              f"{len(op['ues'])}: zero-forcing needs one antenna per user")
         expected_role = "target" if op["id"] == ris["owner"] else "non-target"
         for j, ue in enumerate(op["ues"]):
             if ue["role"] is None:
@@ -452,24 +455,37 @@ def build_surface(ris: RisConfig, owner_carrier_hz: float) -> RisArray:
                        element_pattern=ris.element_pattern)
 
 
+def _in_scene(field: str, build, *args):
+    """``build(*args)``, with a ValueError reported as a ConfigError naming ``field``.
+
+    Every argument but the scene geometry is validated when the config
+    loads, so the ValueError left is coincident or collinear terminals.
+    """
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{field} cannot be evaluated: {exc}") from None
+
+
 def _ue_channels(scenario: Scenario, array: RisArray, realization: int) -> dict:
     """ChannelSets per operator id, one per UE, at that operator's carrier."""
     out = {}
     for i, op in enumerate(scenario.operators):
         f = op.carrier_hz
         k = scenario.k_factor_db
-        bs_to_ris = los_channel(op.bs, array, f, k,
-                                _link_rng(scenario, realization, i, 0, BS_RIS_LINK))
+        bs_to_ris = _in_scene(f"config.operators[{i}].bs.position", los_channel, op.bs,
+                              array, f, k, _link_rng(scenario, realization, i, 0, BS_RIS_LINK))
         sets = []
         for j, ue in enumerate(op.ues):
             ue_node = Node(position=ue.position)
+            where = f"config.operators[{i}].ues[{j}].position"
             if ue.blocked:
                 direct = np.zeros((1, op.bs.n_antennas), dtype=complex)
             else:
-                direct = los_channel(op.bs, ue_node, f, k,
-                                     _link_rng(scenario, realization, i, j + 1, DIRECT_LINK))
-            ris_to_ue = los_channel(array, ue_node, f, k,
-                                    _link_rng(scenario, realization, i, j + 1, RIS_UE_LINK))
+                direct = _in_scene(where, los_channel, op.bs, ue_node, f, k,
+                                   _link_rng(scenario, realization, i, j + 1, DIRECT_LINK))
+            ris_to_ue = _in_scene(where, los_channel, array, ue_node, f, k,
+                                  _link_rng(scenario, realization, i, j + 1, RIS_UE_LINK))
             sets.append(ChannelSet(direct=direct, bs_to_ris=bs_to_ris,
                                    ris_to_ue=ris_to_ue, frequency=f,
                                    direct_blocked=ue.blocked))
@@ -793,8 +809,8 @@ def _pattern_cut(scenario: Scenario, array: RisArray) -> PatternCut:
         radius = float(np.linalg.norm(np.asarray(ue.position, dtype=float) - array.center))
     if cfg.cut_plane == "terminals":
         # plane through the array center, the feed, and the target
-        return PatternCut.through_points(array, owner.bs.position, ue.position,
-                                         radius=radius)
+        return _in_scene("config.pattern.cut_plane", PatternCut.through_points, array,
+                         owner.bs.position, ue.position, radius)
     axis = "u" if cfg.cut_plane == "array-u" else "v"
     return PatternCut(radius=radius, axis=axis)
 
@@ -811,9 +827,12 @@ def _pattern_phases(scenario: Scenario, array: RisArray) -> ScatteringState:
     f_design = scenario.ris.design_frequency_hz or owner.carrier_hz
     feed = Node(position=owner.bs.position)
     ue_node = Node(position=owner.ues[0].position)
+    where = f"config.operators[{[op.id for op in scenario.operators].index(owner.id)}]"
     chs = ChannelSet(direct=np.zeros((1, 1), dtype=complex),
-                     bs_to_ris=los_channel(feed, array, f_design),
-                     ris_to_ue=los_channel(array, ue_node, f_design),
+                     bs_to_ris=_in_scene(where + ".bs.position", los_channel, feed, array,
+                                         f_design),
+                     ris_to_ue=_in_scene(where + ".ues[0].position", los_channel, array,
+                                         ue_node, f_design),
                      frequency=f_design, direct_blocked=True)
     return align_phases_single_target(chs)
 

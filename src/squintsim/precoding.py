@@ -129,7 +129,7 @@ def zf_precoder(channels, total_power: float = 1.0,
 
 
 def link_metrics(design_channels, actual_channels, precoders: PrecodeResult,
-                 noise_power: float, external_interference=None) -> LinkMetrics:
+                 noise_power: float) -> LinkMetrics:
     """SINR and spectral efficiency on the channels actually traversed.
 
     The precoders were built from the design channels; metrics are
@@ -145,18 +145,10 @@ def link_metrics(design_channels, actual_channels, precoders: PrecodeResult,
         raise ValueError("precoder shape does not match the channels")
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    if external_interference is None:
-        ext = np.zeros(n_users)
-    else:
-        ext = np.asarray(external_interference, dtype=float)
-        if ext.shape != (n_users,):
-            raise ValueError("external_interference needs one entry per user")
-        if np.any(ext < 0):
-            raise ValueError("external_interference must be non-negative")
     cross = h_actual @ precoders.matrix            # (u, v) = h_u . w_v
     gains = precoders.powers[None, :] * np.abs(cross) ** 2
     signal = np.diag(gains).copy()
     interference = gains.sum(axis=1) - signal
-    sinr = signal / (interference + ext + noise_power)
+    sinr = signal / (interference + noise_power)
     se = np.log2(1.0 + sinr)
     return LinkMetrics(sinr=sinr, se=se, sum_se=float(se.sum()))

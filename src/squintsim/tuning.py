@@ -38,33 +38,13 @@ class OptimizationLog:
 
 @dataclass
 class TuningResult:
-    """Realized hardware state together with its design intent."""
+    """Realized hardware state: frozen capacitances and their reflections."""
 
-    theta_star: ScatteringState         # ideal unit-magnitude target
     capacitances: np.ndarray            # F per element
     realized_gammas: np.ndarray         # circuit reflections at the tuning carrier
     frequency: float
     clamp_report: tuple
-    ideal_objective: float | None = None
-    achieved_objective: float | None = None
-    objective_trace: tuple | None = None
     converged: bool | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-compatible summary for run manifests."""
-        return {
-            "frequency_hz": self.frequency,
-            "capacitances_f": [float(c) for c in self.capacitances],
-            "clamped_elements": [
-                {"index": e.index, "target_phase_rad": e.target_phase,
-                 "achieved_phase_rad": e.achieved_phase, "residual_rad": e.residual}
-                for e in self.clamp_report],
-            "ideal_objective_w": self.ideal_objective,
-            "achieved_objective_w": self.achieved_objective,
-            "objective_trace_w": (list(self.objective_trace)
-                                  if self.objective_trace is not None else None),
-            "converged": self.converged,
-        }
 
 
 def _flat_terms(channel_sets, weights):
@@ -166,35 +146,21 @@ def optimize_weighted_sum_power(channel_sets, weights=None, max_iters: int = 200
     return ScatteringState(gammas=theta, frequency=f)
 
 
-def realize_capacitances(theta_star: ScatteringState, params: CircuitParams,
-                         channel_sets=None, weights=None) -> TuningResult:
+def realize_capacitances(theta_star: ScatteringState, params: CircuitParams) -> TuningResult:
     """Invert ideal phases to capacitances through the element circuit.
 
-    Unreachable phases clamp to the nearest achievable boundary and are
-    listed in the clamp report. When the target channel sets are passed
-    along, the ideal and realized objectives are recorded so the cost of
-    hardware realization is visible.
+    Unreachable phases clamp to the nearest achievable phase and are
+    listed in the clamp report.
     """
     f = theta_star.frequency
     targets = np.angle(theta_star.gammas)
     solution = phase_to_capacitance(targets, f, params)
-    caps = np.atleast_1d(solution.capacitance)
-    achieved = np.atleast_1d(solution.achieved_phase)
-    clamped = np.atleast_1d(solution.clamped)
-    realized = element_reflection(caps, f, params).gamma
-    report = tuple(
-        ClampEntry(index=int(i), target_phase=float(targets[i]),
-                   achieved_phase=float(achieved[i]),
-                   residual=float(np.abs(wrap_phase(targets[i] - achieved[i]))))
-        for i in np.nonzero(clamped)[0])
-    ideal = achieved_obj = None
-    if channel_sets is not None:
-        ideal = weighted_sum_power(channel_sets, theta_star, weights)
-        achieved_obj = weighted_sum_power(
-            channel_sets, ScatteringState(gammas=realized, frequency=f), weights)
-    return TuningResult(theta_star=theta_star, capacitances=caps,
-                        realized_gammas=realized, frequency=f, clamp_report=report,
-                        ideal_objective=ideal, achieved_objective=achieved_obj)
+    idx = np.flatnonzero(solution.clamped)
+    target, achieved = targets[idx], solution.achieved_phase[idx]
+    report = tuple(map(ClampEntry, idx.tolist(), target.tolist(), achieved.tolist(),
+                       np.abs(wrap_phase(target - achieved)).tolist()))
+    return TuningResult(capacitances=solution.capacitance, frequency=f, clamp_report=report,
+                        realized_gammas=element_reflection(solution.capacitance, f, params).gamma)
 
 
 def evaluate_off_frequency(result: TuningResult, f_m: float,

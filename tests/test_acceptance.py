@@ -317,8 +317,7 @@ def test_criterion_6_tuning_properties(capfd):
     beats_random = margin >= 0.0
 
     chs = random_set(rng, 16)
-    result = realize_capacitances(align_phases_single_target(chs), params,
-                                  channel_sets=[chs])
+    result = realize_capacitances(align_phases_single_target(chs), params)
     identity = evaluate_off_frequency(result, 2.5e9, params)
     exact = bool(np.array_equal(identity.gammas, result.realized_gammas)) \
         and identity.frequency == 2.5e9

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from squintsim import (CircuitParams, PatternCut, ScatteringState, Wave, build_array,
                        directivity_pattern, main_lobe_angle, pattern_to_csv,
-                       reflected_field, scattering_state)
+                       reflected_field)
 from squintsim.circuit import SPEED_OF_LIGHT
 from squintsim.errors import FrequencyMismatchError
 
@@ -136,20 +136,6 @@ def test_build_array_geometry():
 def test_build_array_validation(kwargs):
     with pytest.raises(ValueError):
         build_array(**kwargs)
-
-
-def test_scattering_state_from_capacitances(params):
-    array = build_array(2, 3, F_REF)
-    with pytest.raises(ValueError):
-        scattering_state(array, F_REF, params)
-    array.capacitances = np.full(6, 1e-12)
-    state = scattering_state(array, F_REF, params)
-    assert state.frequency == F_REF
-    assert state.gammas.shape == (6,)
-    assert len(set(np.round(state.gammas, 12))) == 1
-    array.capacitances = np.full(5, 1e-12)
-    with pytest.raises(ValueError):
-        scattering_state(array, F_REF, params)
 
 
 def test_wave_validation():

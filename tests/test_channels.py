@@ -6,8 +6,7 @@ import pytest
 from squintsim import (ChannelSet, Node, ScatteringState, cascade_gains,
                        effective_channel, freespace_pathloss, los_channel)
 from squintsim.circuit import SPEED_OF_LIGHT
-from squintsim.errors import DegenerateChannelError, FrequencyMismatchError
-from squintsim.channels import require_nonzero
+from squintsim.errors import FrequencyMismatchError
 
 # frozen against a high-precision reference evaluation
 PATHLOSS_1M_2P5GHZ = 0.0095426903184738845
@@ -230,9 +229,3 @@ def test_channel_set_validation(rng):
     with pytest.raises(ValueError):
         ChannelSet(direct=bad, bs_to_ris=np.zeros((12, 4), dtype=complex),
                    ris_to_ue=np.zeros((1, 12), dtype=complex), frequency=2.5e9)
-
-
-def test_require_nonzero():
-    require_nonzero(np.array([[0.0, 1.0]]), "link")
-    with pytest.raises(DegenerateChannelError):
-        require_nonzero(np.zeros((2, 2)), "link")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squintsim import (CircuitParams, element_impedance, element_reflection,
                        phase_to_capacitance)
@@ -170,6 +172,38 @@ def test_phase_vectorized_matches_scalar(params, rng):
         assert batch.capacitance[i] == single.capacitance
         assert batch.clamped[i] == single.clamped
         assert batch.achieved_phase[i] == single.achieved_phase
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(r_loss=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+       l_bottom=st.floats(0.5e-9, 10e-9), z0=st.floats(50.0, 400.0),
+       frequency=st.floats(1e9, 6e9), seed=st.integers(0, 2 ** 32 - 1))
+def test_phase_inversion_matches_dense_sampling(r_loss, l_bottom, z0, frequency, seed):
+    """Reachability and clamps agree with a dense sweep of the varactor range.
+
+    With series loss the phase need not be monotone in c and may cover
+    far less than a turn, so the reference is the phase sampled on a
+    fine capacitance grid rather than the range-edge interval. Near a
+    resonance adjacent samples lie up to about 0.01 rad apart, so a target
+    counts as unreachable only when it is off every sample and off the
+    short arc between every pair of adjacent samples.
+    """
+    p = CircuitParams(r_loss=r_loss, l_bottom=l_bottom, z0=z0)
+    targets = np.random.default_rng(seed).uniform(-np.pi, np.pi, 64)
+    sol = phase_to_capacitance(targets, frequency, p)
+    assert np.all((sol.capacitance >= p.c_min) & (sol.capacitance <= p.c_max))
+    achieved = np.angle(element_reflection(sol.capacitance, frequency, p).gamma)
+    residual = np.abs(wrap_phase(targets - achieved))
+    assert np.all(residual[~sol.clamped] <= 1e-9)
+
+    grid = np.angle(element_reflection(np.linspace(p.c_min, p.c_max, 20_001),
+                                       frequency, p).gamma)
+    best = np.min(np.abs(wrap_phase(targets[:, None] - grid[None, :])), axis=1)
+    assert np.all(residual[sol.clamped] <= best[sol.clamped] + 1e-6)
+    step = wrap_phase(np.diff(grid))
+    off = wrap_phase(targets[:, None] - grid[None, :-1])
+    between = np.any((off * step >= 0) & (np.abs(off) <= np.abs(step)), axis=1)
+    assert np.all(sol.clamped[(best > 1e-3) & ~between])
 
 
 def test_wrap_phase_range():

@@ -146,6 +146,10 @@ def test_pattern_bad_field_fails_at_load(tmp_path, capsys, section, key, value, 
     assert not out_dir.exists()
 
 
+# the position of a surface element of fig4d (10 x 10) and of fig3 (20 x 20)
+ON_ELEMENT = [0.0299792458, 0.0, 0.0299792458]
+
+
 def hole_config(path, value):
     """fig4d at 2 realizations with a sweep block, one field set by its path."""
     cfg = preset_config("fig4d")
@@ -195,6 +199,10 @@ def test_hole_base_config_loads():
     ("sweep.element_counts", [4.5], "sweep.element_counts[0]"),
     ("sweep.metrics", ["bogus"], "sweep.metrics[0]"),
     ("ris.owner", 5, "ris.owner"),
+    # raised a raw ValueError in the pipeline before
+    ("operators.1.bs.antennas", 1, "operators[1].bs.antennas"),
+    ("operators.1.ues.0.position", ON_ELEMENT, "operators[1].ues[0].position"),
+    ("operators.0.ues.0.position", ON_ELEMENT, "operators[0].ues[0].position"),
 ])
 def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     config = tmp_path / "fig4d.json"
@@ -208,6 +216,26 @@ def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
         assert "'degradation_ratio'" in err
     if field == "ris.owner":
         assert "role" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("feed, position, field", [
+    (True, ON_ELEMENT, "operators[0].bs.position"),
+    (False, ON_ELEMENT, "operators[0].ues[0].position"),
+    # the target collinear with the feed and the surface centre
+    (False, [100.0, -100.0, 36.0], "pattern.cut_plane"),
+])
+def test_pattern_geometry_fails_as_config_error(tmp_path, capsys, feed, position, field):
+    cfg = preset_config("fig3")
+    op = cfg["operators"][0]
+    (op["bs"] if feed else op["ues"][0])["position"] = position
+    config = tmp_path / "fig3.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "patterns"
+    assert main(["pattern", str(config), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"config.{field} " in err
     assert list(tmp_path.iterdir()) == [config]
 
 

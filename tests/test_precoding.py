@@ -177,16 +177,6 @@ def test_link_metrics_noise_monotone(rng):
     assert lo.sum_se > hi.sum_se
 
 
-def test_link_metrics_external_interference(rng):
-    h = cplx(rng, (2, 4))
-    res = zf_precoder(h)
-    base = link_metrics(h, h, res, noise_power=1e-12)
-    bumped = link_metrics(h, h, res, noise_power=1e-12,
-                          external_interference=np.array([1e-12, 0.0]))
-    assert bumped.sinr[0] < base.sinr[0]
-    assert bumped.sinr[1] == pytest.approx(base.sinr[1], rel=1e-14)
-
-
 def test_link_metrics_stale_design_interference(rng):
     """Precoding on stale channels leaks power into other users."""
     h_design = cplx(rng, (2, 6))
@@ -204,10 +194,5 @@ def test_link_metrics_validation(rng):
         link_metrics(h, h[:1], res, noise_power=1.0)
     with pytest.raises(ValueError):
         link_metrics(h, h, res, noise_power=0.0)
-    with pytest.raises(ValueError):
-        link_metrics(h, h, res, noise_power=1.0, external_interference=np.array([1.0]))
-    with pytest.raises(ValueError):
-        link_metrics(h, h, res, noise_power=1.0,
-                     external_interference=np.array([-1.0, 0.0]))
     with pytest.raises(ValueError):
         link_metrics(cplx(rng, (3, 4)), cplx(rng, (3, 4)), res, noise_power=1.0)
