@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_field import RisArray, ScatteringState, SPEED_OF_LIGHT
-from .errors import FrequencyMismatchError
+from .errors import FrequencyMismatchError, NumericalError
 
 MIN_LINK_DISTANCE = 1e-9  # m, below this tx and rx count as coincident
 
@@ -52,18 +52,19 @@ class Node:
 
 @dataclass
 class ChannelSet:
-    """All link matrices of one UE at one carrier.
+    """All link matrices of one operator's users at one carrier.
 
     Shapes follow the receive-by-transmit convention: ``direct`` is
-    (UE antennas x BS antennas), ``bs_to_ris`` is (elements x BS
-    antennas) and ``ris_to_ue`` is (UE antennas x elements).
+    (rows x BS antennas), ``bs_to_ris`` is (elements x BS antennas) and
+    ``ris_to_ue`` is (rows x elements). Each row is one single-antenna
+    user (or one antenna of a user); a user whose direct path is blocked
+    has a zero direct row.
     """
 
     direct: np.ndarray
     bs_to_ris: np.ndarray
     ris_to_ue: np.ndarray
     frequency: float
-    direct_blocked: bool = False
 
     def __post_init__(self):
         self.direct = np.asarray(self.direct, dtype=complex)
@@ -76,7 +77,7 @@ class ChannelSet:
         if self.bs_to_ris.shape[1] != n_tx:
             raise ValueError("bs_to_ris column count must match BS antennas")
         if self.ris_to_ue.shape != (n_rx, n_el):
-            raise ValueError("ris_to_ue must be (UE antennas x elements)")
+            raise ValueError("ris_to_ue must be (rows x elements)")
         for name, m in (("direct", self.direct), ("bs_to_ris", self.bs_to_ris),
                         ("ris_to_ue", self.ris_to_ue)):
             if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
@@ -113,7 +114,8 @@ def los_channel(tx, rx, frequency: float, k_factor_db: float | None = None,
     amplitude per antenna pair. With ``k_factor_db`` set, a seeded
     complex Gaussian term of matched per-entry power is mixed in at the
     requested Rician ratio; the generator is then mandatory so that
-    every draw is attributable to a seed.
+    every draw is attributable to a seed. Entries that overflow to a
+    non-finite value raise NumericalError.
     """
     tx_pos = _terminal_positions(tx, frequency)
     rx_pos = _terminal_positions(rx, frequency)
@@ -122,38 +124,38 @@ def los_channel(tx, rx, frequency: float, k_factor_db: float | None = None,
         raise ValueError("tx and rx antennas coincide")
     lam = SPEED_OF_LIGHT / frequency
     los = freespace_pathloss(d, frequency) * np.exp(-2j * np.pi * d / lam)
-    if k_factor_db is None:
-        return los
-    if rng is None:
-        raise ValueError("a seeded generator is required when k_factor_db is set")
-    k = 10.0 ** (k_factor_db / 10.0)
-    scatter_scale = np.abs(los) / np.sqrt(2.0)
-    scatter = scatter_scale * (rng.standard_normal(d.shape)
-                               + 1j * rng.standard_normal(d.shape))
-    return np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * scatter
+    if k_factor_db is not None:
+        if rng is None:
+            raise ValueError("a seeded generator is required when k_factor_db is set")
+        k = 10.0 ** (k_factor_db / 10.0)
+        scatter_scale = np.abs(los) / np.sqrt(2.0)
+        scatter = scatter_scale * (rng.standard_normal(d.shape)
+                                   + 1j * rng.standard_normal(d.shape))
+        los = np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * scatter
+    if not np.all(np.isfinite(los)):
+        raise NumericalError("link entries are not finite: a carrier, spacing or position "
+                             "is so extreme that the scene's scale overflows")
+    return los
 
 
 def effective_channel(chs: ChannelSet, state: ScatteringState) -> np.ndarray:
     """Direct-plus-scattered channel at the ChannelSet's carrier.
 
-    Computes direct + ris_to_ue . diag(gammas) . bs_to_ris, with the
-    direct term dropped when the set is flagged blocked.
+    Computes direct + ris_to_ue . diag(gammas) . bs_to_ris, one row per
+    row of the set.
     """
     if abs(state.frequency - chs.frequency) > 1e-6 * chs.frequency:
         raise FrequencyMismatchError(
             f"scattering state is at {state.frequency} Hz but channels are at {chs.frequency} Hz")
     if len(state.gammas) != chs.ris_to_ue.shape[1]:
         raise ValueError("scattering state length must match the element count")
-    cascaded = (chs.ris_to_ue * state.gammas[None, :]) @ chs.bs_to_ris
-    if chs.direct_blocked:
-        return cascaded
-    return chs.direct + cascaded
+    return chs.direct + (chs.ris_to_ue * state.gammas[None, :]) @ chs.bs_to_ris
 
 
 def cascade_gains(chs: ChannelSet) -> np.ndarray:
     """Per-element cascade coefficients ris_to_ue_n (outer) bs_to_ris_n.
 
-    Entry (r, n, t) is the gain UE antenna r sees from BS antenna t via
+    Entry (r, n, t) is the gain row r sees from BS antenna t via
     element n at unit reflection. Summing over n with gammas applied
     reproduces the scattered part of effective_channel.
     """

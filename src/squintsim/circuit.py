@@ -103,13 +103,16 @@ def element_reflection(capacitance, frequency, params: CircuitParams) -> Reflect
     """Reflection coefficient gamma = (Z - z0) / (Z + z0).
 
     |gamma| <= 1 whenever r_loss >= 0, and |gamma| == 1 in the lossless
-    limit r_loss == 0.
+    limit r_loss == 0. A non-finite reflection, from constants so extreme
+    that the impedance overflows, raises SingularityError.
     """
     z = np.asarray(element_impedance(capacitance, frequency, params))
     denom = z + params.z0
     if np.any(np.abs(denom) < 1e-12 * params.z0):
         raise SingularityError("element impedance equals -z0; reflection undefined")
     gamma = (z - params.z0) / denom
+    if not np.all(np.isfinite(gamma)):
+        raise SingularityError("reflection is not finite; the element circuit overflows")
     return Reflection(
         gamma=_as_scalar_or_array(gamma),
         frequency=frequency,

@@ -35,6 +35,8 @@ SENSITIVITY_COLUMNS = ("l_top_h", "c_min_f", "c_max_f", "f1_peak_deg",
 
 DIRECT_LINK, BS_RIS_LINK, RIS_UE_LINK = 0, 1, 2
 
+_MAX_CUT_ANGLES = 100_000   # per pattern cut; fig3 evaluates 721
+
 EXPORT_COLUMNS = ("n_elements", "ris_x", "ris_y", "ris_z",
                   "sumse_target_ris", "sumse_target_noris",
                   "sumse_nontarget_ris", "sumse_nontarget_noris",
@@ -395,6 +397,12 @@ def load_scenario(config) -> Scenario:
         sens = pattern["sensitivity"]
         if sens is not None and sens["angle_step_deg"] is None:
             sens["angle_step_deg"] = pattern["angle_step_deg"]
+        span = pattern["angle_stop_deg"] - pattern["angle_start_deg"]
+        for where, block in (("pattern", pattern), ("pattern.sensitivity", sens)):
+            # counted, never allocated: a tiny step would ask for gigabytes
+            if block is not None and span / block["angle_step_deg"] + 1 > _MAX_CUT_ANGLES:
+                raise ConfigError(f"config.{where}.angle_step_deg must leave at most "
+                                  f"{_MAX_CUT_ANGLES} angles per cut")
 
     if ris["influence_band_hz"] is not None:
         lo, hi = ris["influence_band_hz"]
@@ -456,51 +464,49 @@ def build_surface(ris: RisConfig, owner_carrier_hz: float) -> RisArray:
 
 
 def _in_scene(field: str, build, *args):
-    """``build(*args)``, with a ValueError reported as a ConfigError naming ``field``.
+    """``build(*args)``, with its failure reported against ``field``.
 
     Every argument but the scene geometry is validated when the config
-    loads, so the ValueError left is coincident or collinear terminals.
+    loads, so the ValueError left is coincident or collinear terminals (a
+    ConfigError), and a NumericalError is a scene whose scale overflows.
     """
     try:
         return build(*args)
     except ValueError as exc:
         raise ConfigError(f"{field} cannot be evaluated: {exc}") from None
+    except NumericalError as exc:
+        raise NumericalError(f"evaluating {field}: {exc}") from None
 
 
 def _ue_channels(scenario: Scenario, array: RisArray, realization: int) -> dict:
-    """ChannelSets per operator id, one per UE, at that operator's carrier."""
+    """One ChannelSet per operator id, a row per UE, at that operator's carrier.
+
+    A blocked UE has a zero direct row.
+    """
     out = {}
+    k = scenario.k_factor_db
     for i, op in enumerate(scenario.operators):
         f = op.carrier_hz
-        k = scenario.k_factor_db
         bs_to_ris = _in_scene(f"config.operators[{i}].bs.position", los_channel, op.bs,
                               array, f, k, _link_rng(scenario, realization, i, 0, BS_RIS_LINK))
-        sets = []
+        direct = np.zeros((len(op.ues), op.bs.n_antennas), dtype=complex)
+        ris_to_ue = np.empty((len(op.ues), array.n_elements), dtype=complex)
         for j, ue in enumerate(op.ues):
             ue_node = Node(position=ue.position)
             where = f"config.operators[{i}].ues[{j}].position"
-            if ue.blocked:
-                direct = np.zeros((1, op.bs.n_antennas), dtype=complex)
-            else:
-                direct = _in_scene(where, los_channel, op.bs, ue_node, f, k,
-                                   _link_rng(scenario, realization, i, j + 1, DIRECT_LINK))
-            ris_to_ue = _in_scene(where, los_channel, array, ue_node, f, k,
-                                  _link_rng(scenario, realization, i, j + 1, RIS_UE_LINK))
-            sets.append(ChannelSet(direct=direct, bs_to_ris=bs_to_ris,
-                                   ris_to_ue=ris_to_ue, frequency=f,
-                                   direct_blocked=ue.blocked))
-        out[op.id] = sets
+            if not ue.blocked:
+                direct[j] = _in_scene(where, los_channel, op.bs, ue_node, f, k,
+                                      _link_rng(scenario, realization, i, j + 1, DIRECT_LINK))
+            ris_to_ue[j] = _in_scene(where, los_channel, array, ue_node, f, k,
+                                     _link_rng(scenario, realization, i, j + 1, RIS_UE_LINK))
+        out[op.id] = ChannelSet(direct=direct, bs_to_ris=bs_to_ris, ris_to_ue=ris_to_ue,
+                                frequency=f)
     return out
 
 
-def _zero_state(n_elements: int, frequency: float) -> ScatteringState:
-    return ScatteringState(gammas=np.zeros(n_elements, dtype=complex),
-                           frequency=float(frequency))
-
-
-def _tune_surface(scenario: Scenario, target_sets) -> TuningResult:
+def _tune_surface(scenario: Scenario, targets: ChannelSet) -> TuningResult:
     log = OptimizationLog()
-    theta = optimize_weighted_sum_power(target_sets, log=log)
+    theta = optimize_weighted_sum_power([targets], log=log)
     result = realize_capacitances(theta, scenario.ris.circuit)
     result.converged = log.converged
     return result
@@ -510,14 +516,14 @@ def _surface_state(scenario: Scenario, tuning: TuningResult | None,
                    frequency: float) -> ScatteringState:
     if tuning is None or (scenario.ris.narrowband and
                           abs(frequency - tuning.frequency) > 1e-6 * tuning.frequency):
-        return _zero_state(scenario.ris.n_elements, frequency)
+        return ScatteringState(gammas=np.zeros(scenario.ris.n_elements, dtype=complex),
+                               frequency=float(frequency))
     return evaluate_off_frequency(tuning, frequency, scenario.ris.circuit)
 
 
-def _precode_rows(rows, kind: str, total_power: float,
+def _precode_rows(h: np.ndarray, kind: str, total_power: float,
                   condition_limit: float | None) -> PrecodeResult:
     """Precoding with zero-channel users parked on silent placeholder columns."""
-    h = np.vstack([np.asarray(r, dtype=complex).reshape(1, -1) for r in rows])
     n_users, n_tx = h.shape
     active = np.linalg.norm(h, axis=1) > 0
     matrix = np.zeros((n_tx, n_users), dtype=complex)
@@ -547,47 +553,37 @@ def _precode_rows(rows, kind: str, total_power: float,
     return PrecodeResult(matrix=matrix, powers=powers)
 
 
-def _operator_metrics(op: OperatorConfig, design_rows, actual_rows,
+def _operator_metrics(op: OperatorConfig, design: np.ndarray, actual: np.ndarray,
                       noise_w: float) -> LinkMetrics:
-    precoders = _precode_rows(design_rows, op.precoder, op.power_w,
-                              op.zf_condition_limit)
-    return link_metrics(np.vstack(design_rows), np.vstack(actual_rows),
-                        precoders, noise_w)
+    precoders = _precode_rows(design, op.precoder, op.power_w, op.zf_condition_limit)
+    return link_metrics(actual, precoders, noise_w)
 
 
-def _run_realization(scenario: Scenario, array: RisArray, realization: int) -> dict:
+def _run_realization(scenario: Scenario, array: RisArray, realization: int) -> tuple:
+    """(outcomes, clamp fraction, tuning converged) of one realization.
+
+    ``outcomes`` is (4 x UEs), UEs in config order; its rows are SE with
+    and without the surface, then SINR with and without it.
+    """
     channels = _ue_channels(scenario, array, realization)
     owner = scenario.owner
     tuning = _tune_surface(scenario, channels[owner.id]) if scenario.ris.enabled else None
-
-    out = {"se_ris": {}, "se_noris": {}, "sinr_ris": {}, "sinr_noris": {},
-           "clamp_fraction": 0.0, "converged": True}
+    clamp_fraction, converged = 0.0, True
     if tuning is not None:
-        out["clamp_fraction"] = len(tuning.clamp_report) / scenario.ris.n_elements
-        out["converged"] = bool(tuning.converged)
+        clamp_fraction = len(tuning.clamp_report) / scenario.ris.n_elements
+        converged = bool(tuning.converged)
 
+    outcomes = []
     for op in scenario.operators:
-        sets = channels[op.id]
-        f = op.carrier_hz
-        state = _surface_state(scenario, tuning, f)
-        bare = _zero_state(scenario.ris.n_elements, f)
-        direct_rows = [effective_channel(chs, bare)[0] for chs in sets]
-        if op.id == owner.id:
-            # the surface owner precodes with current surface-inclusive knowledge
-            design_rows = [effective_channel(chs, state)[0] for chs in sets]
-            actual_rows = design_rows
-        else:
-            # other operators are surface-blind: design without, traverse with
-            design_rows = direct_rows
-            actual_rows = [effective_channel(chs, state)[0] for chs in sets]
-        with_ris = _operator_metrics(op, design_rows, actual_rows, scenario.noise_w)
-        without = _operator_metrics(op, direct_rows, direct_rows, scenario.noise_w)
-        for j, ue in enumerate(op.ues):
-            out["se_ris"][ue.id] = float(with_ris.se[j])
-            out["se_noris"][ue.id] = float(without.se[j])
-            out["sinr_ris"][ue.id] = float(with_ris.sinr[j])
-            out["sinr_noris"][ue.id] = float(without.sinr[j])
-    return out
+        chs = channels[op.id]
+        actual = effective_channel(chs, _surface_state(scenario, tuning, op.carrier_hz))
+        # the surface owner precodes with current surface-inclusive knowledge;
+        # other operators are surface-blind: design without, traverse with
+        design = actual if op.id == owner.id else chs.direct
+        with_ris = _operator_metrics(op, design, actual, scenario.noise_w)
+        without = _operator_metrics(op, chs.direct, chs.direct, scenario.noise_w)
+        outcomes.append([with_ris.se, without.se, with_ris.sinr, without.sinr])
+    return np.concatenate(outcomes, axis=1), clamp_fraction, converged
 
 
 def _case_worker(args) -> list:
@@ -619,20 +615,18 @@ def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
         # chunk c holds realizations c, c + n_chunks, ...
         results = [parts[r % n_chunks][r // n_chunks] for r in indices]
     else:
-        array = build_surface(scenario.ris, scenario.owner.carrier_hz)
-        results = [_run_realization(scenario, array, r) for r in indices]
+        results = _case_worker((scenario, indices))
 
-    targets = [ue.id for op in scenario.operators for ue in op.ues if ue.role == "target"]
-    nontargets = [ue.id for op in scenario.operators for ue in op.ues
-                  if ue.role == "non-target"]
+    outcomes = np.array([res[0] for res in results])      # (realizations, 4, UEs)
+    ues = [ue for op in scenario.operators for ue in op.ues]
+    target = np.array([ue.role == "target" for ue in ues])
 
-    def group_sums(key, ids):
-        return np.array([sum(res[key][u] for u in ids) for res in results])
+    def role_sums(row, mask):
+        # column by column in config order, so the sums round as per-UE sums do
+        return sum(outcomes[:, row, mask].T, np.zeros(len(results)))
 
-    t_ris = group_sums("se_ris", targets)
-    t_nor = group_sums("se_noris", targets)
-    n_ris = group_sums("se_ris", nontargets)
-    n_nor = group_sums("se_noris", nontargets)
+    t_ris, t_nor = role_sums(0, target), role_sums(1, target)
+    n_ris, n_nor = role_sums(0, ~target), role_sums(1, ~target)
 
     mean_t_ris, se_t_ris = _mean_stderr(t_ris)
     mean_t_nor, se_t_nor = _mean_stderr(t_nor)
@@ -653,15 +647,12 @@ def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
         degradation_stderr = 0.0
 
     per_ue = {}
-    for op in scenario.operators:
-        for ue in op.ues:
-            se_r, se_r_err = _mean_stderr(np.array([res["se_ris"][ue.id] for res in results]))
-            se_n, se_n_err = _mean_stderr(np.array([res["se_noris"][ue.id] for res in results]))
-            sinr_r, _ = _mean_stderr(np.array([res["sinr_ris"][ue.id] for res in results]))
-            sinr_n, _ = _mean_stderr(np.array([res["sinr_noris"][ue.id] for res in results]))
-            per_ue[ue.id] = {"role": ue.role, "se_ris": se_r, "se_noris": se_n,
-                             "stderr_se_ris": se_r_err, "stderr_se_noris": se_n_err,
-                             "sinr_ris": sinr_r, "sinr_noris": sinr_n}
+    for j, ue in enumerate(ues):
+        (se_r, se_r_err), (se_n, se_n_err), (sinr_r, _), (sinr_n, _) = (
+            _mean_stderr(outcomes[:, row, j]) for row in range(4))
+        per_ue[ue.id] = {"role": ue.role, "se_ris": se_r, "se_noris": se_n,
+                         "stderr_se_ris": se_r_err, "stderr_se_noris": se_n_err,
+                         "sinr_ris": sinr_r, "sinr_noris": sinr_n}
 
     return CaseMetrics(
         n_elements=scenario.ris.n_elements,
@@ -674,8 +665,8 @@ def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
         stderr_nontarget_ris=se_n_ris, stderr_nontarget_noris=se_n_nor,
         stderr_target_diff=se_t_diff, stderr_nontarget_diff=se_n_diff,
         degradation_stderr=degradation_stderr,
-        clamp_fraction=float(np.mean([res["clamp_fraction"] for res in results])),
-        tuning_converged_fraction=float(np.mean([res["converged"] for res in results])),
+        clamp_fraction=float(np.mean([res[1] for res in results])),
+        tuning_converged_fraction=float(np.mean([res[2] for res in results])),
         per_ue=per_ue)
 
 
@@ -833,7 +824,7 @@ def _pattern_phases(scenario: Scenario, array: RisArray) -> ScatteringState:
                                          f_design),
                      ris_to_ue=_in_scene(where + ".ues[0].position", los_channel, array,
                                          ue_node, f_design),
-                     frequency=f_design, direct_blocked=True)
+                     frequency=f_design)
     return align_phases_single_target(chs)
 
 

@@ -56,13 +56,11 @@ class LinkMetrics:
 
 
 def _stack(channels) -> np.ndarray:
-    """Rows of per-user channels from a matrix or a list of row vectors."""
-    if isinstance(channels, np.ndarray) and channels.ndim == 2:
-        return np.asarray(channels, dtype=complex)
-    rows = [np.asarray(h, dtype=complex).reshape(-1) for h in channels]
-    if not rows:
-        raise ValueError("at least one user channel is required")
-    return np.vstack(rows)
+    """The (users x BS antennas) channel matrix, one row per user."""
+    h = np.asarray(channels, dtype=complex)
+    if h.ndim != 2 or h.shape[0] == 0:
+        raise ValueError("channels must be a non-empty (users x BS antennas) matrix")
+    return h
 
 
 def most_correlated_pair(stacked: np.ndarray) -> tuple[int, int]:
@@ -128,24 +126,20 @@ def zf_precoder(channels, total_power: float = 1.0,
     return PrecodeResult(matrix=w, powers=np.full(n_users, total_power / n_users))
 
 
-def link_metrics(design_channels, actual_channels, precoders: PrecodeResult,
-                 noise_power: float) -> LinkMetrics:
+def link_metrics(channels, precoders: PrecodeResult, noise_power: float) -> LinkMetrics:
     """SINR and spectral efficiency on the channels actually traversed.
 
-    The precoders were built from the design channels; metrics are
-    evaluated on the actual ones, so any mismatch between the two shows
-    up as residual cross-user interference.
+    The precoders may have been built from other (design) channels; any
+    mismatch between those and ``channels`` shows up as residual
+    cross-user interference.
     """
-    h_design = _stack(design_channels)
-    h_actual = _stack(actual_channels)
-    if h_design.shape != h_actual.shape:
-        raise ValueError("design and actual channel shapes differ")
-    n_users = h_actual.shape[0]
-    if precoders.matrix.shape != (h_actual.shape[1], n_users):
+    h = _stack(channels)
+    n_users = h.shape[0]
+    if precoders.matrix.shape != (h.shape[1], n_users):
         raise ValueError("precoder shape does not match the channels")
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    cross = h_actual @ precoders.matrix            # (u, v) = h_u . w_v
+    cross = h @ precoders.matrix                   # (u, v) = h_u . w_v
     gains = precoders.powers[None, :] * np.abs(cross) ** 2
     signal = np.diag(gains).copy()
     interference = gains.sum(axis=1) - signal

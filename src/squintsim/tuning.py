@@ -47,40 +47,28 @@ class TuningResult:
     converged: bool | None = None
 
 
-def _flat_terms(channel_sets, weights):
-    """Per-UE flattened direct vectors and (elements x paths) cascade matrices."""
+def _flat_terms(channel_sets):
+    """Carrier, all direct entries as one vector, and their (elements x entries) cascade."""
     if len(channel_sets) == 0:
         raise ValueError("at least one target channel set is required")
     f = channel_sets[0].frequency
     n_el = channel_sets[0].ris_to_ue.shape[1]
-    if weights is None:
-        weights = np.ones(len(channel_sets))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(channel_sets),):
-        raise ValueError("one weight per target channel set is required")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    base, cascades = [], []
     for chs in channel_sets:
         if abs(chs.frequency - f) > 1e-6 * f:
             raise ValueError("all target channel sets must share one carrier")
         if chs.ris_to_ue.shape[1] != n_el:
             raise ValueError("all target channel sets must share the element count")
-        direct = np.zeros_like(chs.direct) if chs.direct_blocked else chs.direct
-        base.append(direct.reshape(-1))
-        casc = cascade_gains(chs)                       # (rx, elements, tx)
-        cascades.append(np.moveaxis(casc, 1, 0).reshape(n_el, -1))
-    return f, n_el, weights, base, cascades
+    base = np.concatenate([chs.direct.reshape(-1) for chs in channel_sets])
+    cascade = np.concatenate([np.moveaxis(cascade_gains(chs), 1, 0).reshape(n_el, -1)
+                              for chs in channel_sets], axis=1)
+    return f, base, cascade
 
 
-def weighted_sum_power(channel_sets, state: ScatteringState, weights=None) -> float:
-    """Objective sum_u w_u |h_eff_u|^2 under a given scattering state."""
-    _, _, weights, base, cascades = _flat_terms(channel_sets, weights)
-    total = 0.0
-    for w, h0, c in zip(weights, base, cascades):
-        h = h0 + state.gammas @ c
-        total += w * float(np.vdot(h, h).real)
-    return total
+def weighted_sum_power(channel_sets, state: ScatteringState) -> float:
+    """Objective: the summed power |h_eff|^2 of every row of every set."""
+    _, base, cascade = _flat_terms(channel_sets)
+    h = base + state.gammas @ cascade
+    return float(np.vdot(h, h).real)
 
 
 def align_phases_single_target(chs: ChannelSet) -> ScatteringState:
@@ -88,7 +76,8 @@ def align_phases_single_target(chs: ChannelSet) -> ScatteringState:
 
     Every element phase is set so its cascaded contribution arrives
     co-phased with the direct path (or with phase zero when the direct
-    path is blocked and the common reference drops out).
+    entry is zero, as for a blocked user, and the common reference drops
+    out).
     """
     if chs.direct.shape != (1, 1):
         raise ValueError("closed-form alignment handles a single UE antenna and a "
@@ -96,17 +85,14 @@ def align_phases_single_target(chs: ChannelSet) -> ScatteringState:
     cascade = chs.ris_to_ue[0, :] * chs.bs_to_ris[:, 0]
     if not np.any(cascade):
         raise DegenerateChannelError("cascaded element gains are identically zero")
-    reference = 0.0
-    if not chs.direct_blocked and chs.direct[0, 0] != 0:
-        reference = float(np.angle(chs.direct[0, 0]))
+    reference = float(np.angle(chs.direct[0, 0])) if chs.direct[0, 0] != 0 else 0.0
     phases = reference - np.angle(cascade)
     return ScatteringState(gammas=np.exp(1j * phases), frequency=chs.frequency)
 
 
-def optimize_weighted_sum_power(channel_sets, weights=None, max_iters: int = 200,
-                                tol: float = 1e-6,
+def optimize_weighted_sum_power(channel_sets, max_iters: int = 200, tol: float = 1e-6,
                                 log: OptimizationLog | None = None) -> ScatteringState:
-    """Coordinate ascent on ideal element phases for weighted sum power.
+    """Coordinate ascent on ideal element phases for the summed row power.
 
     Cycles the elements, giving each the closed-form phase that
     maximizes the objective with the others held fixed, so the logged
@@ -118,25 +104,21 @@ def optimize_weighted_sum_power(channel_sets, weights=None, max_iters: int = 200
         raise ValueError("max_iters must be at least 1")
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    f, n_el, weights, base, cascades = _flat_terms(channel_sets, weights)
-    theta = np.ones(n_el, dtype=complex)
-    residuals = [h0 + theta @ c for h0, c in zip(base, cascades)]
-
-    def objective():
-        return float(sum(w * np.vdot(r, r).real for w, r in zip(weights, residuals)))
-
-    current = objective()
+    f, base, cascade = _flat_terms(channel_sets)
+    theta = np.ones(len(cascade), dtype=complex)
+    residual = base + theta @ cascade
+    current = float(np.vdot(residual, residual).real)
     if log is not None:
         log.objectives.append(current)
         log.converged = False
     for _ in range(max_iters):
-        for n in range(n_el):
-            partials = [r - theta[n] * c[n] for r, c in zip(residuals, cascades)]
-            s = sum(w * np.vdot(p, c[n]) for w, p, c in zip(weights, partials, cascades))
+        for n, c in enumerate(cascade):
+            partial = residual - theta[n] * c
+            s = np.vdot(partial, c)
             if abs(s) > 0:
                 theta[n] = np.conj(s) / abs(s)
-            residuals = [p + theta[n] * c[n] for p, c in zip(partials, cascades)]
-        previous, current = current, objective()
+            residual = partial + theta[n] * c
+        previous, current = current, float(np.vdot(residual, residual).real)
         if log is not None:
             log.objectives.append(current)
         if current - previous <= tol * max(previous, np.finfo(float).tiny):

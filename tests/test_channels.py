@@ -140,7 +140,6 @@ def random_channel_set(rng, frequency=2.5e9, rx=1, tx=4, n_el=12, blocked=False)
         bs_to_ris=cplx((n_el, tx)),
         ris_to_ue=cplx((rx, n_el)),
         frequency=frequency,
-        direct_blocked=blocked,
     )
 
 
@@ -179,12 +178,6 @@ def test_effective_channel_blocked_drops_direct(rng):
     h = effective_channel(chs, state_of(np.ones(12)))
     expected = (chs.ris_to_ue * np.ones(12)[None, :]) @ chs.bs_to_ris
     assert np.allclose(h, expected, rtol=1e-14)
-    # blocked flag drops the direct term even when the matrix is non-zero
-    leaky = ChannelSet(direct=np.full((1, 4), 9.0 + 0.0j),
-                       bs_to_ris=chs.bs_to_ris, ris_to_ue=chs.ris_to_ue,
-                       frequency=2.5e9, direct_blocked=True)
-    assert np.allclose(effective_channel(leaky, state_of(np.ones(12))), expected,
-                       rtol=1e-14)
 
 
 def test_effective_channel_frequency_guard(rng):

@@ -131,6 +131,9 @@ def test_pattern_command(tmp_path, capsys):
     ("pattern", "angle_step_deg", 0, "pattern.angle_step_deg"),
     ("pattern", "reference_angle_deg", "x", "pattern.reference_angle_deg"),
     ("pattern", "reference_window_deg", float("nan"), "pattern.reference_window_deg"),
+    # cuts of 1.8e9 angles: a raw MemoryError before
+    ("pattern", "angle_step_deg", 1e-7, "pattern.angle_step_deg"),
+    ("sensitivity", "angle_step_deg", 1e-7, "pattern.sensitivity.angle_step_deg"),
 ])
 def test_pattern_bad_field_fails_at_load(tmp_path, capsys, section, key, value, field):
     cfg = preset_config("fig3")
@@ -150,17 +153,22 @@ def test_pattern_bad_field_fails_at_load(tmp_path, capsys, section, key, value, 
 ON_ELEMENT = [0.0299792458, 0.0, 0.0299792458]
 
 
-def hole_config(path, value):
-    """fig4d at 2 realizations with a sweep block, one field set by its path."""
-    cfg = preset_config("fig4d")
-    cfg["realizations"] = 2
-    cfg["sweep"] = {"element_counts": [4], "positions": [[0.0, 0.0, 0.0]]}
+def set_field(cfg, path, value):
+    """``cfg`` with the field at a dotted path (list indices as numbers) set."""
     node = cfg
     keys = path.split(".")
     for key in keys[:-1]:
         node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
     node[keys[-1]] = value
     return cfg
+
+
+def hole_config(path, value):
+    """fig4d at 2 realizations with a sweep block, one field set by its path."""
+    cfg = preset_config("fig4d")
+    cfg["realizations"] = 2
+    cfg["sweep"] = {"element_counts": [4], "positions": [[0.0, 0.0, 0.0]]}
+    return set_field(cfg, path, value)
 
 
 def test_hole_base_config_loads():
@@ -236,6 +244,32 @@ def test_pattern_geometry_fails_as_config_error(tmp_path, capsys, feed, position
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert f"config.{field} " in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command, path, value, named", [
+    # a raw ValueError from ChannelSet before
+    ("run", "operators.0.carrier_hz", 1e-300, "config.operators[0].bs.position"),
+    ("run", "ris.spacing_fraction", 1e300, "config.operators[0].bs.position"),
+    ("run", "operators.0.bs.spacing_fraction", 1e300, "config.operators[0].bs.position"),
+    ("run", "operators.0.ues.0.position", [1e308, 1e308, 0.0],
+     "config.operators[0].ues[0].position"),
+    # NaN in every pattern CSV and exit 0 before
+    ("pattern", "ris.circuit.l_top_h", 1e300, "element circuit"),
+])
+def test_overflowing_scene_fails_as_numerical_error(tmp_path, capsys, command, path, value,
+                                                    named):
+    """Finite but extreme scales exit 3, say where, and write nothing."""
+    cfg = hole_config(path, value) if command == "run" else \
+        set_field(preset_config("fig3"), path, value)
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out = ["--out", str(tmp_path / "case.csv")] if command == "run" else \
+        ["--out-dir", str(tmp_path / "patterns")]
+    assert main([command, str(config), *out]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: " in err
+    assert named in err
     assert list(tmp_path.iterdir()) == [config]
 
 

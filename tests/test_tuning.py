@@ -18,9 +18,11 @@ def cplx(rng, shape):
 
 
 def make_set(rng, rx=1, tx=1, n_el=16, frequency=F1, blocked=False):
-    return ChannelSet(direct=cplx(rng, (rx, tx)), bs_to_ris=cplx(rng, (n_el, tx)),
-                      ris_to_ue=cplx(rng, (rx, n_el)), frequency=frequency,
-                      direct_blocked=blocked)
+    # a blocked user has a zero direct matrix; it is drawn anyway to keep the stream
+    direct = cplx(rng, (rx, tx))
+    return ChannelSet(direct=np.zeros_like(direct) if blocked else direct,
+                      bs_to_ris=cplx(rng, (n_el, tx)), ris_to_ue=cplx(rng, (rx, n_el)),
+                      frequency=frequency)
 
 
 # --- closed-form single-target alignment ------------------------------------
@@ -76,8 +78,6 @@ def test_weighted_sum_power_manual(rng):
                             frequency=F1)
     h = chs.direct[0, 0] + (chs.ris_to_ue[0, :] * state.gammas) @ chs.bs_to_ris[:, 0]
     assert weighted_sum_power([chs], state) == pytest.approx(abs(h) ** 2, rel=1e-12)
-    assert weighted_sum_power([chs], state, weights=[2.5]) == pytest.approx(
-        2.5 * abs(h) ** 2, rel=1e-12)
 
 
 def test_weighted_sum_power_validation(rng):
@@ -85,10 +85,6 @@ def test_weighted_sum_power_validation(rng):
     with pytest.raises(ValueError):
         weighted_sum_power([], state)
     chs = make_set(rng, n_el=4)
-    with pytest.raises(ValueError):
-        weighted_sum_power([chs], state, weights=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        weighted_sum_power([chs], state, weights=[0.0])
     other = make_set(rng, n_el=4, frequency=2.6e9)
     with pytest.raises(ValueError):
         weighted_sum_power([chs, other], state)
@@ -135,14 +131,6 @@ def test_ascent_iteration_cap(rng):
         optimize_weighted_sum_power(sets, max_iters=0)
     with pytest.raises(ValueError):
         optimize_weighted_sum_power(sets, tol=-1.0)
-
-
-def test_ascent_weights_shift_optimum(rng):
-    a, b = make_set(rng, n_el=12), make_set(rng, n_el=12)
-    favor_a = optimize_weighted_sum_power([a, b], weights=[100.0, 1.0])
-    favor_b = optimize_weighted_sum_power([a, b], weights=[1.0, 100.0])
-    assert weighted_sum_power([a], favor_a) > weighted_sum_power([a], favor_b)
-    assert weighted_sum_power([b], favor_b) > weighted_sum_power([b], favor_a)
 
 
 # --- hardware realization ----------------------------------------------------
