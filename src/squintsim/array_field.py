@@ -178,12 +178,14 @@ def build_array(rows, cols, f_design, spacing_fraction=0.5, center=(0.0, 0.0, 0.
     spacing = spacing_fraction * SPEED_OF_LIGHT / f_design
     u_axis, v_axis, normal = (np.asarray(a) for a in PLANE_AXES[plane])
     center = np.asarray(center, dtype=float)
-    u_off = (np.arange(cols) - (cols - 1) / 2.0) * spacing
-    v_off = (np.arange(rows) - (rows - 1) / 2.0) * spacing
-    vv, uu = np.meshgrid(v_off, u_off, indexing="ij")
-    positions = (center[None, :]
-                 + uu.reshape(-1, 1) * u_axis[None, :]
-                 + vv.reshape(-1, 1) * v_axis[None, :])
+    # an extreme scale overflows here; the links built on the grid check their entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_off = (np.arange(cols) - (cols - 1) / 2.0) * spacing
+        v_off = (np.arange(rows) - (rows - 1) / 2.0) * spacing
+        vv, uu = np.meshgrid(v_off, u_off, indexing="ij")
+        positions = (center[None, :]
+                     + uu.reshape(-1, 1) * u_axis[None, :]
+                     + vv.reshape(-1, 1) * v_axis[None, :])
     return RisArray(rows=rows, cols=cols, spacing=spacing, center=center,
                     u_axis=u_axis, v_axis=v_axis, normal=normal,
                     element_positions=positions, element_pattern=element_pattern)

@@ -106,11 +106,13 @@ def element_reflection(capacitance, frequency, params: CircuitParams) -> Reflect
     limit r_loss == 0. A non-finite reflection, from constants so extreme
     that the impedance overflows, raises SingularityError.
     """
-    z = np.asarray(element_impedance(capacitance, frequency, params))
-    denom = z + params.z0
-    if np.any(np.abs(denom) < 1e-12 * params.z0):
-        raise SingularityError("element impedance equals -z0; reflection undefined")
-    gamma = (z - params.z0) / denom
+    # constants near the float range overflow here; the finite check below reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = np.asarray(element_impedance(capacitance, frequency, params))
+        denom = z + params.z0
+        if np.any(np.abs(denom) < 1e-12 * params.z0):
+            raise SingularityError("element impedance equals -z0; reflection undefined")
+        gamma = (z - params.z0) / denom
     if not np.all(np.isfinite(gamma)):
         raise SingularityError("reflection is not finite; the element circuit overflows")
     return Reflection(
@@ -141,7 +143,8 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     exp(-j phi) gamma > 0. Other targets are clamped to the circularly
     nearest achievable phase, which is the phase at c_min, at c_max or at
     a phase extremum inside the range (ties go to c_min), and flagged.
-    Accepts scalars or arrays of target phases at one frequency.
+    Accepts a scalar or an array of any shape of target phases at one
+    frequency.
     """
     target = wrap_phase(np.asarray(target_phase, dtype=float))
     scalar_in = target.ndim == 0
@@ -171,7 +174,8 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     edges = np.array([params.c_min, *(1.0 / (w * (w * params.l_top - e)) for e in extrema),
                       params.c_max])
     edge_phase = np.angle(element_reflection(edges, frequency, params).gamma)
-    nearest = np.argmin(np.abs(wrap_phase(target[None, :] - edge_phase[:, None])), axis=0)
+    edge_phase = edge_phase.reshape((-1,) + (1,) * target.ndim)
+    nearest = np.argmin(np.abs(wrap_phase(target[None] - edge_phase)), axis=0)
     cap = np.where(reachable, cap, edges[nearest])
 
     achieved = np.angle(element_reflection(cap, frequency, params).gamma)

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from ._version import __version__
 from .engine import (Scenario, export_results, fractional_boi, load_scenario,
@@ -121,8 +122,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning, such as a ConfigWarning, as one line without the code that raised it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        return _dispatch(args)
+
+
+def _dispatch(args) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:

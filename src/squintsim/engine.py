@@ -20,11 +20,11 @@ from ._version import __version__
 from .array_field import (PLANE_AXES, PatternCut, RisArray, ScatteringState, Wave,
                           build_array, directivity_pattern, main_lobe_angle,
                           pattern_to_csv)
-from .channels import ChannelSet, Node, effective_channel, los_channel
+from .channels import ChannelSet, Node, effective_channel, los_channel, rician_channel
 from .circuit import CircuitParams
 from .errors import ConfigError, ConfigWarning, CorrelatedChannelsError, NumericalError
-from .precoding import (LinkMetrics, PrecodeResult, link_metrics, mrt_precoder,
-                        noise_power, zf_precoder)
+from .precoding import (PrecodeResult, link_metrics, mrt_precoder, noise_power,
+                        zf_precoder)
 from .tuning import (OptimizationLog, TuningResult, align_phases_single_target,
                      evaluate_off_frequency, optimize_weighted_sum_power,
                      realize_capacitances)
@@ -443,14 +443,6 @@ def derive_seed(master_seed: int, *path) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master_seed)] + [int(p) for p in path])
 
 
-def _link_rng(scenario: Scenario, realization: int, op_index: int, ue_slot: int,
-              link_code: int) -> np.random.Generator | None:
-    if scenario.k_factor_db is None:
-        return None
-    return np.random.default_rng(
-        derive_seed(scenario.master_seed, realization, op_index, ue_slot, link_code))
-
-
 # ---------------------------------------------------------------------------
 # the per-case pipeline
 
@@ -478,37 +470,88 @@ def _in_scene(field: str, build, *args):
         raise NumericalError(f"evaluating {field}: {exc}") from None
 
 
-def _ue_channels(scenario: Scenario, array: RisArray, realization: int) -> dict:
-    """One ChannelSet per operator id, a row per UE, at that operator's carrier.
+# Cap on realizations x surface elements x owner cascade entries in one
+# block of a run. It bounds the draws, channels and ascent arrays a block
+# holds, whatever the scene; the block ranges it sets never depend on the
+# worker count.
+_BLOCK_TERMS = 1 << 15
 
-    A blocked UE has a zero direct row.
+
+def _link_draws(scenario: Scenario, start: int, stop: int, n_elements: int) -> dict:
+    """Standard normals of every random link of realizations [start, stop).
+
+    Keyed by (operator index, ue slot, link code), each is a
+    (realizations x 2 * entries) array drawn from the link's own
+    SeedSequence at ``n_elements`` surface elements: real parts, then
+    imaginary parts. A link of a smaller surface takes the prefix its
+    entries need, since a stream's prefix does not depend on its length.
+    Empty for pure line of sight.
     """
-    out = {}
-    k = scenario.k_factor_db
+    if scenario.k_factor_db is None:
+        return {}
+    entries = {}
     for i, op in enumerate(scenario.operators):
-        f = op.carrier_hz
-        bs_to_ris = _in_scene(f"config.operators[{i}].bs.position", los_channel, op.bs,
-                              array, f, k, _link_rng(scenario, realization, i, 0, BS_RIS_LINK))
-        direct = np.zeros((len(op.ues), op.bs.n_antennas), dtype=complex)
-        ris_to_ue = np.empty((len(op.ues), array.n_elements), dtype=complex)
+        entries[i, 0, BS_RIS_LINK] = n_elements * op.bs.n_antennas
         for j, ue in enumerate(op.ues):
-            ue_node = Node(position=ue.position)
-            where = f"config.operators[{i}].ues[{j}].position"
             if not ue.blocked:
-                direct[j] = _in_scene(where, los_channel, op.bs, ue_node, f, k,
-                                      _link_rng(scenario, realization, i, j + 1, DIRECT_LINK))
-            ris_to_ue[j] = _in_scene(where, los_channel, array, ue_node, f, k,
-                                     _link_rng(scenario, realization, i, j + 1, RIS_UE_LINK))
-        out[op.id] = ChannelSet(direct=direct, bs_to_ris=bs_to_ris, ris_to_ue=ris_to_ue,
-                                frequency=f)
+                entries[i, j + 1, DIRECT_LINK] = op.bs.n_antennas
+            entries[i, j + 1, RIS_UE_LINK] = n_elements
+    draws = {key: np.empty((stop - start, 2 * size)) for key, size in entries.items()}
+    for key, out in draws.items():
+        for r in range(start, stop):
+            rng = np.random.default_rng(derive_seed(scenario.master_seed, r, *key))
+            rng.standard_normal(out=out[r - start])
+    return draws
+
+
+def _link(scenario: Scenario, draws: dict, key: tuple, n_real: int, field: str,
+          tx, rx) -> np.ndarray:
+    """(realizations,) + link shape: one link's LoS geometry, then its scatter."""
+    f = scenario.operators[key[0]].carrier_hz
+    los = _in_scene(field, los_channel, tx, rx, f)
+    if scenario.k_factor_db is None:
+        return np.broadcast_to(los, (n_real,) + los.shape)
+    normals = draws[key][:, :2 * los.size].reshape((n_real, 2) + los.shape)
+    return _in_scene(field, rician_channel, los, scenario.k_factor_db, normals)
+
+
+def _direct_links(scenario: Scenario, draws: dict, n_real: int) -> list:
+    """Each operator's (realizations x UEs x BS antennas) direct links.
+
+    A blocked UE has a zero row.
+    """
+    out = []
+    for i, op in enumerate(scenario.operators):
+        direct = np.zeros((n_real, len(op.ues), op.bs.n_antennas), dtype=complex)
+        for j, ue in enumerate(op.ues):
+            if not ue.blocked:
+                direct[:, j] = _link(scenario, draws, (i, j + 1, DIRECT_LINK), n_real,
+                                     f"config.operators[{i}].ues[{j}].position", op.bs,
+                                     Node(position=ue.position))[:, 0]
+        out.append(direct)
     return out
+
+
+def _operator_channels(case: Scenario, i: int, array: RisArray, draws: dict,
+                       direct: list) -> ChannelSet:
+    """Operator ``i``'s stacked ChannelSet, a row per UE, at its carrier."""
+    op = case.operators[i]
+    n_real = len(direct[i])
+    bs_to_ris = _link(case, draws, (i, 0, BS_RIS_LINK), n_real,
+                      f"config.operators[{i}].bs.position", op.bs, array)
+    ris_to_ue = np.concatenate(
+        [_link(case, draws, (i, j + 1, RIS_UE_LINK), n_real,
+               f"config.operators[{i}].ues[{j}].position", array, Node(position=ue.position))
+         for j, ue in enumerate(op.ues)], axis=1)
+    return ChannelSet(direct=direct[i], bs_to_ris=bs_to_ris, ris_to_ue=ris_to_ue,
+                      frequency=op.carrier_hz)
 
 
 def _tune_surface(scenario: Scenario, targets: ChannelSet) -> TuningResult:
     log = OptimizationLog()
     theta = optimize_weighted_sum_power([targets], log=log)
     result = realize_capacitances(theta, scenario.ris.circuit)
-    result.converged = log.converged
+    result.converged = log.converged_each
     return result
 
 
@@ -521,24 +564,29 @@ def _surface_state(scenario: Scenario, tuning: TuningResult | None,
     return evaluate_off_frequency(tuning, frequency, scenario.ris.circuit)
 
 
-def _precode_rows(h: np.ndarray, kind: str, total_power: float,
-                  condition_limit: float | None) -> PrecodeResult:
-    """Precoding with zero-channel users parked on silent placeholder columns."""
-    n_users, n_tx = h.shape
-    active = np.linalg.norm(h, axis=1) > 0
-    matrix = np.zeros((n_tx, n_users), dtype=complex)
-    matrix[0, :] = 1.0              # unit placeholder, silenced by zero power
-    powers = np.zeros(n_users)
-    if np.any(active):
-        per_user = total_power / n_users
-        sub = h[active]
-        idx = np.flatnonzero(active)
-        if kind == "mrt":
-            res = mrt_precoder(sub, total_power=per_user * int(active.sum()))
+def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
+    """Each realization's precoders, zero-channel users parked on silent placeholder columns.
+
+    Realizations with the same set of non-zero users are precoded in one
+    stacked call.
+    """
+    n_real, n_users, n_tx = h.shape
+    matrix = np.zeros((n_real, n_tx, n_users), dtype=complex)
+    matrix[:, 0, :] = 1.0              # unit placeholder, silenced by zero power
+    powers = np.zeros((n_real, n_users))
+    patterns, group = np.unique(np.linalg.norm(h, axis=-1) > 0, axis=0, return_inverse=True)
+    for k, pattern in enumerate(patterns):
+        idx = np.flatnonzero(pattern)
+        if len(idx) == 0:
+            continue
+        members = np.flatnonzero(group.reshape(-1) == k)
+        sub = h[members][:, idx]
+        power = op.power_w / n_users * len(idx)
+        if op.precoder == "mrt":
+            res = mrt_precoder(sub, total_power=power)
         else:
             try:
-                res = zf_precoder(sub, total_power=per_user * int(active.sum()),
-                                  condition_limit=condition_limit)
+                res = zf_precoder(sub, total_power=power, condition_limit=op.zf_condition_limit)
             except CorrelatedChannelsError as exc:
                 if exc.ue_pair is not None:
                     # report indices in the full user list, not the active subset
@@ -548,48 +596,65 @@ def _precode_rows(h: np.ndarray, kind: str, total_power: float,
                         f"for zero-forcing (condition number {exc.condition_number:.3g})",
                         ue_pair=pair, condition_number=exc.condition_number) from None
                 raise
-        matrix[:, active] = res.matrix
-        powers[active] = res.powers
+        matrix[np.ix_(members, np.arange(n_tx), idx)] = res.matrix
+        powers[np.ix_(members, idx)] = res.powers
     return PrecodeResult(matrix=matrix, powers=powers)
 
 
-def _operator_metrics(op: OperatorConfig, design: np.ndarray, actual: np.ndarray,
-                      noise_w: float) -> LinkMetrics:
-    precoders = _precode_rows(design, op.precoder, op.power_w, op.zf_condition_limit)
-    return link_metrics(actual, precoders, noise_w)
-
-
-def _run_realization(scenario: Scenario, array: RisArray, realization: int) -> tuple:
-    """(outcomes, clamp fraction, tuning converged) of one realization.
-
-    ``outcomes`` is (4 x UEs), UEs in config order; its rows are SE with
-    and without the surface, then SINR with and without it.
-    """
-    channels = _ue_channels(scenario, array, realization)
-    owner = scenario.owner
-    tuning = _tune_surface(scenario, channels[owner.id]) if scenario.ris.enabled else None
-    clamp_fraction, converged = 0.0, True
+def _case_block(case: Scenario, draws: dict, direct: list, blind: list,
+                without: list) -> tuple:
+    """(outcomes, clamp fractions, converged flags) of one case over one block."""
+    n_real = len(direct[0])
+    array = build_surface(case.ris, case.owner.carrier_hz)
+    owner = [op.id for op in case.operators].index(case.ris.owner)
+    targets = _operator_channels(case, owner, array, draws, direct)
+    tuning = _tune_surface(case, targets) if case.ris.enabled else None
+    clamp, converged = np.zeros(n_real), np.ones(n_real, dtype=bool)
     if tuning is not None:
-        clamp_fraction = len(tuning.clamp_report) / scenario.ris.n_elements
-        converged = bool(tuning.converged)
+        n_el = case.ris.n_elements
+        clamped = np.array([entry.index // n_el for entry in tuning.clamp_report], dtype=int)
+        clamp = np.bincount(clamped, minlength=n_real) / n_el
+        converged = tuning.converged
 
     outcomes = []
-    for op in scenario.operators:
-        chs = channels[op.id]
-        actual = effective_channel(chs, _surface_state(scenario, tuning, op.carrier_hz))
+    for i, op in enumerate(case.operators):
+        chs = targets if i == owner else _operator_channels(case, i, array, draws, direct)
+        actual = effective_channel(chs, _surface_state(case, tuning, op.carrier_hz))
         # the surface owner precodes with current surface-inclusive knowledge;
         # other operators are surface-blind: design without, traverse with
-        design = actual if op.id == owner.id else chs.direct
-        with_ris = _operator_metrics(op, design, actual, scenario.noise_w)
-        without = _operator_metrics(op, chs.direct, chs.direct, scenario.noise_w)
-        outcomes.append([with_ris.se, without.se, with_ris.sinr, without.sinr])
-    return np.concatenate(outcomes, axis=1), clamp_fraction, converged
+        precoders = _precode_rows(actual, op) if i == owner else blind[i]
+        with_ris = link_metrics(actual, precoders, case.noise_w)
+        outcomes.append(np.stack([with_ris.se, without[i].se, with_ris.sinr, without[i].sinr],
+                                 axis=1))
+    return np.concatenate(outcomes, axis=2), clamp, converged
 
 
-def _case_worker(args) -> list:
-    scenario, indices = args
-    array = build_surface(scenario.ris, scenario.owner.carrier_hz)
-    return [_run_realization(scenario, array, r) for r in indices]
+def _block_worker(args) -> list:
+    """Per case, (outcomes, clamp fractions, converged flags) of realizations [start, stop).
+
+    ``outcomes`` is (realizations x 4 x UEs), UEs in config order; its rows
+    are SE with and without the surface, then SINR with and without it.
+    The draws, the direct links, the surface-blind precoders and every
+    metric without the surface depend on no surface, so they are computed
+    once and shared by every case.
+    """
+    cases, start, stop = args
+    scenario = cases[0]
+    draws = _link_draws(scenario, start, stop, max(case.ris.n_elements for case in cases))
+    direct = _direct_links(scenario, draws, stop - start)
+    blind = [_precode_rows(h, op) for op, h in zip(scenario.operators, direct)]
+    without = [link_metrics(h, p, scenario.noise_w) for h, p in zip(direct, blind)]
+    return [_case_block(case, draws, direct, blind, without) for case in cases]
+
+
+def _blocks(cases: list) -> list:
+    """The fixed realization ranges [start, stop) of a run, sized by _BLOCK_TERMS."""
+    scenario = cases[0]
+    owner = scenario.owner
+    terms = max(case.ris.n_elements for case in cases) * len(owner.ues) * owner.bs.n_antennas
+    size = max(1, _BLOCK_TERMS // terms)
+    return [(start, min(start + size, scenario.realizations))
+            for start in range(0, scenario.realizations, size)]
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
@@ -599,31 +664,15 @@ def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
     return mean, float(samples.std(ddof=1) / np.sqrt(len(samples)))
 
 
-def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
-    """Monte-Carlo average of the scenario at its configured surface.
-
-    Realizations are independent; with ``workers`` set they are computed
-    in parallel chunks and reduced in index order, so results do not
-    depend on scheduling.
-    """
-    indices = list(range(scenario.realizations))
-    if workers and workers > 1 and len(indices) > 1:
-        n_chunks = min(workers, len(indices))
-        chunks = [indices[i::n_chunks] for i in range(n_chunks)]
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            parts = list(pool.map(_case_worker, [(scenario, c) for c in chunks]))
-        # chunk c holds realizations c, c + n_chunks, ...
-        results = [parts[r % n_chunks][r // n_chunks] for r in indices]
-    else:
-        results = _case_worker((scenario, indices))
-
-    outcomes = np.array([res[0] for res in results])      # (realizations, 4, UEs)
-    ues = [ue for op in scenario.operators for ue in op.ues]
+def _case_metrics(case: Scenario, outcomes: np.ndarray, clamp: np.ndarray,
+                  converged: np.ndarray) -> CaseMetrics:
+    """Monte-Carlo averages of one case's (realizations x 4 x UEs) outcomes."""
+    ues = [ue for op in case.operators for ue in op.ues]
     target = np.array([ue.role == "target" for ue in ues])
 
     def role_sums(row, mask):
         # column by column in config order, so the sums round as per-UE sums do
-        return sum(outcomes[:, row, mask].T, np.zeros(len(results)))
+        return sum(outcomes[:, row, mask].T, np.zeros(len(outcomes)))
 
     t_ris, t_nor = role_sums(0, target), role_sums(1, target)
     n_ris, n_nor = role_sums(0, ~target), role_sums(1, ~target)
@@ -655,9 +704,9 @@ def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
                          "sinr_ris": sinr_r, "sinr_noris": sinr_n}
 
     return CaseMetrics(
-        n_elements=scenario.ris.n_elements,
-        ris_position=tuple(float(x) for x in scenario.ris.position),
-        realizations=scenario.realizations,
+        n_elements=case.ris.n_elements,
+        ris_position=tuple(float(x) for x in case.ris.position),
+        realizations=case.realizations,
         sumse_target_ris=mean_t_ris, sumse_target_noris=mean_t_nor,
         sumse_nontarget_ris=mean_n_ris, sumse_nontarget_noris=mean_n_nor,
         degradation_ratio=degradation,
@@ -665,9 +714,36 @@ def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
         stderr_nontarget_ris=se_n_ris, stderr_nontarget_noris=se_n_nor,
         stderr_target_diff=se_t_diff, stderr_nontarget_diff=se_n_diff,
         degradation_stderr=degradation_stderr,
-        clamp_fraction=float(np.mean([res[1] for res in results])),
-        tuning_converged_fraction=float(np.mean([res[2] for res in results])),
+        clamp_fraction=float(np.mean(clamp)),
+        tuning_converged_fraction=float(np.mean(converged)),
         per_ue=per_ue)
+
+
+def _run_cases(cases: list, workers: int | None) -> list:
+    """CaseMetrics of cases that differ only in their surface, block by block.
+
+    Every case sees the same fixed realization blocks, and no stacked
+    operation mixes realizations, so a case's results depend neither on
+    ``workers`` nor on the other cases of the run.
+    """
+    tasks = [(cases, start, stop) for start, stop in _blocks(cases)]
+    if workers and workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            blocks = list(pool.map(_block_worker, tasks))
+    else:
+        blocks = [_block_worker(task) for task in tasks]
+    return [_case_metrics(case, *(np.concatenate(part) for part in zip(*(b[k] for b in blocks))))
+            for k, case in enumerate(cases)]
+
+
+def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
+    """Monte-Carlo average of the scenario at its configured surface.
+
+    Realizations are computed in fixed blocks; with ``workers`` set the
+    blocks run in parallel and are reduced in index order, so results do
+    not depend on scheduling.
+    """
+    return _run_cases([scenario], workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -690,26 +766,20 @@ def _with_surface(scenario: Scenario, n_elements: int, position) -> Scenario:
                                          position=position))
 
 
-def _sweep_worker(case_scenario: Scenario) -> CaseMetrics:
-    return run_case(case_scenario)
-
-
 def sweep(scenario: Scenario, spec: SweepSpec | None = None,
           workers: int | None = None) -> list:
     """One CaseMetrics per (element count, position), in deterministic order.
 
     Every case reuses the same per-realization seeds, so curves across N
-    and position differ only through the surface itself.
+    and position differ only through the surface itself. The cases run
+    together, block by block, sharing the draws and all surface-free work.
     """
     spec = spec or scenario.sweep_spec
     if spec is None:
         raise ConfigError("no sweep specification was configured")
     cases = [_with_surface(scenario, n, pos)
              for n in spec.element_counts for pos in spec.positions]
-    if workers and workers > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(cases))) as pool:
-            return list(pool.map(_sweep_worker, cases))
-    return [run_case(case) for case in cases]
+    return _run_cases(cases, workers)
 
 
 # ---------------------------------------------------------------------------

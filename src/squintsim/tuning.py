@@ -13,14 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_field import ScatteringState
-from .channels import ChannelSet, cascade_gains
+from .channels import ChannelSet
 from .circuit import CircuitParams, element_reflection, phase_to_capacitance, wrap_phase
 from .errors import DegenerateChannelError
 
 
 @dataclass(frozen=True)
 class ClampEntry:
-    """One element whose requested phase fell outside the achievable span."""
+    """One element whose requested phase fell outside the achievable span.
+
+    ``index`` counts elements in the order of the tuned phases, realization
+    by realization when they are stacked.
+    """
 
     index: int
     target_phase: float
@@ -30,10 +34,17 @@ class ClampEntry:
 
 @dataclass
 class OptimizationLog:
-    """Objective trace of a coordinate-ascent run, one entry per sweep."""
+    """Objective trace of a coordinate-ascent run, one entry per sweep.
+
+    For stacked channel sets each entry holds one objective per
+    realization, a converged realization repeating its final value;
+    ``converged`` then says whether all of them converged, and
+    ``converged_each`` says it per realization.
+    """
 
     objectives: list = field(default_factory=list)
     converged: bool = False
+    converged_each: np.ndarray | None = None
 
 
 @dataclass
@@ -44,31 +55,50 @@ class TuningResult:
     realized_gammas: np.ndarray         # circuit reflections at the tuning carrier
     frequency: float
     clamp_report: tuple
-    converged: bool | None = None
+    converged: bool | np.ndarray | None = None
 
 
 def _flat_terms(channel_sets):
-    """Carrier, all direct entries as one vector, and their (elements x entries) cascade."""
+    """Carrier, every direct entry as (realizations x entries), and the
+    (realizations x elements x entries) cascade; unstacked sets are one realization."""
     if len(channel_sets) == 0:
         raise ValueError("at least one target channel set is required")
     f = channel_sets[0].frequency
-    n_el = channel_sets[0].ris_to_ue.shape[1]
+    lead = channel_sets[0].direct.shape[:-2]
+    n_el = channel_sets[0].ris_to_ue.shape[-1]
     for chs in channel_sets:
         if abs(chs.frequency - f) > 1e-6 * f:
             raise ValueError("all target channel sets must share one carrier")
-        if chs.ris_to_ue.shape[1] != n_el:
+        if chs.ris_to_ue.shape[-1] != n_el:
             raise ValueError("all target channel sets must share the element count")
-    base = np.concatenate([chs.direct.reshape(-1) for chs in channel_sets])
-    cascade = np.concatenate([np.moveaxis(cascade_gains(chs), 1, 0).reshape(n_el, -1)
-                              for chs in channel_sets], axis=1)
-    return f, base, cascade
+        if chs.direct.shape[:-2] != lead:
+            raise ValueError("all target channel sets must stack the same realizations")
+    n_real = int(np.prod(lead))
+    base = np.concatenate([chs.direct.reshape(n_real, -1) for chs in channel_sets], axis=1)
+    # entry (r, n, (u, m)) is element n's gain from BS antenna m to row u, as in cascade_gains
+    parts = [(np.swapaxes(chs.ris_to_ue, -1, -2)[..., :, :, None]
+              * chs.bs_to_ris[..., :, None, :]).reshape(n_real, n_el, -1)
+             for chs in channel_sets]
+    return f, base, parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
 
-def weighted_sum_power(channel_sets, state: ScatteringState) -> float:
-    """Objective: the summed power |h_eff|^2 of every row of every set."""
+def _power(residual: np.ndarray) -> np.ndarray:
+    """Summed |entry|^2 of each realization's row of entries."""
+    return (residual.real ** 2 + residual.imag ** 2).sum(axis=-1)
+
+
+def _residual(theta: np.ndarray, base: np.ndarray, cascade: np.ndarray) -> np.ndarray:
+    return base + (theta[:, None, :] @ cascade)[:, 0, :]
+
+
+def weighted_sum_power(channel_sets, state: ScatteringState):
+    """Objective: the summed power |h_eff|^2 of every row of every set.
+
+    A float, or one value per realization for stacked sets and states.
+    """
     _, base, cascade = _flat_terms(channel_sets)
-    h = base + state.gammas @ cascade
-    return float(np.vdot(h, h).real)
+    power = _power(_residual(np.broadcast_to(state.gammas, cascade.shape[:2]), base, cascade))
+    return power if channel_sets[0].direct.ndim == 3 else float(power[0])
 
 
 def align_phases_single_target(chs: ChannelSet) -> ScatteringState:
@@ -99,46 +129,57 @@ def optimize_weighted_sum_power(channel_sets, max_iters: int = 200, tol: float =
     per-sweep objective never decreases. Stops when a full sweep
     improves the objective by less than ``tol`` relative, or after
     ``max_iters`` sweeps (best-so-far state, convergence flag unset).
+    Stacked channel sets are optimized in one pass, giving stacked phases;
+    each realization stops changing in the sweep it converges in, so its
+    phases, trace and flag are those of a run on it alone.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if tol < 0:
         raise ValueError("tol must be non-negative")
     f, base, cascade = _flat_terms(channel_sets)
-    theta = np.ones(len(cascade), dtype=complex)
-    residual = base + theta @ cascade
-    current = float(np.vdot(residual, residual).real)
-    if log is not None:
-        log.objectives.append(current)
-        log.converged = False
+    theta = np.ones(cascade.shape[:2], dtype=complex)
+    residual = _residual(theta, base, cascade)
+    current = _power(residual)
+    trace = [current]
+    converged = np.zeros(len(theta), dtype=bool)
     for _ in range(max_iters):
-        for n, c in enumerate(cascade):
-            partial = residual - theta[n] * c
-            s = np.vdot(partial, c)
-            if abs(s) > 0:
-                theta[n] = np.conj(s) / abs(s)
-            residual = partial + theta[n] * c
-        previous, current = current, float(np.vdot(residual, residual).real)
-        if log is not None:
-            log.objectives.append(current)
-        if current - previous <= tol * max(previous, np.finfo(float).tiny):
-            if log is not None:
-                log.converged = True
+        for n in range(cascade.shape[1]):
+            c = cascade[:, n]
+            residual -= theta[:, n, None] * c
+            # conj of vdot(residual, c); a zero correlation leaves the phase as it is
+            s = np.add.reduce(residual * c.conj(), axis=-1)
+            mag = np.abs(s)
+            np.divide(s, mag, out=theta[:, n], where=mag > 0)
+            residual += theta[:, n, None] * c
+        previous, current = current, _power(residual)
+        trace.append(current)
+        done = ~converged & (current - previous <= tol * np.maximum(previous,
+                                                                    np.finfo(float).tiny))
+        converged |= done
+        # a converged realization's zero cascade leaves its phases and residual as they are
+        cascade[done] = 0.0
+        if converged.all():
             break
-    return ScatteringState(gammas=theta, frequency=f)
+    stacked = channel_sets[0].direct.ndim == 3
+    if log is not None:
+        log.objectives.extend(trace if stacked else [float(o[0]) for o in trace])
+        log.converged = bool(converged.all())
+        log.converged_each = converged
+    return ScatteringState(gammas=theta if stacked else theta[0], frequency=f)
 
 
 def realize_capacitances(theta_star: ScatteringState, params: CircuitParams) -> TuningResult:
     """Invert ideal phases to capacitances through the element circuit.
 
     Unreachable phases clamp to the nearest achievable phase and are
-    listed in the clamp report.
+    listed in the clamp report. Stacked phases are inverted in one call.
     """
     f = theta_star.frequency
     targets = np.angle(theta_star.gammas)
     solution = phase_to_capacitance(targets, f, params)
     idx = np.flatnonzero(solution.clamped)
-    target, achieved = targets[idx], solution.achieved_phase[idx]
+    target, achieved = targets.ravel()[idx], solution.achieved_phase.ravel()[idx]
     report = tuple(map(ClampEntry, idx.tolist(), target.tolist(), achieved.tolist(),
                        np.abs(wrap_phase(target - achieved)).tolist()))
     return TuningResult(capacitances=solution.capacitance, frequency=f, clamp_report=report,

@@ -256,10 +256,13 @@ def test_pattern_geometry_fails_as_config_error(tmp_path, capsys, feed, position
      "config.operators[0].ues[0].position"),
     # NaN in every pattern CSV and exit 0 before
     ("pattern", "ris.circuit.l_top_h", 1e300, "element circuit"),
+    # numpy overflow warnings on stderr before the message
+    ("pattern", "ris.spacing_fraction", 1e300, "config.operators[0].bs.position"),
+    ("pattern", "ris.position", [1e308, 1e308, 0.0], "config.operators[0].bs.position"),
 ])
 def test_overflowing_scene_fails_as_numerical_error(tmp_path, capsys, command, path, value,
                                                     named):
-    """Finite but extreme scales exit 3, say where, and write nothing."""
+    """Finite but extreme scales exit 3, say where, print no warning and write nothing."""
     cfg = hole_config(path, value) if command == "run" else \
         set_field(preset_config("fig3"), path, value)
     config = tmp_path / "scene.json"
@@ -268,9 +271,22 @@ def test_overflowing_scene_fails_as_numerical_error(tmp_path, capsys, command, p
         ["--out-dir", str(tmp_path / "patterns")]
     assert main([command, str(config), *out]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure: " in err
-    assert named in err
+    *warned, last = err.splitlines()
+    assert last.startswith("numerical failure: ")
+    assert named in last
+    # a near-zero carrier also leaves the influence band, which is a ConfigWarning
+    assert all(line.startswith("warning: operator ") for line in warned)
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_config_warning_is_one_line(tmp_path, capsys):
+    cfg = hole_config("ris.influence_band_hz", [2.4e9, 2.55e9])
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(config), "--out", str(tmp_path / "case.csv")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: operator 'opB' carrier 2.6e+09 Hz lies outside the surface influence "
+        "band [2.4e+09, 2.55e+09] Hz; scattering impact there is negligible\n")
 
 
 def test_unknown_config_arg(capsys):

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squintsim import (ConfigError, ConfigWarning, SweepSpec, derive_seed,
-                       export_results, fractional_boi, grid_shape, load_preset,
-                       load_scenario, preset_config, preset_text, run_case,
-                       run_pattern, sweep)
+from squintsim import (ChannelSet, ConfigError, ConfigWarning, Node, OptimizationLog,
+                       PrecodeResult, SweepSpec, derive_seed, effective_channel,
+                       evaluate_off_frequency, export_results, fractional_boi, grid_shape,
+                       link_metrics, load_preset, load_scenario, los_channel,
+                       optimize_weighted_sum_power, preset_config, preset_text,
+                       realize_capacitances, run_case, run_pattern, sweep, zf_precoder)
+from squintsim import engine
 from squintsim.array_field import PatternCut
 from squintsim.engine import EXPORT_COLUMNS, build_surface
 from squintsim.errors import CorrelatedChannelsError, NumericalError
@@ -381,6 +384,140 @@ def test_run_case_correlated_channels_surface():
         run_case(sc)
     assert exc.value.ue_pair == (0, 1)
     assert exc.value.condition_number > 50.0
+
+
+# --- per-realization reference ------------------------------------------------
+
+def reference_precoders(h, op):
+    """ZF on the users with a non-zero channel; the others get a silent placeholder column."""
+    active = np.flatnonzero(np.linalg.norm(h, axis=1) > 0)
+    matrix = np.zeros(h.shape[::-1], dtype=complex)
+    matrix[0] = 1.0
+    powers = np.zeros(len(h))
+    if len(active):
+        res = zf_precoder(h[active], total_power=op.power_w / len(h) * len(active),
+                          condition_limit=op.zf_condition_limit)
+        matrix[:, active], powers[active] = res.matrix, res.powers
+    return PrecodeResult(matrix=matrix, powers=powers)
+
+
+def reference_realization(sc, r):
+    """(outcomes, clamp fraction, converged) of realization ``r``, one public call at a time.
+
+    ``outcomes`` is (4 x UEs): SE with and without the surface, then SINR.
+    Covers an enabled, broadband surface and zero-forcing operators.
+    """
+    array = build_surface(sc.ris, sc.owner.carrier_hz)
+
+    def rng(*key):
+        return np.random.default_rng(derive_seed(sc.master_seed, r, *key))
+
+    sets = []
+    for i, op in enumerate(sc.operators):
+        f, k = op.carrier_hz, sc.k_factor_db
+        direct = np.zeros((len(op.ues), op.bs.n_antennas), dtype=complex)
+        ris_to_ue = np.empty((len(op.ues), array.n_elements), dtype=complex)
+        for j, ue in enumerate(op.ues):
+            node = Node(position=ue.position)
+            if not ue.blocked:
+                direct[j] = los_channel(op.bs, node, f, k, rng(i, j + 1, 0))
+            ris_to_ue[j] = los_channel(array, node, f, k, rng(i, j + 1, 2))
+        sets.append(ChannelSet(direct=direct, ris_to_ue=ris_to_ue, frequency=f,
+                               bs_to_ris=los_channel(op.bs, array, f, k, rng(i, 0, 1))))
+    owner = [op.id for op in sc.operators].index(sc.ris.owner)
+    log = OptimizationLog()
+    tuning = realize_capacitances(optimize_weighted_sum_power([sets[owner]], log=log),
+                                  sc.ris.circuit)
+    outcomes = []
+    for i, (op, chs) in enumerate(zip(sc.operators, sets)):
+        actual = effective_channel(chs, evaluate_off_frequency(tuning, op.carrier_hz,
+                                                               sc.ris.circuit))
+        design = actual if i == owner else chs.direct
+        with_ris = link_metrics(actual, reference_precoders(design, op), sc.noise_w)
+        without = link_metrics(chs.direct, reference_precoders(chs.direct, op), sc.noise_w)
+        outcomes.append([with_ris.se, without.se, with_ris.sinr, without.sinr])
+    return (np.concatenate(outcomes, axis=1), len(tuning.clamp_report) / array.n_elements,
+            log.converged)
+
+
+@pytest.mark.parametrize("name", ["fig4d", "fig5"])
+def test_run_case_matches_per_realization_reference(name):
+    """The blocked pipeline reproduces realizations computed one by one (fig5 at N=70)."""
+    cfg = preset_config(name)
+    cfg["realizations"] = 5
+    sc = load_scenario(cfg)
+    case = run_case(sc)
+    refs = [reference_realization(sc, r) for r in range(sc.realizations)]
+    outcomes = np.array([ref[0] for ref in refs])
+    ues = [ue for op in sc.operators for ue in op.ues]
+    for j, ue in enumerate(ues):
+        for row, key in enumerate(("se_ris", "se_noris", "sinr_ris", "sinr_noris")):
+            assert case.per_ue[ue.id][key] == pytest.approx(outcomes[:, row, j].mean(),
+                                                            rel=1e-12, abs=0.0)
+    assert case.clamp_fraction == np.mean([ref[1] for ref in refs])
+    assert case.tuning_converged_fraction == np.mean([ref[2] for ref in refs])
+
+
+def block_spanning_config(cfg, counts, entries):
+    """``cfg`` with enough realizations for two full blocks and a remainder."""
+    size = engine._BLOCK_TERMS // (max(counts) * entries)
+    assert size > 3
+    cfg["realizations"] = 2 * size + 3
+    return cfg
+
+
+def test_blocks_and_workers_leave_results_unchanged(tmp_path):
+    """Exports are byte-identical at any worker count, and a sweep point equals a lone run."""
+    counts = [16, 64]
+    cfg = block_spanning_config(base_config(), counts, entries=2 * 4)
+    cfg["sweep"] = {"element_counts": counts,
+                    "positions": [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]}
+    sc = load_scenario(cfg)
+    files = {}
+    for workers in (1, 3):
+        table = sweep(sc, workers=workers)
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"w{workers}.{fmt}"
+            export_results(table, fmt, path, scenario=sc)
+            files[workers, fmt] = path.read_bytes()
+            files[workers, fmt + "_manifest"] = (tmp_path / (path.name + ".manifest.json")
+                                                 ).read_bytes()
+    assert all(files[1, kind] == files[3, kind] for kind in ("csv", "json", "csv_manifest",
+                                                             "json_manifest"))
+    for case in table:
+        lone = copy.deepcopy(cfg)
+        del lone["sweep"]
+        lone["ris"]["rows"], lone["ris"]["cols"] = grid_shape(case.n_elements)
+        lone["ris"]["position"] = list(case.ris_position)
+        assert run_case(load_scenario(lone)).to_dict() == case.to_dict()
+
+
+def test_correlated_channels_error_names_first_failing_realization():
+    """With scatter only some fig1c realizations trip the limit; the first one is reported."""
+    cfg = preset_config("fig1c")
+    cfg["channel"]["k_factor_db"] = 10.0
+    cfg["operators"][0]["zf_condition_limit"] = 200.0
+    n_elements = cfg["ris"]["rows"] * cfg["ris"]["cols"]
+    sc = load_scenario(block_spanning_config(cfg, [n_elements], entries=2 * 8))
+    for r in range(sc.realizations):
+        try:
+            reference_realization(sc, r)
+        except CorrelatedChannelsError as exc:
+            expected = exc
+            break
+    else:
+        pytest.fail("no realization trips the condition limit")
+    assert r > 0
+    errors = []
+    for workers in (1, 3):
+        with pytest.raises(CorrelatedChannelsError) as exc:
+            run_case(sc, workers=workers)
+        errors.append(exc.value)
+    assert str(errors[0]) == str(errors[1])
+    for err in errors:
+        assert err.ue_pair == expected.ue_pair
+        assert err.condition_number == errors[0].condition_number
+        assert err.condition_number == pytest.approx(expected.condition_number, rel=1e-12)
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -196,3 +196,32 @@ def test_link_metrics_validation(rng):
         link_metrics(h, res, noise_power=0.0)
     with pytest.raises(ValueError):
         link_metrics(cplx(rng, (3, 4)), res, noise_power=1.0)
+
+
+def test_stacked_precoders_and_metrics_match_single_calls(rng):
+    h = cplx(rng, (4, 3, 5))
+    for precoder in (zf_precoder, mrt_precoder):
+        stacked = precoder(h, total_power=2.0)
+        metrics = link_metrics(h, stacked, noise_power=1e-3)
+        for r in range(len(h)):
+            single = precoder(h[r], total_power=2.0)
+            assert np.array_equal(stacked.matrix[r], single.matrix)
+            assert np.array_equal(stacked.powers[r], single.powers)
+            alone = link_metrics(h[r], single, noise_power=1e-3)
+            assert np.array_equal(metrics.sinr[r], alone.sinr)
+            assert metrics.sum_se[r] == alone.sum_se
+
+
+def test_stacked_zf_reports_first_failing_realization(rng):
+    h = cplx(rng, (4, 3, 5))
+    h[2, 2] = h[2, 0]               # rank deficient in realization 2
+    h[3, 2] = 2.0 * h[3, 1]         # and in realization 3, another pair
+    with pytest.raises(CorrelatedChannelsError) as exc:
+        zf_precoder(h)
+    assert exc.value.ue_pair == (0, 2)
+    assert exc.value.condition_number == float("inf")
+    conds = [float(np.linalg.cond(m)) for m in h[:2]]
+    with pytest.raises(CorrelatedChannelsError) as exc:
+        zf_precoder(h[:2], condition_limit=min(conds) / 2.0)     # both realizations fail
+    assert exc.value.condition_number == pytest.approx(conds[0], rel=1e-12)
+    zf_precoder(h[:2], condition_limit=max(conds) * 2.0)

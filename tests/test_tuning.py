@@ -133,6 +133,26 @@ def test_ascent_iteration_cap(rng):
         optimize_weighted_sum_power(sets, tol=-1.0)
 
 
+def test_ascent_stack_matches_single_runs(rng):
+    """Each realization of a stack gets the phases, trace and flag of a run on it alone."""
+    sets = [make_set(rng, rx=2, tx=3, n_el=12) for _ in range(6)]
+    stacked = ChannelSet(direct=np.stack([chs.direct for chs in sets]),
+                         bs_to_ris=np.stack([chs.bs_to_ris for chs in sets]),
+                         ris_to_ue=np.stack([chs.ris_to_ue for chs in sets]), frequency=F1)
+    log = OptimizationLog()
+    state = optimize_weighted_sum_power([stacked], max_iters=50, log=log)
+    assert 0 < log.converged_each.sum() < len(sets)
+    assert log.converged == bool(log.converged_each.all())
+    for r, chs in enumerate(sets):
+        alone = OptimizationLog()
+        single = optimize_weighted_sum_power([chs], max_iters=50, log=alone)
+        assert np.array_equal(state.gammas[r], single.gammas)
+        trace = [float(objectives[r]) for objectives in log.objectives]
+        assert trace[:len(alone.objectives)] == alone.objectives
+        assert set(trace[len(alone.objectives) - 1:]) == {alone.objectives[-1]}
+        assert log.converged_each[r] == alone.converged
+
+
 # --- hardware realization ----------------------------------------------------
 
 def test_realize_caps_reproduce_circuit(params, rng):
