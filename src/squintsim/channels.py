@@ -147,20 +147,23 @@ def los_channel(tx, rx, frequency: float, k_factor_db: float | None = None,
     return rician_channel(los, k_factor_db, rng.standard_normal((2,) + los.shape))
 
 
-def rician_channel(los: np.ndarray, k_factor_db: float, normals: np.ndarray) -> np.ndarray:
+def rician_channel(los: np.ndarray, k_factor_db: float, normals: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """LoS entries mixed with complex Gaussian scatter at the Rician ratio.
 
     ``normals`` holds standard normals of shape (..., 2) + los.shape: the
     real parts of the scatter, then its imaginary parts. Leading axes stack
     realizations of the same link geometry, which is how one link's
     realizations are synthesized at once. Each scatter entry has the power
-    of its LoS entry. Entries that overflow raise NumericalError.
+    of its LoS entry. The result is written to ``out`` when given, a
+    complex array of shape (...) + los.shape. Entries that overflow raise
+    NumericalError.
     """
     k = 10.0 ** (k_factor_db / 10.0)
     # in place, in one block-sized array; the products and sums commute, so
     # the entries equal sqrt(k/(k+1)) los + sqrt(1/(k+1)) |los|/sqrt(2) (re + j im)
     with np.errstate(over="ignore", invalid="ignore"):
-        mixed = 1j * normals[..., 1, :, :]
+        mixed = np.multiply(1j, normals[..., 1, :, :], out=out)
         mixed += normals[..., 0, :, :]
         mixed *= np.abs(los) / np.sqrt(2.0)
         mixed *= np.sqrt(1.0 / (k + 1.0))

@@ -391,6 +391,19 @@ def load_scenario(config) -> Scenario:
     circuit = ris["circuit"]
     if not circuit["c_min_f"] < circuit["c_max_f"]:
         raise ConfigError("config.ris.circuit.c_max_f must exceed c_min_f")
+    surfaces = [("config.ris.rows x config.ris.cols", ris["rows"] * ris["cols"])]
+    if cfg["sweep"] is not None:
+        surfaces += [(f"config.sweep.element_counts[{k}]", n)
+                     for k, n in enumerate(cfg["sweep"]["element_counts"])]
+    for where, n_el in surfaces:
+        for i, op in enumerate(ops):
+            # counted, never allocated: the cascade of one realization
+            terms = n_el * op["bs"]["antennas"] * len(op["ues"])
+            if terms > _REALIZATION_TERMS:
+                raise ConfigError(
+                    f"{where} ({n_el} elements) with config.operators[{i}].bs.antennas "
+                    f"({op['bs']['antennas']}) and its {len(op['ues'])} user(s) make {terms} "
+                    f"channel terms per realization; at most {_REALIZATION_TERMS} are allowed")
     if pattern is not None:
         if pattern["angle_stop_deg"] <= pattern["angle_start_deg"]:
             raise ConfigError("config.pattern.angle_stop_deg must exceed angle_start_deg")
@@ -470,11 +483,18 @@ def _in_scene(field: str, build, *args):
         raise NumericalError(f"evaluating {field}: {exc}") from None
 
 
-# Cap on realizations x surface elements x owner cascade entries in one
-# block of a run. It bounds the draws, channels and ascent arrays a block
-# holds, whatever the scene; the block ranges it sets never depend on the
-# worker count.
+# Cap on realizations x surface elements x owner cascade entries per case in
+# one block of a run. It sets a block's realization count and so bounds the
+# draws and channels a block holds for each case; the block ranges it sets
+# never depend on the worker count.
 _BLOCK_TERMS = 1 << 15
+# Cap on the same count summed over one stack, the same-size cases of a
+# block that are tuned, precoded and evaluated together. It bounds the
+# ascent's arrays; fig5's four positions at each size fit in one stack.
+_STACK_TERMS = 1 << 17
+# Cap on the terms of one realization's largest array, an operator's
+# cascade from every BS antenna through every element to every user.
+_REALIZATION_TERMS = 1 << 22
 
 
 def _link_draws(scenario: Scenario, start: int, stop: int, n_elements: int) -> dict:
@@ -504,15 +524,16 @@ def _link_draws(scenario: Scenario, start: int, stop: int, n_elements: int) -> d
     return draws
 
 
-def _link(scenario: Scenario, draws: dict, key: tuple, n_real: int, field: str,
-          tx, rx) -> np.ndarray:
-    """(realizations,) + link shape: one link's LoS geometry, then its scatter."""
+def _link(scenario: Scenario, draws: dict, key: tuple, out: np.ndarray, field: str,
+          tx, rx) -> None:
+    """Fill ``out``, (realizations,) + link shape, with one link's LoS geometry and scatter."""
     f = scenario.operators[key[0]].carrier_hz
     los = _in_scene(field, los_channel, tx, rx, f)
     if scenario.k_factor_db is None:
-        return np.broadcast_to(los, (n_real,) + los.shape)
-    normals = draws[key][:, :2 * los.size].reshape((n_real, 2) + los.shape)
-    return _in_scene(field, rician_channel, los, scenario.k_factor_db, normals)
+        out[...] = los
+        return
+    normals = draws[key][:, :2 * los.size].reshape((len(out), 2) + los.shape)
+    _in_scene(field, rician_channel, los, scenario.k_factor_db, normals, out)
 
 
 def _direct_links(scenario: Scenario, draws: dict, n_real: int) -> list:
@@ -525,26 +546,35 @@ def _direct_links(scenario: Scenario, draws: dict, n_real: int) -> list:
         direct = np.zeros((n_real, len(op.ues), op.bs.n_antennas), dtype=complex)
         for j, ue in enumerate(op.ues):
             if not ue.blocked:
-                direct[:, j] = _link(scenario, draws, (i, j + 1, DIRECT_LINK), n_real,
-                                     f"config.operators[{i}].ues[{j}].position", op.bs,
-                                     Node(position=ue.position))[:, 0]
+                _link(scenario, draws, (i, j + 1, DIRECT_LINK), direct[:, j:j + 1],
+                      f"config.operators[{i}].ues[{j}].position", op.bs,
+                      Node(position=ue.position))
         out.append(direct)
     return out
 
 
-def _operator_channels(case: Scenario, i: int, array: RisArray, draws: dict,
+def _operator_channels(cases: list, i: int, arrays: list, draws: dict,
                        direct: list) -> ChannelSet:
-    """Operator ``i``'s stacked ChannelSet, a row per UE, at its carrier."""
-    op = case.operators[i]
-    n_real = len(direct[i])
-    bs_to_ris = _link(case, draws, (i, 0, BS_RIS_LINK), n_real,
-                      f"config.operators[{i}].bs.position", op.bs, array)
-    ris_to_ue = np.concatenate(
-        [_link(case, draws, (i, j + 1, RIS_UE_LINK), n_real,
-               f"config.operators[{i}].ues[{j}].position", array, Node(position=ue.position))
-         for j, ue in enumerate(op.ues)], axis=1)
-    return ChannelSet(direct=direct[i], bs_to_ris=bs_to_ris, ris_to_ue=ris_to_ue,
-                      frequency=op.carrier_hz)
+    """Operator ``i``'s ChannelSet at its carrier, a row per UE, over a stack of cases.
+
+    The cases share a surface size and are stacked case-major on the
+    realization axis; each case's links get its own surface's geometry and
+    are written straight into the stack.
+    """
+    op = cases[0].operators[i]
+    n_real, n_el = len(direct[i]), arrays[0].n_elements
+    bs_to_ris = np.empty((len(cases), n_real, n_el, op.bs.n_antennas), dtype=complex)
+    ris_to_ue = np.empty((len(cases), n_real, len(op.ues), n_el), dtype=complex)
+    for k, (case, array) in enumerate(zip(cases, arrays)):
+        _link(case, draws, (i, 0, BS_RIS_LINK), bs_to_ris[k],
+              f"config.operators[{i}].bs.position", op.bs, array)
+        for j, ue in enumerate(op.ues):
+            _link(case, draws, (i, j + 1, RIS_UE_LINK), ris_to_ue[k, :, j:j + 1],
+                  f"config.operators[{i}].ues[{j}].position", array, Node(position=ue.position))
+    n_stack = len(cases) * n_real
+    return ChannelSet(direct=np.tile(direct[i], (len(cases), 1, 1)),
+                      bs_to_ris=bs_to_ris.reshape(n_stack, n_el, -1),
+                      ris_to_ue=ris_to_ue.reshape(n_stack, -1, n_el), frequency=op.carrier_hz)
 
 
 def _tune_surface(scenario: Scenario, targets: ChannelSet) -> TuningResult:
@@ -601,32 +631,59 @@ def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
     return PrecodeResult(matrix=matrix, powers=powers)
 
 
-def _case_block(case: Scenario, draws: dict, direct: list, blind: list,
-                without: list) -> tuple:
-    """(outcomes, clamp fractions, converged flags) of one case over one block."""
-    n_real = len(direct[0])
-    array = build_surface(case.ris, case.owner.carrier_hz)
+def _stack_block(cases: list, draws: dict, direct: list, blind: list,
+                 without: list) -> list:
+    """Per case, (outcomes, clamp fractions, converged flags) of one stack over one block.
+
+    The stack's cases share a surface size. They run case-major on the
+    realization axis through one ascent, one varactor inversion, and per
+    operator one channel evaluation, precoding and metric call; no stacked
+    operation mixes realizations, so each case's results are those of a run
+    on it alone.
+    """
+    case, n_cases, n_real = cases[0], len(cases), len(direct[0])
+    arrays = [build_surface(c.ris, c.owner.carrier_hz) for c in cases]
     owner = [op.id for op in case.operators].index(case.ris.owner)
-    targets = _operator_channels(case, owner, array, draws, direct)
+    targets = _operator_channels(cases, owner, arrays, draws, direct)
     tuning = _tune_surface(case, targets) if case.ris.enabled else None
-    clamp, converged = np.zeros(n_real), np.ones(n_real, dtype=bool)
+    clamp, converged = np.zeros(n_cases * n_real), np.ones(n_cases * n_real, dtype=bool)
     if tuning is not None:
         n_el = case.ris.n_elements
         clamped = np.array([entry.index // n_el for entry in tuning.clamp_report], dtype=int)
-        clamp = np.bincount(clamped, minlength=n_real) / n_el
+        clamp = np.bincount(clamped, minlength=len(clamp)) / n_el
         converged = tuning.converged
 
     outcomes = []
     for i, op in enumerate(case.operators):
-        chs = targets if i == owner else _operator_channels(case, i, array, draws, direct)
+        chs = targets if i == owner else _operator_channels(cases, i, arrays, draws, direct)
         actual = effective_channel(chs, _surface_state(case, tuning, op.carrier_hz))
         # the surface owner precodes with current surface-inclusive knowledge;
         # other operators are surface-blind: design without, traverse with
-        precoders = _precode_rows(actual, op) if i == owner else blind[i]
+        precoders = _precode_rows(actual, op) if i == owner else PrecodeResult(
+            matrix=np.tile(blind[i].matrix, (n_cases, 1, 1)),
+            powers=np.tile(blind[i].powers, (n_cases, 1)))
         with_ris = link_metrics(actual, precoders, case.noise_w)
-        outcomes.append(np.stack([with_ris.se, without[i].se, with_ris.sinr, without[i].sinr],
-                                 axis=1))
-    return np.concatenate(outcomes, axis=2), clamp, converged
+        shape = (n_cases, n_real, len(op.ues))
+        outcomes.append(np.stack([with_ris.se.reshape(shape),
+                                  np.broadcast_to(without[i].se, shape),
+                                  with_ris.sinr.reshape(shape),
+                                  np.broadcast_to(without[i].sinr, shape)], axis=2))
+    return list(zip(np.concatenate(outcomes, axis=3), clamp.reshape(n_cases, n_real),
+                    converged.reshape(n_cases, n_real)))
+
+
+def _stacks(cases: list, n_real: int) -> list:
+    """Runs of consecutive same-size cases of at most _STACK_TERMS terms (or one case)."""
+    owner = cases[0].owner
+    stacks = []
+    for case in cases:
+        n_el = case.ris.n_elements
+        room = _STACK_TERMS // (n_real * n_el * len(owner.ues) * owner.bs.n_antennas)
+        if stacks and stacks[-1][0].ris.n_elements == n_el and len(stacks[-1]) < room:
+            stacks[-1].append(case)
+        else:
+            stacks.append([case])
+    return stacks
 
 
 def _block_worker(args) -> list:
@@ -636,7 +693,7 @@ def _block_worker(args) -> list:
     are SE with and without the surface, then SINR with and without it.
     The draws, the direct links, the surface-blind precoders and every
     metric without the surface depend on no surface, so they are computed
-    once and shared by every case.
+    once and shared by every case; the cases then run stack by stack.
     """
     cases, start, stop = args
     scenario = cases[0]
@@ -644,7 +701,8 @@ def _block_worker(args) -> list:
     direct = _direct_links(scenario, draws, stop - start)
     blind = [_precode_rows(h, op) for op, h in zip(scenario.operators, direct)]
     without = [link_metrics(h, p, scenario.noise_w) for h, p in zip(direct, blind)]
-    return [_case_block(case, draws, direct, blind, without) for case in cases]
+    return [part for stack in _stacks(cases, stop - start)
+            for part in _stack_block(stack, draws, direct, blind, without)]
 
 
 def _blocks(cases: list) -> list:

@@ -5,6 +5,7 @@ import pytest
 
 from squintsim import (ChannelSet, Node, ScatteringState, cascade_gains,
                        effective_channel, freespace_pathloss, los_channel)
+from squintsim.channels import rician_channel
 from squintsim.circuit import SPEED_OF_LIGHT
 from squintsim.errors import FrequencyMismatchError
 
@@ -105,6 +106,19 @@ def test_rician_seeded_determinism():
     h3 = los_channel(tx, rx, 2.5e9, k_factor_db=10.0, rng=np.random.default_rng(43))
     assert np.array_equal(h1, h2)
     assert not np.array_equal(h1, h3)
+
+
+def test_rician_writes_into_a_strided_out():
+    """A stack filled in place equals the returned array, bit for bit."""
+    tx = Node(position=(0.0, 0.0, 0.0), n_antennas=4)
+    rx = Node(position=(5.0, 8.0, 0.0), n_antennas=2)
+    los = los_channel(tx, rx, 2.5e9)
+    normals = np.random.default_rng(3).standard_normal((5, 2) + los.shape)
+    stack = np.zeros((5, 3, 4), dtype=complex)
+    got = rician_channel(los, 10.0, normals, out=stack[:, 1:])
+    assert got.base is stack
+    assert np.array_equal(stack[:, 1:], rician_channel(los, 10.0, normals))
+    assert not stack[:, 0].any()
 
 
 def test_rician_large_k_collapses_to_los():

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from squintsim import load_scenario
+from squintsim import ConfigError, load_scenario
 from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS
 from squintsim.presets import preset_config
@@ -211,6 +212,10 @@ def test_hole_base_config_loads():
     ("operators.1.bs.antennas", 1, "operators[1].bs.antennas"),
     ("operators.1.ues.0.position", ON_ELEMENT, "operators[1].ues[0].position"),
     ("operators.0.ues.0.position", ON_ELEMENT, "operators[0].ues[0].position"),
+    # a raw _ArrayMemoryError in the pipeline before; counted at load now
+    ("ris.rows", 10**7, "ris.rows"),
+    ("operators.1.bs.antennas", 10**9, "operators[1].bs.antennas"),
+    ("sweep.element_counts", [4, 10**12], "sweep.element_counts[1]"),
 ])
 def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     config = tmp_path / "fig4d.json"
@@ -225,6 +230,22 @@ def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     if field == "ris.owner":
         assert "role" not in err
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("path, value", [
+    ("ris.rows", 10**7), ("operators.1.bs.antennas", 10**9),
+    ("sweep.element_counts", [4, 10**12])])
+def test_oversized_run_is_rejected_without_allocating(path, value):
+    """The per-realization size is counted, so rejecting it allocates nothing."""
+    cfg = hole_config(path, value)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="channel terms per realization"):
+            load_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("feed, position, field", [

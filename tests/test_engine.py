@@ -520,6 +520,86 @@ def test_correlated_channels_error_names_first_failing_realization():
         assert err.condition_number == pytest.approx(expected.condition_number, rel=1e-12)
 
 
+def lone_config(cfg, case):
+    """``cfg`` without its sweep, at the surface size and position of a sweep point."""
+    lone = copy.deepcopy(cfg)
+    lone.pop("sweep", None)
+    lone["ris"]["rows"], lone["ris"]["cols"] = grid_shape(case.n_elements)
+    lone["ris"]["position"] = list(case.ris_position)
+    return lone
+
+
+def test_sweep_stacks_only_consecutive_equal_sizes(tmp_path):
+    """Sizes 16, 64, 16 make three stacks; exports and points match workers=1 and lone runs."""
+    counts = [16, 64, 16]
+    cfg = block_spanning_config(base_config(), counts, entries=2 * 4)
+    cfg["sweep"] = {"element_counts": counts,
+                    "positions": [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]}
+    sc = load_scenario(cfg)
+    cases = [engine._with_surface(sc, n, pos) for n in counts for pos in cfg["sweep"]["positions"]]
+    start, stop = engine._blocks(cases)[0]
+    assert [len(stack) for stack in engine._stacks(cases, stop - start)] == [2, 2, 2]
+    files = {}
+    for workers in (1, 3):
+        table = sweep(sc, workers=workers)
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"w{workers}.{fmt}"
+            export_results(table, fmt, path, scenario=sc)
+            files[workers, fmt] = path.read_bytes()
+    assert files[1, "csv"] == files[3, "csv"] and files[1, "json"] == files[3, "json"]
+    assert [case.n_elements for case in table] == [16, 16, 64, 64, 16, 16]
+    for case in table:
+        assert run_case(load_scenario(lone_config(cfg, case))).to_dict() == case.to_dict()
+
+
+def test_sweep_splits_a_large_group_into_several_stacks():
+    """A dozen positions at one size, one full block each, span several stacks."""
+    n_elements, entries = 64, 2 * 4
+    cfg = base_config()
+    cfg["realizations"] = engine._BLOCK_TERMS // (n_elements * entries)
+    cfg["sweep"] = {"element_counts": [n_elements],
+                    "positions": [[0.5 * k, 0.0, 0.0] for k in range(12)]}
+    sc = load_scenario(cfg)
+    cases = [engine._with_surface(sc, n_elements, pos) for pos in cfg["sweep"]["positions"]]
+    assert engine._blocks(cases) == [(0, sc.realizations)]
+    stacks = engine._stacks(cases, sc.realizations)
+    assert len(stacks) > 1 and sum(map(len, stacks)) == len(cases)
+    for case in sweep(sc):
+        assert run_case(load_scenario(lone_config(cfg, case))).to_dict() == case.to_dict()
+
+
+def test_sweep_correlated_channels_error_matches_cases_run_in_order():
+    """A stack reports the first failing case's first failing realization.
+
+    At the first position realization 18 trips the limit; at the second,
+    realization 6 of the same block does. Run one by one in sweep order,
+    the first case fails first.
+    """
+    cfg = preset_config("fig1c")
+    cfg["channel"]["k_factor_db"] = 10.0
+    cfg["operators"][0]["zf_condition_limit"] = 200.0
+    cfg = block_spanning_config(cfg, [64], entries=2 * 8)
+    cfg["sweep"] = {"element_counts": [64], "positions": [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]}
+    sc = load_scenario(cfg)
+    expected = None
+    for pos in cfg["sweep"]["positions"]:
+        lone = copy.deepcopy(cfg)
+        del lone["sweep"]
+        lone["ris"]["position"] = pos
+        try:
+            run_case(load_scenario(lone))
+        except CorrelatedChannelsError as exc:
+            expected = exc
+            break
+    assert expected is not None
+    for workers in (1, 3):
+        with pytest.raises(CorrelatedChannelsError) as exc:
+            sweep(sc, workers=workers)
+        assert str(exc.value) == str(expected)
+        assert exc.value.ue_pair == expected.ue_pair
+        assert exc.value.condition_number == expected.condition_number
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_order_and_consistency():
