@@ -22,7 +22,8 @@ from .array_field import (PLANE_AXES, PatternCut, RisArray, ScatteringState, Wav
                           pattern_to_csv)
 from .channels import ChannelSet, Node, effective_channel, los_channel, rician_channel
 from .circuit import CircuitParams
-from .errors import ConfigError, ConfigWarning, CorrelatedChannelsError, NumericalError
+from .errors import (ConfigError, ConfigWarning, CorrelatedChannelsError, NumericalError,
+                     SquintSimError)
 from .precoding import (PrecodeResult, link_metrics, mrt_precoder, noise_power,
                         zf_precoder)
 from .tuning import (OptimizationLog, TuningResult, align_phases_single_target,
@@ -451,9 +452,121 @@ def derive_seed(master_seed: int, *path) -> np.random.SeedSequence:
 
     The path never includes the surface size or position, so sweep
     points share their channel randomness and curves differ only by the
-    swept variable.
+    swept variable. The engine derives its generators from these seeds
+    in array form (``_pcg64_states``); this function is the reference
+    that derivation is checked against.
     """
     return np.random.SeedSequence([int(master_seed)] + [int(p) for p in path])
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx, kept
+# stable by NEP 19) and the 128-bit LCG multiplier of PCG64 (O'Neill, "PCG",
+# HMC-CS-2014-0905)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xffffffff
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+
+
+def _entropy_words(ints) -> list:
+    """The uint32 words SeedSequence takes from a list of non-negative ints.
+
+    Each int contributes its little-endian 32-bit words; zero is one word.
+    """
+    words = []
+    for part in ints:
+        words.append(part & _MASK32)
+        part >>= 32
+        while part:
+            words.append(part & _MASK32)
+            part >>= 32
+    return words
+
+
+def _generate_state(entropy: np.ndarray) -> list:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of a uint32 array.
+
+    Rows hold at least the pool's four words, as every seeding key does.
+    Returns the four uint64 columns. The hash constants advance with the
+    number of words only, so every row of equal length hashes in step.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, entropy.shape[1]):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    # eight uint32 words, read in pairs as the four little-endian uint64s
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * 4):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    return [lo | hi << np.uint64(32) for lo, hi in zip(words[0::2], words[1::2])]
+
+
+def _word_groups(items: list) -> list:
+    """(positions, words) of ``items``, tuples of ints, grouped by word count.
+
+    ``words`` stacks the ``_entropy_words`` of the items at ``positions``.
+    """
+    groups = {}
+    for n, item in enumerate(items):
+        words = _entropy_words(item)
+        positions, rows = groups.setdefault(len(words), ([], []))
+        positions.append(n)
+        rows.append(words)
+    return [(np.array(positions), np.array(rows, dtype=np.uint32))
+            for positions, rows in groups.values()]
+
+
+def _pcg64_states(master_seed: int, realizations, keys: list) -> list:
+    """PCG64's seeded (state, inc) for ``derive_seed(master_seed, r, *key)``.
+
+    One pair per realization and key, realization-major. Reproduces
+    numpy's SeedSequence pool hash and ``generate_state(4, uint64)`` as
+    uint32 array operations over all pairs at once, pairs of equal word
+    count together, then PCG64's seeding step in 128-bit integers:
+    inc = 2 seq + 1, state = (inc + initstate) MULT + inc.
+    """
+    prefix = _entropy_words([int(master_seed)])
+    key_groups = _word_groups([tuple(map(int, key)) for key in keys])
+    states = [None] * (len(realizations) * len(keys))
+    for r_pos, r_words in _word_groups([(int(r),) for r in realizations]):
+        for k_pos, k_words in key_groups:
+            a, b = len(prefix), len(prefix) + r_words.shape[1]
+            entropy = np.empty((len(r_pos), len(k_pos), b + k_words.shape[1]), dtype=np.uint32)
+            entropy[..., :a] = prefix
+            entropy[..., a:b] = r_words[:, None]
+            entropy[..., b:] = k_words[None]
+            columns = _generate_state(entropy.reshape(-1, entropy.shape[-1]))
+            where = (r_pos[:, None] * len(keys) + k_pos).ravel().tolist()
+            for n, s_hi, s_lo, q_hi, q_lo in zip(where, *(c.tolist() for c in columns)):
+                inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+                states[n] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +615,15 @@ def _link_draws(scenario: Scenario, start: int, stop: int, n_elements: int) -> d
 
     Keyed by (operator index, ue slot, link code), each is a
     (realizations x 2 * entries) array drawn from the link's own
-    SeedSequence at ``n_elements`` surface elements: real parts, then
-    imaginary parts. A link of a smaller surface takes the prefix its
+    ``derive_seed`` stream at ``n_elements`` surface elements: real parts,
+    then imaginary parts. A link of a smaller surface takes the prefix its
     entries need, since a stream's prefix does not depend on its length.
     Empty for pure line of sight.
+
+    The streams are seeded by ``_pcg64_states``, numpy's SeedSequence to
+    PCG64 derivation in array form, and drawn through one reused
+    generator. Its first state is checked against ``derive_seed``, so a
+    numpy whose derivation differs fails the run instead of changing it.
     """
     if scenario.k_factor_db is None:
         return {}
@@ -517,26 +635,71 @@ def _link_draws(scenario: Scenario, start: int, stop: int, n_elements: int) -> d
                 entries[i, j + 1, DIRECT_LINK] = op.bs.n_antennas
             entries[i, j + 1, RIS_UE_LINK] = n_elements
     draws = {key: np.empty((stop - start, 2 * size)) for key, size in entries.items()}
-    for key, out in draws.items():
-        for r in range(start, stop):
-            rng = np.random.default_rng(derive_seed(scenario.master_seed, r, *key))
-            rng.standard_normal(out=out[r - start])
+    states = _pcg64_states(scenario.master_seed, range(start, stop), list(draws))
+    bit_generator = np.random.PCG64(derive_seed(scenario.master_seed, start, *next(iter(draws))))
+    if bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
+        raise SquintSimError(f"numpy {np.__version__} seeds PCG64 from a SeedSequence "
+                             "differently from the derivation this engine reproduces, "
+                             "so its draws would break the stated seed rule")
+    generator = np.random.Generator(bit_generator)
+    rows = (out[r] for r in range(stop - start) for out in draws.values())
+    for (state, inc), row in zip(states, rows):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.standard_normal(out=row)
     return draws
 
 
-def _link(scenario: Scenario, draws: dict, key: tuple, out: np.ndarray, field: str,
-          tx, rx) -> None:
-    """Fill ``out``, (realizations,) + link shape, with one link's LoS geometry and scatter."""
-    f = scenario.operators[key[0]].carrier_hz
-    los = _in_scene(field, los_channel, tx, rx, f)
+def _link_field(key: tuple) -> str:
+    """The config field whose position fails when a link cannot be evaluated."""
+    i, slot, code = key
+    if code == BS_RIS_LINK:
+        return f"config.operators[{i}].bs.position"
+    return f"config.operators[{i}].ues[{slot - 1}].position"
+
+
+def _los_links(cases: list) -> list:
+    """Per case, the line-of-sight matrix of every link, keyed like the draws.
+
+    The geometry depends on no realization, so it is computed once per run
+    and handed to every block; the direct links do not depend on the
+    surface either and are shared by every case. The owner's surface links
+    are evaluated before the other operators', the order a block uses them in.
+    """
+    operators = cases[0].operators
+    owner = [op.id for op in operators].index(cases[0].ris.owner)
+
+    def los(key, tx, rx):
+        return _in_scene(_link_field(key), los_channel, tx, rx,
+                         operators[key[0]].carrier_hz)
+
+    direct = {(i, j + 1, DIRECT_LINK): los((i, j + 1, DIRECT_LINK), op.bs,
+                                           Node(position=ue.position))
+              for i, op in enumerate(operators) for j, ue in enumerate(op.ues)
+              if not ue.blocked}
+    links = [dict(direct) for _ in cases]
+    arrays = [build_surface(case.ris, case.owner.carrier_hz) for case in cases]
+    for i in [owner] + [i for i in range(len(operators)) if i != owner]:
+        op = operators[i]
+        for case_links, array in zip(links, arrays):
+            case_links[i, 0, BS_RIS_LINK] = los((i, 0, BS_RIS_LINK), op.bs, array)
+            for j, ue in enumerate(op.ues):
+                key = (i, j + 1, RIS_UE_LINK)
+                case_links[key] = los(key, array, Node(position=ue.position))
+    return links
+
+
+def _link(scenario: Scenario, links: dict, draws: dict, key: tuple, out: np.ndarray) -> None:
+    """Fill ``out``, (realizations,) + link shape, with one link's LoS entries and scatter."""
+    los = links[key]
     if scenario.k_factor_db is None:
         out[...] = los
         return
     normals = draws[key][:, :2 * los.size].reshape((len(out), 2) + los.shape)
-    _in_scene(field, rician_channel, los, scenario.k_factor_db, normals, out)
+    _in_scene(_link_field(key), rician_channel, los, scenario.k_factor_db, normals, out)
 
 
-def _direct_links(scenario: Scenario, draws: dict, n_real: int) -> list:
+def _direct_links(scenario: Scenario, links: dict, draws: dict, n_real: int) -> list:
     """Each operator's (realizations x UEs x BS antennas) direct links.
 
     A blocked UE has a zero row.
@@ -546,31 +709,27 @@ def _direct_links(scenario: Scenario, draws: dict, n_real: int) -> list:
         direct = np.zeros((n_real, len(op.ues), op.bs.n_antennas), dtype=complex)
         for j, ue in enumerate(op.ues):
             if not ue.blocked:
-                _link(scenario, draws, (i, j + 1, DIRECT_LINK), direct[:, j:j + 1],
-                      f"config.operators[{i}].ues[{j}].position", op.bs,
-                      Node(position=ue.position))
+                _link(scenario, links, draws, (i, j + 1, DIRECT_LINK), direct[:, j:j + 1])
         out.append(direct)
     return out
 
 
-def _operator_channels(cases: list, i: int, arrays: list, draws: dict,
+def _operator_channels(cases: list, links: list, i: int, draws: dict,
                        direct: list) -> ChannelSet:
     """Operator ``i``'s ChannelSet at its carrier, a row per UE, over a stack of cases.
 
     The cases share a surface size and are stacked case-major on the
-    realization axis; each case's links get its own surface's geometry and
-    are written straight into the stack.
+    realization axis; each case's links (``links``, one dict per case) are
+    written straight into the stack.
     """
     op = cases[0].operators[i]
-    n_real, n_el = len(direct[i]), arrays[0].n_elements
+    n_real, n_el = len(direct[i]), cases[0].ris.n_elements
     bs_to_ris = np.empty((len(cases), n_real, n_el, op.bs.n_antennas), dtype=complex)
     ris_to_ue = np.empty((len(cases), n_real, len(op.ues), n_el), dtype=complex)
-    for k, (case, array) in enumerate(zip(cases, arrays)):
-        _link(case, draws, (i, 0, BS_RIS_LINK), bs_to_ris[k],
-              f"config.operators[{i}].bs.position", op.bs, array)
-        for j, ue in enumerate(op.ues):
-            _link(case, draws, (i, j + 1, RIS_UE_LINK), ris_to_ue[k, :, j:j + 1],
-                  f"config.operators[{i}].ues[{j}].position", array, Node(position=ue.position))
+    for k, (case, case_links) in enumerate(zip(cases, links)):
+        _link(case, case_links, draws, (i, 0, BS_RIS_LINK), bs_to_ris[k])
+        for j in range(len(op.ues)):
+            _link(case, case_links, draws, (i, j + 1, RIS_UE_LINK), ris_to_ue[k, :, j:j + 1])
     n_stack = len(cases) * n_real
     return ChannelSet(direct=np.tile(direct[i], (len(cases), 1, 1)),
                       bs_to_ris=bs_to_ris.reshape(n_stack, n_el, -1),
@@ -631,7 +790,7 @@ def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
     return PrecodeResult(matrix=matrix, powers=powers)
 
 
-def _stack_block(cases: list, draws: dict, direct: list, blind: list,
+def _stack_block(cases: list, links: list, draws: dict, direct: list, blind: list,
                  without: list) -> list:
     """Per case, (outcomes, clamp fractions, converged flags) of one stack over one block.
 
@@ -642,9 +801,8 @@ def _stack_block(cases: list, draws: dict, direct: list, blind: list,
     on it alone.
     """
     case, n_cases, n_real = cases[0], len(cases), len(direct[0])
-    arrays = [build_surface(c.ris, c.owner.carrier_hz) for c in cases]
     owner = [op.id for op in case.operators].index(case.ris.owner)
-    targets = _operator_channels(cases, owner, arrays, draws, direct)
+    targets = _operator_channels(cases, links, owner, draws, direct)
     tuning = _tune_surface(case, targets) if case.ris.enabled else None
     clamp, converged = np.zeros(n_cases * n_real), np.ones(n_cases * n_real, dtype=bool)
     if tuning is not None:
@@ -655,7 +813,7 @@ def _stack_block(cases: list, draws: dict, direct: list, blind: list,
 
     outcomes = []
     for i, op in enumerate(case.operators):
-        chs = targets if i == owner else _operator_channels(cases, i, arrays, draws, direct)
+        chs = targets if i == owner else _operator_channels(cases, links, i, draws, direct)
         actual = effective_channel(chs, _surface_state(case, tuning, op.carrier_hz))
         # the surface owner precodes with current surface-inclusive knowledge;
         # other operators are surface-blind: design without, traverse with
@@ -673,16 +831,19 @@ def _stack_block(cases: list, draws: dict, direct: list, blind: list,
 
 
 def _stacks(cases: list, n_real: int) -> list:
-    """Runs of consecutive same-size cases of at most _STACK_TERMS terms (or one case)."""
+    """Runs of consecutive same-size cases of at most _STACK_TERMS terms (or one case).
+
+    Each run is a list of indices into ``cases``.
+    """
     owner = cases[0].owner
     stacks = []
-    for case in cases:
+    for k, case in enumerate(cases):
         n_el = case.ris.n_elements
         room = _STACK_TERMS // (n_real * n_el * len(owner.ues) * owner.bs.n_antennas)
-        if stacks and stacks[-1][0].ris.n_elements == n_el and len(stacks[-1]) < room:
-            stacks[-1].append(case)
+        if stacks and cases[stacks[-1][0]].ris.n_elements == n_el and len(stacks[-1]) < room:
+            stacks[-1].append(k)
         else:
-            stacks.append([case])
+            stacks.append([k])
     return stacks
 
 
@@ -694,15 +855,17 @@ def _block_worker(args) -> list:
     The draws, the direct links, the surface-blind precoders and every
     metric without the surface depend on no surface, so they are computed
     once and shared by every case; the cases then run stack by stack.
+    ``links`` holds each case's line-of-sight matrices (``_los_links``).
     """
-    cases, start, stop = args
+    cases, links, start, stop = args
     scenario = cases[0]
     draws = _link_draws(scenario, start, stop, max(case.ris.n_elements for case in cases))
-    direct = _direct_links(scenario, draws, stop - start)
+    direct = _direct_links(scenario, links[0], draws, stop - start)
     blind = [_precode_rows(h, op) for op, h in zip(scenario.operators, direct)]
     without = [link_metrics(h, p, scenario.noise_w) for h, p in zip(direct, blind)]
     return [part for stack in _stacks(cases, stop - start)
-            for part in _stack_block(stack, draws, direct, blind, without)]
+            for part in _stack_block([cases[k] for k in stack], [links[k] for k in stack],
+                                     draws, direct, blind, without)]
 
 
 def _blocks(cases: list) -> list:
@@ -784,7 +947,8 @@ def _run_cases(cases: list, workers: int | None) -> list:
     operation mixes realizations, so a case's results depend neither on
     ``workers`` nor on the other cases of the run.
     """
-    tasks = [(cases, start, stop) for start, stop in _blocks(cases)]
+    links = _los_links(cases)
+    tasks = [(cases, links, start, stop) for start, stop in _blocks(cases)]
     if workers and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_block_worker, tasks))

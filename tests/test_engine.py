@@ -17,6 +17,7 @@ from squintsim import (ChannelSet, ConfigError, ConfigWarning, Node, Optimizatio
                        realize_capacitances, run_case, run_pattern, sweep, zf_precoder)
 from squintsim import engine
 from squintsim.array_field import PatternCut
+from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS, build_surface
 from squintsim.errors import CorrelatedChannelsError, NumericalError
 from squintsim.presets import PRESET_NAMES
@@ -218,7 +219,7 @@ def bad_values(value):
     return ["x", [], {}, None]
 
 
-@settings(derandomize=True, max_examples=250, deadline=None)
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
 @given(st.data())
 def test_mutated_presets_fail_closed(data):
     """One bad value anywhere in a preset is named by a ConfigError or runs finite."""
@@ -258,6 +259,68 @@ def test_derive_seed_distinct_paths():
     b = derive_seed(1, 0, 0, 0, 0).generate_state(2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, derive_seed(2, 0, 0, 0, 0).generate_state(2))
+
+
+def reference_state(master_seed, *path):
+    state = np.random.PCG64(derive_seed(master_seed, *path)).state["state"]
+    return state["state"], state["inc"]
+
+
+# master seeds at the edges of one, two and three uint32 words
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 5]
+# a realization range that straddles the second uint32 word
+STRADDLE = range(2**32 - 2, 2**32 + 2)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(master_seed=st.sampled_from(SEED_EDGES) | st.integers(0, 2**96),
+       realizations=st.lists(st.sampled_from(list(STRADDLE)) | st.integers(0, 2**66),
+                             min_size=1, max_size=4),
+       keys=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6),
+                               st.sampled_from([0, 1, 2, 2**32, 2**64])),
+                     min_size=1, max_size=4))
+def test_pcg64_states_match_derive_seed(master_seed, realizations, keys):
+    """The array derivation gives PCG64 the state derive_seed does, at any word count."""
+    states = engine._pcg64_states(master_seed, realizations, keys)
+    expected = [reference_state(master_seed, r, *key) for r in realizations for key in keys]
+    assert states == expected
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), master_seed=st.sampled_from(SEED_EDGES),
+       start=st.sampled_from([0, 5, STRADDLE.start]))
+def test_link_draws_match_derive_seed(name, master_seed, start):
+    """Every preset's link draws are the normals of default_rng(derive_seed(...)).
+
+    Pure line-of-sight presets are given scatter so that their links are drawn.
+    """
+    cfg = preset_config(name)
+    cfg["master_seed"] = master_seed
+    cfg["channel"]["k_factor_db"] = 10.0
+    sc = load_scenario(cfg)
+    counts = [sc.ris.n_elements] + (sc.sweep_spec.element_counts if sc.sweep_spec else [])
+    stop = start + len(STRADDLE)
+    draws = engine._link_draws(sc, start, stop, max(counts))
+    n_links = sum(1 + sum(2 - ue.blocked for ue in op.ues) for op in sc.operators)
+    assert len(draws) == n_links
+    for key, normals in draws.items():
+        for r in range(start, stop):
+            rng = np.random.default_rng(derive_seed(master_seed, r, *key))
+            assert np.array_equal(normals[r - start], rng.standard_normal(normals.shape[1]))
+            assert engine._pcg64_states(master_seed, [r], [key]) == [
+                reference_state(master_seed, r, *key)]
+
+
+def test_run_fails_when_numpy_derives_seeds_differently(tmp_path, capsys, monkeypatch):
+    """A reference that disagrees with the array derivation stops the run: exit 3, no files."""
+    monkeypatch.setattr(engine, "derive_seed",
+                        lambda master_seed, *path: np.random.SeedSequence(12345))
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(base_config()), encoding="utf-8")
+    assert main(["run", str(config), "--out", str(tmp_path / "case.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numpy ") and np.__version__ in err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("n,shape", [
