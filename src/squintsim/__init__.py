@@ -13,8 +13,8 @@ from .array_field import (PatternCut, RisArray, ScatteringState, Wave, build_arr
                           reflected_field)
 from .channels import (ChannelSet, Node, cascade_gains, effective_channel,
                        freespace_pathloss, los_channel)
-from .circuit import (CapacitanceSolution, CircuitParams, Reflection,
-                      element_impedance, element_reflection, phase_to_capacitance)
+from .circuit import (CapacitanceSolution, CircuitParams, element_impedance,
+                      element_reflection, phase_to_capacitance)
 from .engine import (CaseMetrics, OperatorConfig, RisConfig, Scenario, SweepSpec,
                      UeConfig, derive_seed, export_results, fractional_boi,
                      grid_shape, load_scenario, run_case, run_pattern,
@@ -25,15 +25,14 @@ from .errors import (ConfigError, ConfigWarning, CorrelatedChannelsError,
 from .precoding import (LinkMetrics, PrecodeResult, link_metrics, mrt_precoder,
                         noise_power, zf_precoder)
 from .presets import PRESET_NAMES, load_preset, preset_config, preset_text
-from .tuning import (ClampEntry, OptimizationLog, TuningResult,
-                     align_phases_single_target, evaluate_off_frequency,
-                     optimize_weighted_sum_power, realize_capacitances,
-                     weighted_sum_power)
+from .tuning import (OptimizationLog, TuningResult, align_phases_single_target,
+                     evaluate_off_frequency, optimize_weighted_sum_power,
+                     realize_capacitances, weighted_sum_power)
 
 __all__ = [
     "__version__",
     # circuit
-    "CircuitParams", "Reflection", "CapacitanceSolution",
+    "CircuitParams", "CapacitanceSolution",
     "element_impedance", "element_reflection", "phase_to_capacitance",
     # array field
     "RisArray", "ScatteringState", "Wave", "PatternCut",
@@ -46,7 +45,7 @@ __all__ = [
     "PrecodeResult", "LinkMetrics", "noise_power",
     "mrt_precoder", "zf_precoder", "link_metrics",
     # tuning
-    "ClampEntry", "OptimizationLog", "TuningResult",
+    "OptimizationLog", "TuningResult",
     "align_phases_single_target", "optimize_weighted_sum_power",
     "weighted_sum_power", "realize_capacitances", "evaluate_off_frequency",
     # engine

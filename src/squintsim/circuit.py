@@ -55,15 +55,6 @@ class CircuitParams:
 
 
 @dataclass(frozen=True)
-class Reflection:
-    """Reflection coefficient(s) of one or more elements at one frequency."""
-
-    gamma: complex | np.ndarray
-    frequency: float
-    capacitance: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class CapacitanceSolution:
     """Result of inverting a target reflection phase to a capacitance.
 
@@ -71,15 +62,9 @@ class CapacitanceSolution:
     the capacitance of the circularly nearest achievable phase.
     """
 
-    capacitance: float | np.ndarray
-    clamped: bool | np.ndarray
-    achieved_phase: float | np.ndarray
-    target_phase: float | np.ndarray
-
-
-def _as_scalar_or_array(x):
-    x = np.asarray(x)
-    return x[()] if x.ndim == 0 else x
+    capacitance: np.ndarray
+    clamped: np.ndarray
+    achieved_phase: np.ndarray
 
 
 def element_impedance(capacitance, frequency, params: CircuitParams):
@@ -96,11 +81,11 @@ def element_impedance(capacitance, frequency, params: CircuitParams):
     w = 2.0 * np.pi * f
     z_bottom = 1j * w * params.l_bottom
     z_top = 1j * w * params.l_top + 1.0 / (1j * w * c) + params.r_loss
-    return _as_scalar_or_array(z_bottom * z_top / (z_bottom + z_top))
+    return z_bottom * z_top / (z_bottom + z_top)
 
 
-def element_reflection(capacitance, frequency, params: CircuitParams) -> Reflection:
-    """Reflection coefficient gamma = (Z - z0) / (Z + z0).
+def element_reflection(capacitance, frequency, params: CircuitParams):
+    """Reflection coefficient gamma = (Z - z0) / (Z + z0); broadcasts over c and f.
 
     |gamma| <= 1 whenever r_loss >= 0, and |gamma| == 1 in the lossless
     limit r_loss == 0. A non-finite reflection, from constants so extreme
@@ -108,18 +93,14 @@ def element_reflection(capacitance, frequency, params: CircuitParams) -> Reflect
     """
     # constants near the float range overflow here; the finite check below reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = np.asarray(element_impedance(capacitance, frequency, params))
+        z = element_impedance(capacitance, frequency, params)
         denom = z + params.z0
         if np.any(np.abs(denom) < 1e-12 * params.z0):
             raise SingularityError("element impedance equals -z0; reflection undefined")
         gamma = (z - params.z0) / denom
     if not np.all(np.isfinite(gamma)):
         raise SingularityError("reflection is not finite; the element circuit overflows")
-    return Reflection(
-        gamma=_as_scalar_or_array(gamma),
-        frequency=frequency,
-        capacitance=capacitance,
-    )
+    return gamma
 
 
 def wrap_phase(phi):
@@ -143,12 +124,10 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     exp(-j phi) gamma > 0. Other targets are clamped to the circularly
     nearest achievable phase, which is the phase at c_min, at c_max or at
     a phase extremum inside the range (ties go to c_min), and flagged.
-    Accepts a scalar or an array of any shape of target phases at one
-    frequency.
+    Accepts target phases of any shape, a scalar as 0-d, at one frequency;
+    the solution's arrays share that shape.
     """
     target = wrap_phase(np.asarray(target_phase, dtype=float))
-    scalar_in = target.ndim == 0
-    target = np.atleast_1d(target)
 
     w = 2.0 * np.pi * frequency
     z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
@@ -173,27 +152,16 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     cap = np.clip(1.0 / (w * (w * params.l_top - y)), params.c_min, params.c_max)
     edges = np.array([params.c_min, *(1.0 / (w * (w * params.l_top - e)) for e in extrema),
                       params.c_max])
-    edge_phase = np.angle(element_reflection(edges, frequency, params).gamma)
+    edge_phase = np.angle(element_reflection(edges, frequency, params))
     edge_phase = edge_phase.reshape((-1,) + (1,) * target.ndim)
     nearest = np.argmin(np.abs(wrap_phase(target[None] - edge_phase)), axis=0)
     cap = np.where(reachable, cap, edges[nearest])
-
-    achieved = np.angle(element_reflection(cap, frequency, params).gamma)
-    clamped = ~reachable
-    if scalar_in:
-        return CapacitanceSolution(
-            capacitance=float(cap[0]),
-            clamped=bool(clamped[0]),
-            achieved_phase=float(achieved[0]),
-            target_phase=float(target[0]),
-        )
-    return CapacitanceSolution(
-        capacitance=cap, clamped=clamped, achieved_phase=achieved, target_phase=target
-    )
+    return CapacitanceSolution(capacitance=cap, clamped=~reachable,
+                               achieved_phase=np.angle(element_reflection(cap, frequency, params)))
 
 
 def reflection_phase_interval(frequency, params: CircuitParams):
     """(phase at c_min, phase at c_max) in radians, wrapped to (-pi, pi]."""
-    p_min = float(np.angle(element_reflection(params.c_min, frequency, params).gamma))
-    p_max = float(np.angle(element_reflection(params.c_max, frequency, params).gamma))
+    p_min = float(np.angle(element_reflection(params.c_min, frequency, params)))
+    p_max = float(np.angle(element_reflection(params.c_max, frequency, params)))
     return p_min, p_max

@@ -101,11 +101,6 @@ class SweepSpec:
     positions: list
     metrics: list | None = None
 
-    def __post_init__(self):
-        # a spec built in code gets the checks of the config's sweep section
-        _list_of(_integer(1))(list(self.element_counts), "sweep.element_counts")
-        _list_of(_VECTOR)([list(p) for p in self.positions], "sweep.positions")
-
 
 @dataclass
 class PatternConfig:
@@ -736,14 +731,6 @@ def _operator_channels(cases: list, links: list, i: int, draws: dict,
                       ris_to_ue=ris_to_ue.reshape(n_stack, -1, n_el), frequency=op.carrier_hz)
 
 
-def _tune_surface(scenario: Scenario, targets: ChannelSet) -> TuningResult:
-    log = OptimizationLog()
-    theta = optimize_weighted_sum_power([targets], log=log)
-    result = realize_capacitances(theta, scenario.ris.circuit)
-    result.converged = log.converged_each
-    return result
-
-
 def _surface_state(scenario: Scenario, tuning: TuningResult | None,
                    frequency: float) -> ScatteringState:
     if tuning is None or (scenario.ris.narrowband and
@@ -756,37 +743,34 @@ def _surface_state(scenario: Scenario, tuning: TuningResult | None,
 def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
     """Each realization's precoders, zero-channel users parked on silent placeholder columns.
 
-    Realizations with the same set of non-zero users are precoded in one
-    stacked call.
+    A user's channel is zero in every realization or in none (a blocked
+    user without a surface path), so the users with a non-zero channel are
+    precoded in one stacked call.
     """
     n_real, n_users, n_tx = h.shape
     matrix = np.zeros((n_real, n_tx, n_users), dtype=complex)
     matrix[:, 0, :] = 1.0              # unit placeholder, silenced by zero power
     powers = np.zeros((n_real, n_users))
-    patterns, group = np.unique(np.linalg.norm(h, axis=-1) > 0, axis=0, return_inverse=True)
-    for k, pattern in enumerate(patterns):
-        idx = np.flatnonzero(pattern)
-        if len(idx) == 0:
-            continue
-        members = np.flatnonzero(group.reshape(-1) == k)
-        sub = h[members][:, idx]
-        power = op.power_w / n_users * len(idx)
-        if op.precoder == "mrt":
-            res = mrt_precoder(sub, total_power=power)
-        else:
-            try:
-                res = zf_precoder(sub, total_power=power, condition_limit=op.zf_condition_limit)
-            except CorrelatedChannelsError as exc:
-                if exc.ue_pair is not None:
-                    # report indices in the full user list, not the active subset
-                    pair = (int(idx[exc.ue_pair[0]]), int(idx[exc.ue_pair[1]]))
-                    raise CorrelatedChannelsError(
-                        f"user channels {pair[0]} and {pair[1]} are too correlated "
-                        f"for zero-forcing (condition number {exc.condition_number:.3g})",
-                        ue_pair=pair, condition_number=exc.condition_number) from None
-                raise
-        matrix[np.ix_(members, np.arange(n_tx), idx)] = res.matrix
-        powers[np.ix_(members, idx)] = res.powers
+    idx = np.flatnonzero(h.any(axis=(0, 2)))
+    if len(idx) == 0:
+        return PrecodeResult(matrix=matrix, powers=powers)
+    sub, power = h[:, idx], op.power_w / n_users * len(idx)
+    if op.precoder == "mrt":
+        res = mrt_precoder(sub, total_power=power)
+    else:
+        try:
+            res = zf_precoder(sub, total_power=power, condition_limit=op.zf_condition_limit)
+        except CorrelatedChannelsError as exc:
+            if exc.ue_pair is not None:
+                # report indices in the full user list, not the active subset
+                pair = (int(idx[exc.ue_pair[0]]), int(idx[exc.ue_pair[1]]))
+                raise CorrelatedChannelsError(
+                    f"user channels {pair[0]} and {pair[1]} are too correlated "
+                    f"for zero-forcing (condition number {exc.condition_number:.3g})",
+                    ue_pair=pair, condition_number=exc.condition_number) from None
+            raise
+    matrix[:, :, idx] = res.matrix
+    powers[:, idx] = res.powers
     return PrecodeResult(matrix=matrix, powers=powers)
 
 
@@ -803,13 +787,14 @@ def _stack_block(cases: list, links: list, draws: dict, direct: list, blind: lis
     case, n_cases, n_real = cases[0], len(cases), len(direct[0])
     owner = [op.id for op in case.operators].index(case.ris.owner)
     targets = _operator_channels(cases, links, owner, draws, direct)
-    tuning = _tune_surface(case, targets) if case.ris.enabled else None
     clamp, converged = np.zeros(n_cases * n_real), np.ones(n_cases * n_real, dtype=bool)
-    if tuning is not None:
-        n_el = case.ris.n_elements
-        clamped = np.array([entry.index // n_el for entry in tuning.clamp_report], dtype=int)
-        clamp = np.bincount(clamped, minlength=len(clamp)) / n_el
-        converged = tuning.converged
+    tuning = None
+    if case.ris.enabled:
+        log, n_el = OptimizationLog(), case.ris.n_elements
+        tuning = realize_capacitances(optimize_weighted_sum_power([targets], log=log),
+                                      case.ris.circuit)
+        clamp = np.bincount(tuning.clamp_report // n_el, minlength=len(clamp)) / n_el
+        converged = log.converged_each
 
     outcomes = []
     for i, op in enumerate(case.operators):
@@ -988,15 +973,14 @@ def _with_surface(scenario: Scenario, n_elements: int, position) -> Scenario:
                                          position=position))
 
 
-def sweep(scenario: Scenario, spec: SweepSpec | None = None,
-          workers: int | None = None) -> list:
-    """One CaseMetrics per (element count, position), in deterministic order.
+def sweep(scenario: Scenario, workers: int | None = None) -> list:
+    """One CaseMetrics per (element count, position) of the configured sweep, in order.
 
     Every case reuses the same per-realization seeds, so curves across N
     and position differ only through the surface itself. The cases run
     together, block by block, sharing the draws and all surface-free work.
     """
-    spec = spec or scenario.sweep_spec
+    spec = scenario.sweep_spec
     if spec is None:
         raise ConfigError("no sweep specification was configured")
     cases = [_with_surface(scenario, n, pos)

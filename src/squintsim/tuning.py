@@ -14,22 +14,8 @@ import numpy as np
 
 from .array_field import ScatteringState
 from .channels import ChannelSet
-from .circuit import CircuitParams, element_reflection, phase_to_capacitance, wrap_phase
+from .circuit import CircuitParams, element_reflection, phase_to_capacitance
 from .errors import DegenerateChannelError
-
-
-@dataclass(frozen=True)
-class ClampEntry:
-    """One element whose requested phase fell outside the achievable span.
-
-    ``index`` counts elements in the order of the tuned phases, realization
-    by realization when they are stacked.
-    """
-
-    index: int
-    target_phase: float
-    achieved_phase: float
-    residual: float             # |wrapped target - achieved|, radians
 
 
 @dataclass
@@ -49,13 +35,19 @@ class OptimizationLog:
 
 @dataclass
 class TuningResult:
-    """Realized hardware state: frozen capacitances and their reflections."""
+    """Realized hardware state: frozen capacitances and their reflections.
+
+    ``clamp_report`` holds the flat indices, into the tuned phases, of the
+    elements whose phase fell outside the achievable arc; for stacked
+    phases element ``n`` of realization ``r`` is ``r * n_elements + n``.
+    Their targets and achieved phases are ``np.angle`` of the ideal and
+    the realized reflections at those indices.
+    """
 
     capacitances: np.ndarray            # F per element
     realized_gammas: np.ndarray         # circuit reflections at the tuning carrier
     frequency: float
-    clamp_report: tuple
-    converged: bool | np.ndarray | None = None
+    clamp_report: np.ndarray            # flat indices of the clamped elements
 
 
 def _flat_terms(channel_sets):
@@ -173,18 +165,15 @@ def optimize_weighted_sum_power(channel_sets, max_iters: int = 200, tol: float =
 def realize_capacitances(theta_star: ScatteringState, params: CircuitParams) -> TuningResult:
     """Invert ideal phases to capacitances through the element circuit.
 
-    Unreachable phases clamp to the nearest achievable phase and are
-    listed in the clamp report. Stacked phases are inverted in one call.
+    Unreachable phases clamp to the nearest achievable phase; the clamp
+    report lists their flat element indices. Stacked phases are inverted
+    in one call.
     """
     f = theta_star.frequency
-    targets = np.angle(theta_star.gammas)
-    solution = phase_to_capacitance(targets, f, params)
-    idx = np.flatnonzero(solution.clamped)
-    target, achieved = targets.ravel()[idx], solution.achieved_phase.ravel()[idx]
-    report = tuple(map(ClampEntry, idx.tolist(), target.tolist(), achieved.tolist(),
-                       np.abs(wrap_phase(target - achieved)).tolist()))
-    return TuningResult(capacitances=solution.capacitance, frequency=f, clamp_report=report,
-                        realized_gammas=element_reflection(solution.capacitance, f, params).gamma)
+    solution = phase_to_capacitance(np.angle(theta_star.gammas), f, params)
+    return TuningResult(capacitances=solution.capacitance, frequency=f,
+                        clamp_report=np.flatnonzero(solution.clamped),
+                        realized_gammas=element_reflection(solution.capacitance, f, params))
 
 
 def evaluate_off_frequency(result: TuningResult, f_m: float,
@@ -192,6 +181,6 @@ def evaluate_off_frequency(result: TuningResult, f_m: float,
     """Scattering the frozen capacitances present to carrier ``f_m``."""
     if f_m <= 0:
         raise ValueError("f_m must be positive")
-    gammas = element_reflection(result.capacitances, f_m, params).gamma
-    return ScatteringState(gammas=np.atleast_1d(gammas), frequency=float(f_m))
+    return ScatteringState(gammas=element_reflection(result.capacitances, f_m, params),
+                           frequency=float(f_m))
 

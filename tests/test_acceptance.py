@@ -251,12 +251,12 @@ def test_criterion_5_circuit_properties(capfd):
     params = CircuitParams()
     caps = np.linspace(params.c_min, params.c_max, 100)
     freqs = np.linspace(1e9, 6e9, 100)
-    mags = np.array([np.abs(element_reflection(caps, f, params).gamma)
+    mags = np.array([np.abs(element_reflection(caps, f, params))
                      for f in freqs])
     passive = bool(np.all(mags <= 1.0 + 1e-12))
 
     lossless = CircuitParams(r_loss=0.0)
-    mags0 = np.array([np.abs(element_reflection(caps, f, lossless).gamma)
+    mags0 = np.array([np.abs(element_reflection(caps, f, lossless))
                       for f in freqs])
     unit_err = float(np.max(np.abs(mags0 - 1.0)))
 
@@ -266,7 +266,7 @@ def test_criterion_5_circuit_properties(capfd):
     targets = rng.uniform(lo + 1e-9, hi - 1e-9, 1000)
     solution = phase_to_capacitance(targets, 2.5e9, params)
     achieved = np.angle(element_reflection(
-        np.atleast_1d(solution.capacitance), 2.5e9, params).gamma)
+        np.atleast_1d(solution.capacitance), 2.5e9, params))
     round_trip = float(np.max(np.abs(wrap_phase(achieved - targets))))
 
     ok = passive and unit_err <= 1e-12 and round_trip < 1e-6

@@ -216,6 +216,10 @@ def test_hole_base_config_loads():
     ("ris.rows", 10**7, "ris.rows"),
     ("operators.1.bs.antennas", 10**9, "operators[1].bs.antennas"),
     ("sweep.element_counts", [4, 10**12], "sweep.element_counts[1]"),
+    # an empty or non-positive sweep grid
+    ("sweep.element_counts", [], "sweep.element_counts"),
+    ("sweep.element_counts", [0], "sweep.element_counts[0]"),
+    ("sweep.positions", [], "sweep.positions"),
 ])
 def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     config = tmp_path / "fig4d.json"

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squintsim import (ChannelSet, ConfigError, ConfigWarning, Node, OptimizationLog,
-                       PrecodeResult, SweepSpec, derive_seed, effective_channel,
+                       PrecodeResult, derive_seed, effective_channel,
                        evaluate_off_frequency, export_results, fractional_boi, grid_shape,
-                       link_metrics, load_preset, load_scenario, los_channel,
+                       link_metrics, load_preset, load_scenario, los_channel, mrt_precoder,
                        optimize_weighted_sum_power, preset_config, preset_text,
                        realize_capacitances, run_case, run_pattern, sweep, zf_precoder)
 from squintsim import engine
@@ -452,14 +452,18 @@ def test_run_case_correlated_channels_surface():
 # --- per-realization reference ------------------------------------------------
 
 def reference_precoders(h, op):
-    """ZF on the users with a non-zero channel; the others get a silent placeholder column."""
+    """The operator's MRT or ZF on the users with a non-zero channel.
+
+    The other users get a silent placeholder column.
+    """
     active = np.flatnonzero(np.linalg.norm(h, axis=1) > 0)
     matrix = np.zeros(h.shape[::-1], dtype=complex)
     matrix[0] = 1.0
     powers = np.zeros(len(h))
     if len(active):
-        res = zf_precoder(h[active], total_power=op.power_w / len(h) * len(active),
-                          condition_limit=op.zf_condition_limit)
+        power = op.power_w / len(h) * len(active)
+        res = (mrt_precoder(h[active], total_power=power) if op.precoder == "mrt" else
+               zf_precoder(h[active], total_power=power, condition_limit=op.zf_condition_limit))
         matrix[:, active], powers[active] = res.matrix, res.powers
     return PrecodeResult(matrix=matrix, powers=powers)
 
@@ -468,7 +472,7 @@ def reference_realization(sc, r):
     """(outcomes, clamp fraction, converged) of realization ``r``, one public call at a time.
 
     ``outcomes`` is (4 x UEs): SE with and without the surface, then SINR.
-    Covers an enabled, broadband surface and zero-forcing operators.
+    Covers an enabled, broadband surface and MRT or zero-forcing operators.
     """
     array = build_surface(sc.ris, sc.owner.carrier_hz)
 
@@ -503,11 +507,16 @@ def reference_realization(sc, r):
             log.converged)
 
 
-@pytest.mark.parametrize("name", ["fig4d", "fig5"])
-def test_run_case_matches_per_realization_reference(name):
+@pytest.mark.parametrize("name, precoder", [
+    pytest.param("fig4d", None, id="fig4d"), pytest.param("fig5", None, id="fig5"),
+    pytest.param("fig4d", "mrt", id="fig4d-mrt")])
+def test_run_case_matches_per_realization_reference(name, precoder):
     """The blocked pipeline reproduces realizations computed one by one (fig5 at N=70)."""
     cfg = preset_config(name)
     cfg["realizations"] = 5
+    if precoder is not None:
+        for op in cfg["operators"]:
+            op["precoder"] = precoder
     sc = load_scenario(cfg)
     case = run_case(sc)
     refs = [reference_realization(sc, r) for r in range(sc.realizations)]
@@ -694,19 +703,11 @@ def test_sweep_workers_match_serial():
 def test_sweep_requires_spec():
     with pytest.raises(ConfigError, match="sweep"):
         sweep(load_scenario(base_config()))
-    spec = SweepSpec(element_counts=(4,), positions=((0.0, 0.0, 0.0),))
-    table = sweep(load_scenario(base_config()), spec=spec)
+    cfg = base_config()
+    cfg["sweep"] = {"element_counts": [4], "positions": [[0.0, 0.0, 0.0]]}
+    table = sweep(load_scenario(cfg))
     assert len(table) == 1
     assert table[0].n_elements == 4
-
-
-def test_sweep_spec_validation():
-    with pytest.raises(ConfigError):
-        SweepSpec(element_counts=(), positions=((0.0, 0.0, 0.0),))
-    with pytest.raises(ConfigError):
-        SweepSpec(element_counts=(4,), positions=())
-    with pytest.raises(ConfigError):
-        SweepSpec(element_counts=(0,), positions=((0.0, 0.0, 0.0),))
 
 
 # --- bandwidth of influence ------------------------------------------------------

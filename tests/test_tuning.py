@@ -163,7 +163,7 @@ def test_realize_caps_reproduce_circuit(params, rng):
     assert result.capacitances.shape == (16,)
     assert np.all(result.capacitances >= params.c_min)
     assert np.all(result.capacitances <= params.c_max)
-    again = element_reflection(result.capacitances, F1, params).gamma
+    again = element_reflection(result.capacitances, F1, params)
     assert np.array_equal(result.realized_gammas, again)
     realized = ScatteringState(gammas=result.realized_gammas, frequency=F1)
     assert weighted_sum_power([chs], state) >= weighted_sum_power([chs], realized) > 0.0
@@ -175,12 +175,10 @@ def test_realize_clamp_report(params):
     targets = np.array([0.5, hi - 0.05])
     state = ScatteringState(gammas=np.exp(1j * targets), frequency=F1)
     result = realize_capacitances(state, params)
-    assert len(result.clamp_report) == 1
-    entry = result.clamp_report[0]
-    assert entry.index == 1
-    assert entry.target_phase == pytest.approx(float(np.angle(np.exp(1j * targets[1]))))
-    assert entry.achieved_phase == pytest.approx(hi, abs=1e-9)
-    assert entry.residual == pytest.approx(0.05, abs=1e-9)
+    assert result.clamp_report.tolist() == [1]
+    achieved = np.angle(result.realized_gammas)[1]
+    assert achieved == pytest.approx(hi, abs=1e-9)
+    assert abs(wrap_phase(targets[1] - achieved)) == pytest.approx(0.05, abs=1e-9)
 
 
 def test_realize_lossy_circuit_hits_every_unclamped_target(rng):
@@ -190,7 +188,7 @@ def test_realize_lossy_circuit_hits_every_unclamped_target(rng):
     state = ScatteringState(gammas=np.exp(1j * targets), frequency=F1)
     result = realize_capacitances(state, lossy)
     free = np.ones(len(targets), dtype=bool)
-    free[[entry.index for entry in result.clamp_report]] = False
+    free[result.clamp_report] = False
     assert 0 < np.count_nonzero(free) < len(targets)
     err = np.abs(wrap_phase(np.angle(result.realized_gammas) - targets))
     assert np.max(err[free]) <= 1e-9
@@ -200,7 +198,7 @@ def test_realize_without_channel_sets(params, rng):
     state = ScatteringState(gammas=np.exp(1j * rng.uniform(-2.9, 2.8, 6)),
                             frequency=F1)
     result = realize_capacitances(state, params)
-    assert result.clamp_report == ()
+    assert result.clamp_report.size == 0
 
 
 # --- off-frequency evaluation -------------------------------------------------
