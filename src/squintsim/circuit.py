@@ -59,12 +59,14 @@ class CapacitanceSolution:
     """Result of inverting a target reflection phase to a capacitance.
 
     ``clamped`` marks targets outside the achievable phase arc; those get
-    the capacitance of the circularly nearest achievable phase.
+    the capacitance of the circularly nearest achievable phase. ``gamma``
+    is the reflection at the chosen capacitances, so the achieved phase is
+    ``np.angle(gamma)``.
     """
 
     capacitance: np.ndarray
     clamped: np.ndarray
-    achieved_phase: np.ndarray
+    gamma: np.ndarray
 
 
 def element_impedance(capacitance, frequency, params: CircuitParams):
@@ -157,7 +159,7 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     nearest = np.argmin(np.abs(wrap_phase(target[None] - edge_phase)), axis=0)
     cap = np.where(reachable, cap, edges[nearest])
     return CapacitanceSolution(capacitance=cap, clamped=~reachable,
-                               achieved_phase=np.angle(element_reflection(cap, frequency, params)))
+                               gamma=element_reflection(cap, frequency, params))
 
 
 def reflection_phase_interval(frequency, params: CircuitParams):

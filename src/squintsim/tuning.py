@@ -173,7 +173,7 @@ def realize_capacitances(theta_star: ScatteringState, params: CircuitParams) -> 
     solution = phase_to_capacitance(np.angle(theta_star.gammas), f, params)
     return TuningResult(capacitances=solution.capacitance, frequency=f,
                         clamp_report=np.flatnonzero(solution.clamped),
-                        realized_gammas=element_reflection(solution.capacitance, f, params))
+                        realized_gammas=solution.gamma)
 
 
 def evaluate_off_frequency(result: TuningResult, f_m: float,

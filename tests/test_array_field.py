@@ -1,5 +1,7 @@
 """Array geometry, re-radiated field, pattern cuts, and CSV output."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from squintsim import (CircuitParams, PatternCut, ScatteringState, Wave, build_array,
                        directivity_pattern, main_lobe_angle, pattern_to_csv,
                        reflected_field)
+from squintsim.array_field import _outgoing_block
 from squintsim.circuit import SPEED_OF_LIGHT
 from squintsim.errors import FrequencyMismatchError
 
@@ -253,10 +256,11 @@ def test_directivity_pattern_matches_pointwise_oracle(rows, cols, plane, element
                                rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("element_pattern", ["isotropic", "cosine"])
 @pytest.mark.parametrize("radius", [None, 12.0])
-def test_directivity_pattern_stack_equals_single_calls(radius, rng):
-    # 400 elements and 150 angles: the cut spans many angle blocks
-    array = build_array(20, 20, F_REF)
+def test_directivity_pattern_stack_equals_single_calls(radius, element_pattern, rng):
+    # 400 elements and 150 angles: the cut spans four angle blocks
+    array = build_array(20, 20, F_REF, element_pattern=element_pattern)
     wave = Wave.spherical([4.0, 30.0, 2.0], F_REF)
     angles = np.linspace(-75.0, 75.0, 150)
     cut = PatternCut(radius=radius)
@@ -267,6 +271,33 @@ def test_directivity_pattern_stack_equals_single_calls(radius, rng):
         single = directivity_pattern(array, ScatteringState(gammas[s], F_REF), wave,
                                      angles, cut)
         assert np.array_equal(stacked[s], single)
+
+
+def test_outgoing_block_matches_reflected_field_distances(rng):
+    """Near-field factors are the per-observation values of reflected_field, bit for bit."""
+    array = build_array(20, 20, F_REF, center=rng.uniform(-3, 3, 3))
+    k = 2.0 * np.pi * F_REF / SPEED_OF_LIGHT
+    factors, obs = _outgoing_block(array, k, rng.normal(size=(50, 3)), 7.5)
+    for row, point in zip(factors, obs):
+        d = np.linalg.norm(point - array.element_positions, axis=1)
+        assert np.array_equal(row, np.exp(-1j * k * d) / d)
+
+
+@pytest.mark.parametrize("radius", [None, 12.0])
+def test_directivity_pattern_memory_is_blocked(radius, rng):
+    # the full (angles x elements) matrix would be 12.8 MB; the blocks stay far below
+    array = build_array(20, 20, F_REF)
+    wave = Wave.spherical([4.0, 30.0, 2.0], F_REF)
+    state = ScatteringState(np.exp(1j * rng.uniform(-np.pi, np.pi, (3, array.n_elements))),
+                            F_REF)
+    angles = np.linspace(-90.0, 90.0, 2000)
+    tracemalloc.start()
+    try:
+        pattern = directivity_pattern(array, state, wave, angles, PatternCut(radius=radius))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pattern.nbytes + 2 * 2 ** 20
 
 
 def test_directivity_pattern_frequency_mismatch():

@@ -133,7 +133,7 @@ def test_phase_round_trip(params, rng):
     targets = rng.uniform(hi + 1e-9, lo - 1e-9, 1000)
     sol = phase_to_capacitance(targets, F_REF, params)
     assert not np.any(sol.clamped)
-    err = np.abs(wrap_phase(sol.achieved_phase - targets))
+    err = np.abs(wrap_phase(np.angle(sol.gamma) - targets))
     assert np.max(err) < 1e-6
     assert np.all(sol.capacitance >= params.c_min)
     assert np.all(sol.capacitance <= params.c_max)
@@ -142,7 +142,7 @@ def test_phase_round_trip(params, rng):
 def test_phase_round_trip_scalar(params):
     sol = phase_to_capacitance(0.5, F_REF, params)
     assert not sol.clamped
-    assert sol.achieved_phase == pytest.approx(0.5, abs=1e-6)
+    assert np.angle(sol.gamma) == pytest.approx(0.5, abs=1e-6)
     gamma = element_reflection(sol.capacitance, F_REF, params)
     assert np.angle(gamma) == pytest.approx(0.5, abs=1e-6)
 
@@ -153,12 +153,12 @@ def test_phase_clamps_to_nearest_boundary(params):
     above = phase_to_capacitance(lo + 0.05, F_REF, params)
     assert above.clamped
     assert above.capacitance == params.c_min
-    assert above.achieved_phase == pytest.approx(lo, abs=1e-12)
+    assert np.angle(above.gamma) == pytest.approx(lo, abs=1e-12)
     # just below the bottom (wrapped): clamp to c_max
     below = phase_to_capacitance(wrap_phase(hi - 0.05), F_REF, params)
     assert below.clamped
     assert below.capacitance == params.c_max
-    assert below.achieved_phase == pytest.approx(hi, abs=1e-12)
+    assert np.angle(below.gamma) == pytest.approx(hi, abs=1e-12)
 
 
 def test_phase_vectorized_matches_scalar(params, rng):
@@ -168,7 +168,7 @@ def test_phase_vectorized_matches_scalar(params, rng):
         single = phase_to_capacitance(t, F_REF, params)
         assert batch.capacitance[i] == single.capacitance
         assert batch.clamped[i] == single.clamped
-        assert batch.achieved_phase[i] == single.achieved_phase
+        assert np.angle(batch.gamma[i]) == np.angle(single.gamma)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
