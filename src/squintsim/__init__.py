@@ -8,11 +8,10 @@ was never meant to serve.
 """
 
 from ._version import __version__
-from .array_field import (PatternCut, RisArray, ScatteringState, Wave, build_array,
+from .array_field import (PatternCut, RisArray, ScatteringState, build_array,
                           directivity_pattern, main_lobe_angle, pattern_to_csv,
                           reflected_field)
-from .channels import (ChannelSet, Node, cascade_gains, effective_channel,
-                       freespace_pathloss, los_channel)
+from .channels import ChannelSet, Node, effective_channel, freespace_pathloss, los_channel
 from .circuit import (CapacitanceSolution, CircuitParams, element_impedance,
                       element_reflection, phase_to_capacitance)
 from .engine import (CaseMetrics, OperatorConfig, RisConfig, Scenario, SweepSpec,
@@ -35,12 +34,11 @@ __all__ = [
     "CircuitParams", "CapacitanceSolution",
     "element_impedance", "element_reflection", "phase_to_capacitance",
     # array field
-    "RisArray", "ScatteringState", "Wave", "PatternCut",
+    "RisArray", "ScatteringState", "PatternCut",
     "build_array", "reflected_field",
     "directivity_pattern", "main_lobe_angle", "pattern_to_csv",
     # channels
-    "Node", "ChannelSet", "freespace_pathloss", "los_channel",
-    "effective_channel", "cascade_gains",
+    "Node", "ChannelSet", "freespace_pathloss", "los_channel", "effective_channel",
     # precoding
     "PrecodeResult", "LinkMetrics", "noise_power",
     "mrt_precoder", "zf_precoder", "link_metrics",

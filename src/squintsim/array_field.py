@@ -2,10 +2,11 @@
 
 Field evaluation is a coherent sum over elements of incident amplitude and
 phase at the element, times the element reflection coefficient, times the
-propagation factor to the observation. Spherical wavefronts always use the
-exact per-element distance; far-field observations use a direction and drop
-the 1/d amplitude. Elements are isotropic scalar scatterers by default
-(single polarization); an optional cosine factor per element is available.
+propagation factor to the observation. The surface is fed by a point
+source, whose spherical wavefront uses the exact per-element distance;
+far-field observations use a direction and drop the 1/d amplitude.
+Elements are isotropic scalar scatterers by default (single polarization);
+an optional cosine factor per element is available.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import SPEED_OF_LIGHT
-from .errors import FrequencyMismatchError
 
 PLANE_AXES = {
     # plane -> (column axis, row axis, broadside normal)
@@ -23,8 +23,6 @@ PLANE_AXES = {
     "xy": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
     "yz": ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
 }
-
-DEFAULT_ANGLE_GRID = np.arange(-90.0, 90.0 + 1e-9, 0.25)
 
 # Cap on the element x angle terms in one block of a pattern cut. It bounds
 # the temporaries of ``directivity_pattern`` (a few (angles x elements)
@@ -62,66 +60,38 @@ class ScatteringState:
 
 
 @dataclass(frozen=True)
-class Wave:
-    """Incident wave: spherical from a point, or a plane wave.
-
-    For kind "spherical", ``vector`` is the source position and the field
-    at distance d is amplitude / d * exp(-j k d). For kind "plane",
-    ``vector`` is the propagation direction and the field at position r is
-    amplitude * exp(-j k vector . r).
-    """
-
-    kind: str
-    vector: np.ndarray
-    frequency: float
-    amplitude: float = 1.0
-
-    @classmethod
-    def spherical(cls, source_position, frequency, amplitude=1.0) -> "Wave":
-        return cls("spherical", np.asarray(source_position, dtype=float), frequency, amplitude)
-
-    @classmethod
-    def plane(cls, direction, frequency, amplitude=1.0) -> "Wave":
-        d = np.asarray(direction, dtype=float)
-        n = np.linalg.norm(d)
-        if n == 0:
-            raise ValueError("plane-wave direction must be non-zero")
-        return cls("plane", d / n, frequency, amplitude)
-
-
-@dataclass(frozen=True)
 class PatternCut:
     """Observation cut for directivity patterns.
 
-    The sweep direction at angle theta (degrees from broadside) is
-    sin(theta) * sweep_axis + cos(theta) * reference. By default the
-    reference is the array normal and the sweep axis is the array's
-    column axis ("u") or row axis ("v"); an arbitrary cut plane can be
-    given as an explicit (sweep, reference) orthonormal pair, most
-    conveniently via ``through_points``. ``radius`` None means far-field
-    directions; a positive value places point observations on an arc of
-    that radius around the array center.
+    The observation direction at angle theta (degrees) is
+    sin(theta) * sweep + cos(theta) * reference, for an orthonormal
+    (sweep, reference) pair: the surface's own axes and normal, or the
+    plane through two scene points via ``through_points``. ``radius`` None
+    means far-field directions; a positive value places point observations
+    on an arc of that radius around the array center.
     """
 
-    radius: float | None = None
-    axis: str = "u"
-    sweep: tuple[float, float, float] | None = None
-    reference: tuple[float, float, float] | None = None
+    radius: float | None
+    sweep: tuple[float, float, float]
+    reference: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.axis not in ("u", "v"):
-            raise ValueError("cut axis must be 'u' or 'v'")
         if self.radius is not None and self.radius <= 0:
             raise ValueError("cut radius must be positive")
-        if (self.sweep is None) != (self.reference is None):
-            raise ValueError("sweep and reference must be given together")
-        if self.sweep is not None:
-            s = np.asarray(self.sweep, dtype=float)
-            r = np.asarray(self.reference, dtype=float)
-            if abs(np.linalg.norm(s) - 1.0) > 1e-9 or abs(np.linalg.norm(r) - 1.0) > 1e-9:
-                raise ValueError("sweep and reference must be unit vectors")
-            if abs(float(s @ r)) > 1e-9:
-                raise ValueError("sweep and reference must be orthogonal")
+        s, r = self._frame()
+        if abs(np.linalg.norm(s) - 1.0) > 1e-9 or abs(np.linalg.norm(r) - 1.0) > 1e-9:
+            raise ValueError("sweep and reference must be unit vectors")
+        if abs(float(s @ r)) > 1e-9:
+            raise ValueError("sweep and reference must be orthogonal")
+
+    def _frame(self):
+        return np.asarray(self.sweep, dtype=float), np.asarray(self.reference, dtype=float)
+
+    def directions(self, angles_deg: np.ndarray) -> np.ndarray:
+        """(A, 3) unit observation directions at the given cut angles."""
+        s, r = self._frame()
+        th = np.radians(angles_deg)
+        return np.sin(th)[:, None] * s[None, :] + np.cos(th)[:, None] * r[None, :]
 
     @classmethod
     def through_points(cls, array: "RisArray", point_a, point_b,
@@ -147,17 +117,12 @@ class PatternCut:
         sweep = np.cross(n, ref)
         if float(sweep @ b) < 0:
             sweep = -sweep
-        return cls(radius=radius, axis="u", sweep=tuple(sweep), reference=tuple(ref))
+        return cls(radius=radius, sweep=tuple(sweep), reference=tuple(ref))
 
     def angle_of(self, array: "RisArray", point) -> float:
         """In-cut angle (degrees) of a scene point, out-of-plane part ignored."""
         v = np.asarray(point, dtype=float) - array.center
-        if self.sweep is not None:
-            s = np.asarray(self.sweep, dtype=float)
-            r = np.asarray(self.reference, dtype=float)
-        else:
-            s = array.u_axis if self.axis == "u" else array.v_axis
-            r = array.normal
+        s, r = self._frame()
         return float(np.degrees(np.arctan2(float(v @ s), float(v @ r))))
 
 
@@ -194,63 +159,53 @@ def build_array(rows, cols, f_design, spacing_fraction=0.5, center=(0.0, 0.0, 0.
                     element_positions=positions, element_pattern=element_pattern)
 
 
-def _incident_at_elements(wave: Wave, positions: np.ndarray, k: float):
-    if wave.kind == "spherical":
-        d = np.linalg.norm(positions - wave.vector[None, :], axis=1)
-        if np.any(d <= 0):
-            raise ValueError("wave source coincides with an array element")
-        return wave.amplitude / d * np.exp(-1j * k * d)
-    if wave.kind == "plane":
-        proj = positions @ wave.vector
-        return wave.amplitude * np.exp(-1j * k * proj)
-    raise ValueError(f"unknown wave kind '{wave.kind}'")
+def _incident_at_elements(array: RisArray, source, k: float):
+    """Field of the point-source feed at ``source`` on every element, and the
+    elements' incidence cosines against the broadside normal."""
+    to_src = np.asarray(source, dtype=float)[None, :] - array.element_positions
+    d = np.linalg.norm(to_src, axis=1)
+    if np.any(d <= 0):
+        raise ValueError("feed coincides with an array element")
+    return 1.0 / d * np.exp(-1j * k * d), np.maximum((to_src @ array.normal) / d, 0.0)
 
 
-def _element_cosines(array: RisArray, wave: Wave, observation, far_field):
-    """Incidence and departure cosines against the broadside normal.
+def _departure_cosines(array: RisArray, observation, d):
+    """Departure cosines against the broadside normal.
 
-    ``observation`` is one 3-vector or a (B, 3) block of them; the departure
-    cosines then come back as (B, N) rows, one per observation.
+    ``observation`` is one 3-vector or a (B, 3) block of them, and ``d``
+    their (N,) or (B, N) distances to the elements, None for far-field
+    directions. The normal is a coordinate axis, so the offset along it
+    equals that coordinate of the element-to-observation vector exactly.
     """
-    pos = array.element_positions
-    if wave.kind == "spherical":
-        to_src = wave.vector[None, :] - pos
-        cos_in = (to_src @ array.normal) / np.linalg.norm(to_src, axis=1)
-    else:
-        cos_in = np.full(len(pos), abs(float(wave.vector @ array.normal)))
-    obs = np.asarray(observation)
-    if far_field:
-        cos_out = np.broadcast_to((obs @ array.normal)[..., None], obs.shape[:-1] + (len(pos),))
-    else:
-        to_obs = obs[..., None, :] - pos
-        cos_out = (to_obs @ array.normal) / np.linalg.norm(to_obs, axis=-1)
-    return np.maximum(cos_in, 0.0), np.maximum(cos_out, 0.0)
+    along = np.asarray(observation) @ array.normal
+    if d is None:
+        return np.maximum(along[..., None], 0.0)
+    return np.maximum((along[..., None] - array.element_positions @ array.normal) / d, 0.0)
 
 
-def reflected_field(array: RisArray, state: ScatteringState, incident: Wave,
+def reflected_field(array: RisArray, state: ScatteringState, source,
                     observation, far_field=False) -> complex:
     """Coherent re-radiated field at a point or in a far-field direction.
 
-    ``observation`` is a 3-vector: a point when far_field is False, a unit
-    direction when far_field is True. Point observations carry the exact
-    1/d spreading amplitude; far-field directions carry phase only.
+    The surface is fed from a unit point source at ``source`` and scatters
+    at ``state.frequency``. ``observation`` is a 3-vector: a point when
+    far_field is False, a unit direction when far_field is True. Point
+    observations carry the exact 1/d spreading amplitude; far-field
+    directions carry phase only.
     """
-    if state.frequency != incident.frequency:
-        raise FrequencyMismatchError(
-            f"scattering state at {state.frequency} Hz but incident wave at "
-            f"{incident.frequency} Hz")
     gammas = np.asarray(state.gammas)
     if gammas.shape != (array.n_elements,):
         raise ValueError("scattering state does not match the array size")
-    k = 2.0 * np.pi * incident.frequency / SPEED_OF_LIGHT
+    k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
     pos = array.element_positions
-    a_in = _incident_at_elements(incident, pos, k)
+    a_in, cos_in = _incident_at_elements(array, source, k)
     obs = np.asarray(observation, dtype=float)
     if far_field:
         n = np.linalg.norm(obs)
         if n == 0:
             raise ValueError("far-field direction must be non-zero")
         obs = obs / n
+        d = None
         a_out = np.exp(1j * k * (pos @ obs))
     else:
         d = np.linalg.norm(obs[None, :] - pos, axis=1)
@@ -259,52 +214,48 @@ def reflected_field(array: RisArray, state: ScatteringState, incident: Wave,
         a_out = np.exp(-1j * k * d) / d
     terms = a_in * gammas * a_out
     if array.element_pattern == "cosine":
-        cos_in, cos_out = _element_cosines(array, incident, obs, far_field)
-        terms = terms * cos_in * cos_out
+        terms = terms * cos_in * _departure_cosines(array, obs, d)
     return complex(np.sum(terms))
 
 
-def _cut_directions(array: RisArray, angles_deg: np.ndarray, cut: PatternCut):
-    if cut.sweep is not None:
-        axis = np.asarray(cut.sweep, dtype=float)
-        ref = np.asarray(cut.reference, dtype=float)
-    else:
-        axis = array.u_axis if cut.axis == "u" else array.v_axis
-        ref = array.normal
-    th = np.radians(angles_deg)
-    return np.sin(th)[:, None] * axis[None, :] + np.cos(th)[:, None] * ref[None, :]
-
-
-def _outgoing_block(array: RisArray, k: float, dirs: np.ndarray, radius):
+def _outgoing_block(array: RisArray, k: float, dirs: np.ndarray, radius, cos_in):
     """(B, N) propagation factors from every element to B cut observations.
 
-    Returns the factors and the observations (unit directions, or points on
-    the arc). Each row carries the same per-element values that
-    ``reflected_field`` computes for that observation.
+    The observations are unit directions, or points on the arc. Each row
+    carries the same per-element propagation factors that
+    ``reflected_field`` computes for that observation; for cosine elements
+    they are multiplied by the incidence cosines ``cos_in`` times that
+    observation's departure cosines.
     """
     pos = array.element_positions
     if radius is None:
         # row-wise dot products: the same rounding as np.linalg.norm of one row
         obs = dirs / np.sqrt(dirs[:, None, :] @ dirs[:, :, None])[:, 0]
-        return np.exp(1j * k * (obs @ pos.T)), obs
-    obs = array.center + radius * dirs
-    # per coordinate, so no (B, N, 3) temporary; summed in np.linalg.norm's order
-    dx, dy, dz = (obs[:, i, None] - pos[:, i] for i in range(3))
-    d = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    if np.any(d <= 0):
-        raise ValueError("observation point coincides with an array element")
-    return np.exp(-1j * k * d) / d, obs
+        d = None
+        factors = np.exp(1j * k * (obs @ pos.T))
+    else:
+        obs = array.center + radius * dirs
+        # per coordinate, so no (B, N, 3) temporary; summed in np.linalg.norm's order
+        dx, dy, dz = (obs[:, i, None] - pos[:, i] for i in range(3))
+        d = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        if np.any(d <= 0):
+            raise ValueError("observation point coincides with an array element")
+        factors = np.exp(-1j * k * d) / d
+    if array.element_pattern == "cosine":
+        factors *= cos_in * _departure_cosines(array, obs, d)
+    return factors
 
 
-def directivity_pattern(array: RisArray, state: ScatteringState, incident: Wave,
-                        angle_grid_deg=None, cut: PatternCut = PatternCut()) -> np.ndarray:
+def directivity_pattern(array: RisArray, state: ScatteringState, source,
+                        angle_grid_deg, cut: PatternCut) -> np.ndarray:
     """Normalized power pattern over a cut, as (angle_deg, power_db) rows.
 
-    ``state.gammas`` is one scattering state (N,) or a stack (S, N) of states
-    at the same frequency, e.g. one per tuning of the surface; the result is
-    (A, 2) rows for one state and (S, A, 2) for a stack, each pattern
-    normalized on its own so its peak sits at 0 dB. Powers more than 300 dB
-    below the peak are floored to keep the dB scale finite.
+    The surface is fed from a point source at ``source``. ``state.gammas``
+    is one scattering state (N,) or a stack (S, N) of states at the same
+    frequency, e.g. one per tuning of the surface; the result is (A, 2)
+    rows for one state and (S, A, 2) for a stack, each pattern normalized
+    on its own so its peak sits at 0 dB. Powers more than 300 dB below the
+    peak are floored to keep the dB scale finite.
 
     The incident amplitude at the elements is folded into every state once,
     as per-element weights. The cut is then evaluated in blocks of angles:
@@ -314,28 +265,21 @@ def directivity_pattern(array: RisArray, state: ScatteringState, incident: Wave,
     ``reflected_field`` sum at that observation up to rounding, and a state
     in a stack gets exactly the values of a call on that state alone.
     """
-    angles = DEFAULT_ANGLE_GRID if angle_grid_deg is None else np.asarray(angle_grid_deg, dtype=float)
+    angles = np.asarray(angle_grid_deg, dtype=float)
     if angles.ndim != 1 or len(angles) < 1:
         raise ValueError("angle grid must be a non-empty 1-D array")
-    if state.frequency != incident.frequency:
-        raise FrequencyMismatchError(
-            f"scattering state at {state.frequency} Hz but incident wave at "
-            f"{incident.frequency} Hz")
     gammas = np.asarray(state.gammas)
     if gammas.ndim not in (1, 2) or gammas.shape[-1] != array.n_elements:
         raise ValueError("scattering state does not match the array size")
-    k = 2.0 * np.pi * incident.frequency / SPEED_OF_LIGHT
-    a_in = _incident_at_elements(incident, array.element_positions, k)
+    k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
+    a_in, cos_in = _incident_at_elements(array, source, k)
     weights = a_in * gammas.reshape(-1, array.n_elements)
-    dirs = _cut_directions(array, angles, cut)
+    dirs = cut.directions(angles)
     block = max(1, _BLOCK_TERMS // array.n_elements)
     power = np.empty((len(weights), len(angles)))
     for start in range(0, len(angles), block):
         rows = slice(start, start + block)
-        a_out, obs = _outgoing_block(array, k, dirs[rows], cut.radius)
-        if array.element_pattern == "cosine":
-            cos_in, cos_out = _element_cosines(array, incident, obs, cut.radius is None)
-            a_out *= cos_in * cos_out
+        a_out = _outgoing_block(array, k, dirs[rows], cut.radius, cos_in)
         # one product per state, not one stack-wide product: each state's
         # sums then come from the same BLAS call as in a call on it alone
         for s, w in enumerate(weights):

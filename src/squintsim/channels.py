@@ -1,12 +1,12 @@
 """LoS-dominant channel synthesis and the cascaded reflect-path channel.
 
 Links are synthesized from exact antenna-to-antenna distances with
-free-space amplitude decay and spherical phase fronts. An optional
-Rician term mixes in seeded complex Gaussian scatter with per-entry
-power matched to the LoS entry. The cascade composes a direct matrix
-with the surface-scattered path through the per-element reflection
-coefficients. Channel sets, scatter draws and scattering states may
-carry a leading realization axis; every operation then acts on each
+free-space amplitude decay and spherical phase fronts. Rician scatter is
+applied to a link's LoS entries by ``rician_channel``, from seeded standard
+normals, at per-entry power matched to the LoS entry. The cascade composes
+a direct matrix with the surface-scattered path through the per-element
+reflection coefficients. Channel sets, scatter draws and scattering states
+may carry a leading realization axis; every operation then acts on each
 realization alone.
 """
 
@@ -102,8 +102,7 @@ def freespace_pathloss(distance, frequency):
     if frequency <= 0:
         raise ValueError("frequency must be positive")
     lam = SPEED_OF_LIGHT / frequency
-    gain = lam / (4.0 * np.pi * d)
-    return float(gain) if np.isscalar(distance) else gain
+    return lam / (4.0 * np.pi * d)
 
 
 def _terminal_positions(terminal, frequency: float) -> np.ndarray:
@@ -121,16 +120,12 @@ def _finite(link: np.ndarray) -> np.ndarray:
     return link
 
 
-def los_channel(tx, rx, frequency: float, k_factor_db: float | None = None,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Link matrix (rx elements x tx elements) between two terminals.
+def los_channel(tx, rx, frequency: float) -> np.ndarray:
+    """Line-of-sight link matrix (rx elements x tx elements) between two terminals.
 
     Entries carry the exact spherical propagation phase and free-space
-    amplitude per antenna pair. With ``k_factor_db`` set, a seeded
-    complex Gaussian term of matched per-entry power is mixed in at the
-    requested Rician ratio (see ``rician_channel``); the generator is then
-    mandatory so that every draw is attributable to a seed. Entries that
-    overflow to a non-finite value raise NumericalError.
+    amplitude per antenna pair. Entries that overflow to a non-finite value
+    raise NumericalError.
     """
     tx_pos = _terminal_positions(tx, frequency)
     rx_pos = _terminal_positions(rx, frequency)
@@ -140,11 +135,7 @@ def los_channel(tx, rx, frequency: float, k_factor_db: float | None = None,
             raise ValueError("tx and rx antennas coincide")
         lam = SPEED_OF_LIGHT / frequency
         los = freespace_pathloss(d, frequency) * np.exp(-2j * np.pi * d / lam)
-    if k_factor_db is None:
-        return _finite(los)
-    if rng is None:
-        raise ValueError("a seeded generator is required when k_factor_db is set")
-    return rician_channel(los, k_factor_db, rng.standard_normal((2,) + los.shape))
+    return _finite(los)
 
 
 def rician_channel(los: np.ndarray, k_factor_db: float, normals: np.ndarray,
@@ -183,15 +174,4 @@ def effective_channel(chs: ChannelSet, state: ScatteringState) -> np.ndarray:
     if state.gammas.shape[-1] != chs.ris_to_ue.shape[-1]:
         raise ValueError("scattering state length must match the element count")
     return chs.direct + (chs.ris_to_ue * state.gammas[..., None, :]) @ chs.bs_to_ris
-
-
-def cascade_gains(chs: ChannelSet) -> np.ndarray:
-    """Per-element cascade coefficients ris_to_ue_n (outer) bs_to_ris_n.
-
-    Entry (r, n, t) is the gain row r sees from BS antenna t via
-    element n at unit reflection, after any leading realization axis.
-    Summing over n with gammas applied reproduces the scattered part of
-    effective_channel.
-    """
-    return chs.ris_to_ue[..., :, :, None] * chs.bs_to_ris[..., None, :, :]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ._version import __version__
-from .array_field import (PLANE_AXES, PatternCut, RisArray, ScatteringState, Wave,
+from .array_field import (PLANE_AXES, PatternCut, RisArray, ScatteringState,
                           build_array, directivity_pattern, main_lobe_angle,
                           pattern_to_csv)
 from .channels import ChannelSet, Node, effective_channel, los_channel, rician_channel
@@ -993,6 +993,9 @@ def sweep(scenario: Scenario, workers: int | None = None) -> list:
 
 def fractional_boi(f_low: float, f_high: float, f_center: float | None = None) -> float:
     """(f_high - f_low) / f_center, defaulting f_center to the midpoint."""
+    for name, value in (("f_low", f_low), ("f_high", f_high), ("f_center", f_center)):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if f_low <= 0:
         raise ValueError("f_low must be positive")
     if f_high < f_low:
@@ -1013,7 +1016,7 @@ def _format_value(value) -> str:
     return f"{float(value):.12g}"
 
 
-def export_results(table, fmt: str, path, scenario: Scenario | None = None) -> None:
+def export_results(table, fmt: str, path, scenario: Scenario) -> None:
     """Write case metrics as CSV or JSON plus a reproducibility manifest.
 
     The manifest echoes the materialized config, the seed rule, and the
@@ -1036,7 +1039,7 @@ def export_results(table, fmt: str, path, scenario: Scenario | None = None) -> N
         lines += [",".join(_format_value(v) for v in row) for row in rows]
         payload = "\n".join(lines) + "\n"
     else:
-        spec = None if scenario is None else scenario.sweep_spec
+        spec = scenario.sweep_spec
         keep = set(METRIC_NAMES) if spec is None or spec.metrics is None \
             else set(spec.metrics) | {"n_elements", "ris_x", "ris_y", "ris_z"}
         cases = [{k: v for k, v in case.to_dict().items() if k in keep} for case in table]
@@ -1053,7 +1056,7 @@ def export_results(table, fmt: str, path, scenario: Scenario | None = None) -> N
                       "1=bs_to_ris, 2=ris_to_ue"),
         "columns": list(EXPORT_COLUMNS),
         "cases": len(table),
-        "config": None if scenario is None else scenario.config_echo,
+        "config": scenario.config_echo,
     }
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -1078,8 +1081,9 @@ def _pattern_cut(scenario: Scenario, array: RisArray) -> PatternCut:
         # plane through the array center, the feed, and the target
         return _in_scene("config.pattern.cut_plane", PatternCut.through_points, array,
                          owner.bs.position, ue.position, radius)
-    axis = "u" if cfg.cut_plane == "array-u" else "v"
-    return PatternCut(radius=radius, axis=axis)
+    sweep = array.u_axis if cfg.cut_plane == "array-u" else array.v_axis
+    return _in_scene("config.pattern.cut_radius", PatternCut, radius, tuple(sweep),
+                     tuple(array.normal))
 
 
 def _pattern_phases(scenario: Scenario, array: RisArray) -> ScatteringState:
@@ -1095,6 +1099,9 @@ def _pattern_phases(scenario: Scenario, array: RisArray) -> ScatteringState:
     feed = Node(position=owner.bs.position)
     ue_node = Node(position=owner.ues[0].position)
     where = f"config.operators[{[op.id for op in scenario.operators].index(owner.id)}]"
+    if array.element_pattern == "cosine" and (feed.position - array.center) @ array.normal <= 0:
+        raise ConfigError(f"{where}.bs.position is not in front of the surface, so its "
+                          "cosine elements scatter nothing from the feed")
     chs = ChannelSet(direct=np.zeros((1, 1), dtype=complex),
                      bs_to_ris=_in_scene(where + ".bs.position", los_channel, feed, array,
                                          f_design),
@@ -1102,13 +1109,6 @@ def _pattern_phases(scenario: Scenario, array: RisArray) -> ScatteringState:
                                          ue_node, f_design),
                      frequency=f_design)
     return align_phases_single_target(chs)
-
-
-def _pattern_at(scenario: Scenario, array: RisArray, state: ScatteringState,
-                angles: np.ndarray, cut: PatternCut) -> np.ndarray:
-    """Pattern(s) of one state or a stack of states, fed from the owner's BS."""
-    wave = Wave.spherical(scenario.owner.bs.position, state.frequency)
-    return directivity_pattern(array, state, wave, angles, cut)
 
 
 def run_pattern(scenario: Scenario, out_dir) -> dict:
@@ -1127,13 +1127,14 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     tuning = realize_capacitances(_pattern_phases(scenario, array), params)
     cut = _pattern_cut(scenario, array)
     angles = cfg.angle_grid()
+    feed = scenario.owner.bs.position
     os.makedirs(out_dir, exist_ok=True)
 
     entries = []
     peaks = {}
     for f in cfg.frequencies_hz:
-        pattern = _pattern_at(scenario, array, evaluate_off_frequency(tuning, f, params),
-                              angles, cut)
+        pattern = directivity_pattern(array, evaluate_off_frequency(tuning, f, params),
+                                      feed, angles, cut)
         name = f"pattern_{f / 1e9:.3f}GHz.csv"
         pattern_to_csv(pattern, os.path.join(out_dir, name))
         peaks[f] = main_lobe_angle(pattern)
@@ -1157,9 +1158,8 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
         else:
             probe_f = cfg.frequencies_hz[-1]
         if probe_f not in peaks:
-            pattern = _pattern_at(scenario, array,
-                                  evaluate_off_frequency(tuning, probe_f, params),
-                                  angles, cut)
+            pattern = directivity_pattern(array, evaluate_off_frequency(tuning, probe_f, params),
+                                          feed, angles, cut)
             peaks[probe_f] = main_lobe_angle(pattern)
         offset = peaks[probe_f] - cfg.reference_angle_deg
         summary["reference"] = {
@@ -1183,15 +1183,15 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     return summary
 
 
-def squint_sensitivity_report(scenario: Scenario, out_path=None) -> tuple[list, dict]:
+def squint_sensitivity_report(scenario: Scenario, out_path) -> tuple[list, dict]:
     """Sweep circuit constants, tracking the probe-frequency main lobe.
 
     For each (top inductance, capacitance range) combination the surface
     is retuned at the design carrier and its main lobes at the design and
     probe frequencies are recorded, along with the offset of the probe
-    lobe from the configured reference angle. Returns all rows and the
-    row closest to the reference, flagged with whether it falls inside
-    the sensitivity window.
+    lobe from the configured reference angle. The rows are written to
+    ``out_path`` as CSV; returns them and the row closest to the
+    reference, flagged with whether it falls inside the sensitivity window.
     """
     if scenario.pattern is None or scenario.pattern.sensitivity is None:
         raise ConfigError("config.pattern.sensitivity section is required")
@@ -1226,7 +1226,8 @@ def squint_sensitivity_report(scenario: Scenario, out_path=None) -> tuple[list, 
             })
     f1_peaks, f3_peaks = (
         [main_lobe_angle(p) for p in
-         _pattern_at(scenario, array, ScatteringState(stack, f), angles, cut)]
+         directivity_pattern(array, ScatteringState(stack, f), scenario.owner.bs.position,
+                             angles, cut)]
         for stack, f in zip(stacks, carriers))
     for row, f1_peak, f3_peak in zip(rows, f1_peaks, f3_peaks):
         row["f1_peak_deg"] = f1_peak
@@ -1236,10 +1237,8 @@ def squint_sensitivity_report(scenario: Scenario, out_path=None) -> tuple[list, 
     closest = dict(min(rows, key=lambda r: abs(r["offset_from_reference_deg"])))
     closest["within_window"] = abs(closest["offset_from_reference_deg"]) <= sens["window_deg"]
 
-    if out_path is not None:
-        lines = [",".join(SENSITIVITY_COLUMNS)]
-        lines += [",".join(f"{row[c]:.9g}" for c in SENSITIVITY_COLUMNS)
-                  for row in rows]
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+    lines = [",".join(SENSITIVITY_COLUMNS)]
+    lines += [",".join(f"{row[c]:.9g}" for c in SENSITIVITY_COLUMNS) for row in rows]
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
     return rows, closest

@@ -53,14 +53,13 @@ class PrecodeResult:
 
 @dataclass
 class LinkMetrics:
-    """Per-user SINR and spectral efficiency plus their sum.
+    """Per-user SINR and spectral efficiency.
 
     For stacked channels each carries a leading realization axis.
     """
 
     sinr: np.ndarray            # linear, per user
     se: np.ndarray              # b/s/Hz per user
-    sum_se: float | np.ndarray
 
 
 def _stack(channels) -> np.ndarray:
@@ -161,6 +160,4 @@ def link_metrics(channels, precoders: PrecodeResult, noise_power: float) -> Link
     signal = np.diagonal(gains, axis1=-2, axis2=-1).copy()
     interference = gains.sum(axis=-1) - signal
     sinr = signal / (interference + noise_power)
-    se = np.log2(1.0 + sinr)
-    sum_se = se.sum(axis=-1)
-    return LinkMetrics(sinr=sinr, se=se, sum_se=sum_se if h.ndim == 3 else float(sum_se))
+    return LinkMetrics(sinr=sinr, se=np.log2(1.0 + sinr))

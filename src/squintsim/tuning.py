@@ -67,8 +67,8 @@ def _flat_terms(channel_sets):
             raise ValueError("all target channel sets must stack the same realizations")
     n_real = int(np.prod(lead))
     base = np.concatenate([chs.direct.reshape(n_real, -1) for chs in channel_sets], axis=1)
-    # entry (r, n, (u, m)) is element n's gain from BS antenna m to row u, as in
-    # cascade_gains; built C-ordered, so that flattening (u, m) makes no copy
+    # entry (r, n, (u, m)) is element n's gain from BS antenna m to row u;
+    # built C-ordered, so that flattening (u, m) makes no copy
     parts = [np.multiply(np.swapaxes(chs.ris_to_ue, -1, -2)[..., :, :, None],
                          chs.bs_to_ris[..., :, None, :], order="C").reshape(n_real, n_el, -1)
              for chs in channel_sets]

@@ -1,10 +1,10 @@
-"""Link models: pathloss, LoS and Rician draws, cascades, effective channels."""
+"""Link models: pathloss, LoS links, Rician scatter, effective channels."""
 
 import numpy as np
 import pytest
 
-from squintsim import (ChannelSet, Node, ScatteringState, cascade_gains,
-                       effective_channel, freespace_pathloss, los_channel)
+from squintsim import (ChannelSet, Node, ScatteringState, effective_channel,
+                       freespace_pathloss, los_channel)
 from squintsim.channels import rician_channel
 from squintsim.circuit import SPEED_OF_LIGHT
 from squintsim.errors import FrequencyMismatchError
@@ -91,19 +91,18 @@ def test_los_channel_coincident_error():
         los_channel(tx, rx, 2.5e9)
 
 
-def test_rician_requires_rng():
-    tx = Node(position=(0.0, 0.0, 0.0))
-    rx = Node(position=(5.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        los_channel(tx, rx, 2.5e9, k_factor_db=10.0)
+def seeded_normals(seed, shape):
+    """The scatter normals of one link drawn from ``default_rng(seed)``."""
+    return np.random.default_rng(seed).standard_normal((2,) + shape)
 
 
 def test_rician_seeded_determinism():
     tx = Node(position=(0.0, 0.0, 0.0), n_antennas=4)
     rx = Node(position=(5.0, 8.0, 0.0), n_antennas=2)
-    h1 = los_channel(tx, rx, 2.5e9, k_factor_db=10.0, rng=np.random.default_rng(42))
-    h2 = los_channel(tx, rx, 2.5e9, k_factor_db=10.0, rng=np.random.default_rng(42))
-    h3 = los_channel(tx, rx, 2.5e9, k_factor_db=10.0, rng=np.random.default_rng(43))
+    los = los_channel(tx, rx, 2.5e9)
+    h1 = rician_channel(los, 10.0, seeded_normals(42, los.shape))
+    h2 = rician_channel(los, 10.0, seeded_normals(42, los.shape))
+    h3 = rician_channel(los, 10.0, seeded_normals(43, los.shape))
     assert np.array_equal(h1, h2)
     assert not np.array_equal(h1, h3)
 
@@ -125,7 +124,7 @@ def test_rician_large_k_collapses_to_los():
     tx = Node(position=(0.0, 0.0, 0.0), n_antennas=2)
     rx = Node(position=(6.0, 3.0, 1.0), n_antennas=2)
     los = los_channel(tx, rx, 2.5e9)
-    near = los_channel(tx, rx, 2.5e9, k_factor_db=200.0, rng=np.random.default_rng(0))
+    near = rician_channel(los, 200.0, seeded_normals(0, los.shape))
     assert np.allclose(near, los, rtol=1e-8)
 
 
@@ -133,10 +132,11 @@ def test_rician_mean_power_preserved():
     """Per-entry mean power of the fading mix stays near the LoS power."""
     tx = Node(position=(0.0, 0.0, 0.0))
     rx = Node(position=(7.0, 2.0, 0.0))
-    los = los_channel(tx, rx, 2.5e9)[0, 0]
-    rng = np.random.default_rng(2024)
-    draws = np.array([los_channel(tx, rx, 2.5e9, k_factor_db=3.0, rng=rng)[0, 0]
-                      for _ in range(4000)])
+    link = los_channel(tx, rx, 2.5e9)
+    los = link[0, 0]
+    # 4000 realizations in one stack: the same stream as 4000 draws one after another
+    normals = np.random.default_rng(2024).standard_normal((4000, 2) + link.shape)
+    draws = rician_channel(link, 3.0, normals)[:, 0, 0]
     assert np.mean(np.abs(draws) ** 2) == pytest.approx(abs(los) ** 2, rel=0.08)
     # the LoS part dominates the mean
     k = 10.0 ** (3.0 / 10.0)
@@ -207,15 +207,6 @@ def test_effective_channel_length_guard(rng):
     chs = random_channel_set(rng)
     with pytest.raises(ValueError):
         effective_channel(chs, state_of(np.ones(11)))
-
-
-def test_cascade_gains_consistency(rng):
-    chs = random_channel_set(rng, rx=2, tx=3, n_el=5)
-    gains = cascade_gains(chs)
-    assert gains.shape == (2, 5, 3)
-    gammas = rng.normal(size=5) + 1j * rng.normal(size=5)
-    via_gains = chs.direct + np.einsum("ret,e->rt", gains, gammas)
-    assert np.allclose(via_gains, effective_channel(chs, state_of(gammas)), rtol=1e-13)
 
 
 def test_channel_set_validation(rng):

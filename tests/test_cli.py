@@ -46,6 +46,16 @@ def test_boi_bad_order(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, name", [
+    (["nan", "1"], "f_low"), (["inf", "inf"], "f_low"), (["1", "inf"], "f_high"),
+    (["1", "2", "inf"], "f_center")])
+def test_boi_non_finite(capsys, args, name):
+    assert main(["boi", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {name} must be finite\n"
+
+
 def test_run_with_csv_out(tmp_path, capsys):
     cfg = small_config_file(tmp_path)
     out = tmp_path / "case.csv"
@@ -152,6 +162,7 @@ def test_pattern_bad_field_fails_at_load(tmp_path, capsys, section, key, value, 
 
 # the position of a surface element of fig4d (10 x 10) and of fig3 (20 x 20)
 ON_ELEMENT = [0.0299792458, 0.0, 0.0299792458]
+FIG3_FEED = preset_config("fig3")["operators"][0]["bs"]["position"]
 
 
 def set_field(cfg, path, value):
@@ -257,11 +268,19 @@ def test_oversized_run_is_rejected_without_allocating(path, value):
     (False, ON_ELEMENT, "operators[0].ues[0].position"),
     # the target collinear with the feed and the surface centre
     (False, [100.0, -100.0, 36.0], "pattern.cut_plane"),
+    # the target at the surface centre leaves an array-u cut no radius
+    (False, [0.0, 0.0, 0.0], "pattern.cut_radius"),
+    # cosine elements scatter nothing from fig3's own feed, which is behind the surface
+    (True, FIG3_FEED, "operators[0].bs.position"),
 ])
 def test_pattern_geometry_fails_as_config_error(tmp_path, capsys, feed, position, field):
     cfg = preset_config("fig3")
     op = cfg["operators"][0]
     (op["bs"] if feed else op["ues"][0])["position"] = position
+    if field == "pattern.cut_radius":
+        cfg["pattern"]["cut_plane"] = "array-u"
+    if position == FIG3_FEED:
+        cfg["ris"]["element_pattern"] = "cosine"
     config = tmp_path / "fig3.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
     out_dir = tmp_path / "patterns"

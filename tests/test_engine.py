@@ -17,6 +17,7 @@ from squintsim import (ChannelSet, ConfigError, ConfigWarning, Node, Optimizatio
                        realize_capacitances, run_case, run_pattern, sweep, zf_precoder)
 from squintsim import engine
 from squintsim.array_field import PatternCut
+from squintsim.channels import rician_channel
 from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS, build_surface
 from squintsim.errors import CorrelatedChannelsError, NumericalError
@@ -476,21 +477,25 @@ def reference_realization(sc, r):
     """
     array = build_surface(sc.ris, sc.owner.carrier_hz)
 
-    def rng(*key):
-        return np.random.default_rng(derive_seed(sc.master_seed, r, *key))
+    def link(tx, rx, f, *key):
+        los = los_channel(tx, rx, f)
+        if sc.k_factor_db is None:
+            return los
+        rng = np.random.default_rng(derive_seed(sc.master_seed, r, *key))
+        return rician_channel(los, sc.k_factor_db, rng.standard_normal((2,) + los.shape))
 
     sets = []
     for i, op in enumerate(sc.operators):
-        f, k = op.carrier_hz, sc.k_factor_db
+        f = op.carrier_hz
         direct = np.zeros((len(op.ues), op.bs.n_antennas), dtype=complex)
         ris_to_ue = np.empty((len(op.ues), array.n_elements), dtype=complex)
         for j, ue in enumerate(op.ues):
             node = Node(position=ue.position)
             if not ue.blocked:
-                direct[j] = los_channel(op.bs, node, f, k, rng(i, j + 1, 0))
-            ris_to_ue[j] = los_channel(array, node, f, k, rng(i, j + 1, 2))
+                direct[j] = link(op.bs, node, f, i, j + 1, 0)
+            ris_to_ue[j] = link(array, node, f, i, j + 1, 2)
         sets.append(ChannelSet(direct=direct, ris_to_ue=ris_to_ue, frequency=f,
-                               bs_to_ris=los_channel(op.bs, array, f, k, rng(i, 0, 1))))
+                               bs_to_ris=link(op.bs, array, f, i, 0, 1)))
     owner = [op.id for op in sc.operators].index(sc.ris.owner)
     log = OptimizationLog()
     tuning = realize_capacitances(optimize_weighted_sum_power([sets[owner]], log=log),
@@ -733,6 +738,12 @@ def test_fractional_boi_validation():
         fractional_boi(2e9, 1e9)
     with pytest.raises(ValueError, match="f_center"):
         fractional_boi(1e9, 2e9, 0.0)
+    # a NaN passes every ordering check, and infinities give NaN or 0
+    for args, name in [((np.nan, 1e9), "f_low"), ((np.inf, np.inf), "f_low"),
+                       ((1e9, np.inf), "f_high"), ((1e9, 2e9, np.inf), "f_center"),
+                       ((1e9, 2e9, np.nan), "f_center")]:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            fractional_boi(*args)
 
 
 # --- exports ----------------------------------------------------------------------

@@ -165,7 +165,6 @@ def test_link_metrics_known_sinr():
     metrics = link_metrics(h, res, noise_power=1.0)
     assert metrics.sinr[0] == pytest.approx(10.0, rel=1e-14)
     assert metrics.se[0] == pytest.approx(np.log2(11.0), rel=1e-14)
-    assert metrics.sum_se == pytest.approx(np.log2(11.0), rel=1e-14)
 
 
 def test_link_metrics_noise_monotone(rng):
@@ -174,7 +173,7 @@ def test_link_metrics_noise_monotone(rng):
     lo = link_metrics(h, res, noise_power=1e-13)
     hi = link_metrics(h, res, noise_power=1e-12)
     assert np.all(lo.sinr > hi.sinr)
-    assert lo.sum_se > hi.sum_se
+    assert lo.se.sum() > hi.se.sum()
 
 
 def test_link_metrics_stale_design_interference(rng):
@@ -209,7 +208,7 @@ def test_stacked_precoders_and_metrics_match_single_calls(rng):
             assert np.array_equal(stacked.powers[r], single.powers)
             alone = link_metrics(h[r], single, noise_power=1e-3)
             assert np.array_equal(metrics.sinr[r], alone.sinr)
-            assert metrics.sum_se[r] == alone.sum_se
+            assert np.array_equal(metrics.se[r], alone.se)
 
 
 def test_stacked_zf_reports_first_failing_realization(rng):
