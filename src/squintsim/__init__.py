@@ -16,8 +16,7 @@ from .circuit import (CapacitanceSolution, CircuitParams, element_impedance,
                       element_reflection, phase_to_capacitance)
 from .engine import (CaseMetrics, OperatorConfig, RisConfig, Scenario, SweepSpec,
                      UeConfig, derive_seed, export_results, fractional_boi,
-                     grid_shape, load_scenario, run_case, run_pattern,
-                     squint_sensitivity_report, sweep)
+                     grid_shape, load_scenario, run_case, run_pattern, sweep)
 from .errors import (ConfigError, ConfigWarning, CorrelatedChannelsError,
                      DegenerateChannelError, FrequencyMismatchError,
                      NumericalError, SingularityError, SquintSimError)
@@ -49,8 +48,7 @@ __all__ = [
     # engine
     "UeConfig", "OperatorConfig", "RisConfig", "Scenario", "SweepSpec",
     "CaseMetrics", "load_scenario", "run_case", "sweep", "fractional_boi",
-    "export_results", "run_pattern",
-    "squint_sensitivity_report", "derive_seed", "grid_shape",
+    "export_results", "run_pattern", "derive_seed", "grid_shape",
     # presets
     "PRESET_NAMES", "preset_config", "preset_text", "load_preset",
     # errors

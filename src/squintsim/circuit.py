@@ -33,7 +33,8 @@ class CircuitParams:
     """Equivalent-circuit constants of one reflective element.
 
     Defaults describe a varactor cell usable around 2.5 GHz; every value
-    can be overridden per scenario.
+    can be overridden per scenario, or per case: (S, 1) arrays broadcast
+    against N elements, evaluating S cases at once.
     """
 
     l_bottom: float = 2.5e-9            # H, bottom-layer inductance
@@ -44,13 +45,13 @@ class CircuitParams:
     c_max: float = 2.35e-12             # F, varactor range upper edge
 
     def __post_init__(self):
-        if self.l_bottom <= 0 or self.l_top <= 0:
+        if np.any(np.less_equal(self.l_bottom, 0)) or np.any(np.less_equal(self.l_top, 0)):
             raise ValueError("l_bottom and l_top must be positive")
-        if self.r_loss < 0:
+        if np.any(np.less(self.r_loss, 0)):
             raise ValueError("r_loss must be non-negative")
-        if self.z0 <= 0:
+        if np.any(np.less_equal(self.z0, 0)):
             raise ValueError("z0 must be positive")
-        if not 0 < self.c_min < self.c_max:
+        if not (np.all(np.greater(self.c_min, 0)) and np.all(np.less(self.c_min, self.c_max))):
             raise ValueError("capacitance range must satisfy 0 < c_min < c_max")
 
 
@@ -126,8 +127,8 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     exp(-j phi) gamma > 0. Other targets are clamped to the circularly
     nearest achievable phase, which is the phase at c_min, at c_max or at
     a phase extremum inside the range (ties go to c_min), and flagged.
-    Accepts target phases of any shape, a scalar as 0-d, at one frequency;
-    the solution's arrays share that shape.
+    Accepts target phases of any shape, a scalar as 0-d, at one frequency, and
+    per-case constants that broadcast against them; the solution takes that shape.
     """
     target = wrap_phase(np.asarray(target_phase, dtype=float))
 
@@ -135,35 +136,31 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
     a, b = 1j * (z_b - z0), r * (z_b - z0) - z0 * z_b
     c, d = 1j * (z_b + z0), r * (z_b + z0) + z0 * z_b
-    y_lo, y_hi = w * params.l_top - 1.0 / (w * np.array([params.c_min, params.c_max]))
     # (a*y + b) conj(c*y + d) = p2 y^2 + p1 y + p0 for real y
     p2, p1, p0 = a * np.conj(c), a * np.conj(d) + b * np.conj(c), b * np.conj(d)
     # the phase is stationary where Im((ad - bc) conj((a*y + b)(c*y + d))) = 0
     k = a * d - b * c
     rot = np.exp(-1j * target)
-    y = np.full(target.shape, np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # the roots do not depend on l_top, c_min or c_max: per-case values of those first
+    # broadcast in the range test. Extreme constants overflow here; element_reflection reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wl_top = w * params.l_top
+        y_lo, y_hi = (wl_top - 1.0 / (w * edge) for edge in (params.c_min, params.c_max))
+        y = np.full(np.broadcast_shapes(target.shape, np.shape(y_lo), np.shape(y_hi)), np.nan)
         for root in _real_roots((rot * p2).imag, (rot * p1).imag, (rot * p0).imag):
-            hit = (np.isnan(y) & (root >= y_lo) & (root <= y_hi)
-                   & ((rot * ((p2 * root + p1) * root + p0)).real > 0))
-            y = np.where(hit, root, y)
-        extrema = [e for e in _real_roots((k * np.conj(a * c)).imag,
-                                          (k * np.conj(a * d + b * c)).imag,
-                                          (k * np.conj(b * d)).imag) if y_lo < e < y_hi]
-    reachable = ~np.isnan(y)
-    cap = np.clip(1.0 / (w * (w * params.l_top - y)), params.c_min, params.c_max)
-    edges = np.array([params.c_min, *(1.0 / (w * (w * params.l_top - e)) for e in extrema),
-                      params.c_max])
-    edge_phase = np.angle(element_reflection(edges, frequency, params))
-    edge_phase = edge_phase.reshape((-1,) + (1,) * target.ndim)
-    nearest = np.argmin(np.abs(wrap_phase(target[None] - edge_phase)), axis=0)
-    cap = np.where(reachable, cap, edges[nearest])
+            on_arc = (rot * ((p2 * root + p1) * root + p0)).real > 0
+            y = np.where(np.isnan(y) & on_arc & (root >= y_lo) & (root <= y_hi), root, y)
+        extrema = _real_roots((k * np.conj(a * c)).imag, (k * np.conj(a * d + b * c)).imag,
+                              (k * np.conj(b * d)).imag)
+        # an extremum outside the range stands in as c_min; the first of tied edges wins
+        edges = [params.c_min, *(np.where((y_lo < e) & (e < y_hi), 1.0 / (w * (wl_top - e)),
+                                          params.c_min) for e in extrema), params.c_max]
+        reachable = ~np.isnan(y)
+        cap = np.clip(1.0 / (w * (wl_top - y)), params.c_min, params.c_max)
+    nearest, best = 0, np.inf
+    for i, edge in enumerate(edges):
+        gap = np.abs(wrap_phase(target - np.angle(element_reflection(edge, frequency, params))))
+        nearest, best = np.where(gap < best, i, nearest), np.minimum(gap, best)
+    cap = np.where(reachable, cap, np.choose(nearest, edges))
     return CapacitanceSolution(capacitance=cap, clamped=~reachable,
                                gamma=element_reflection(cap, frequency, params))
-
-
-def reflection_phase_interval(frequency, params: CircuitParams):
-    """(phase at c_min, phase at c_max) in radians, wrapped to (-pi, pi]."""
-    p_min = float(np.angle(element_reflection(params.c_min, frequency, params)))
-    p_max = float(np.angle(element_reflection(params.c_max, frequency, params)))
-    return p_min, p_max

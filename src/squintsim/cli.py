@@ -37,8 +37,11 @@ def _emit_table(table, scenario: Scenario, args) -> None:
         export_results(table, args.format, args.out, scenario=scenario)
         print(f"wrote {len(table)} case(s) to {args.out}")
     else:
-        print(json.dumps({"cases": [case.to_dict() for case in table]},
-                         indent=2, sort_keys=True))
+        try:
+            print(json.dumps({"cases": [case.to_dict() for case in table]},
+                             indent=2, sort_keys=True, allow_nan=False))
+        except ValueError:
+            raise NumericalError("the result table holds a NaN or infinite value") from None
 
 
 def _cmd_run(args) -> int:
@@ -136,6 +139,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     try:
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ SENSITIVITY_COLUMNS = ("l_top_h", "c_min_f", "c_max_f", "f1_peak_deg",
 DIRECT_LINK, BS_RIS_LINK, RIS_UE_LINK = 0, 1, 2
 
 _MAX_CUT_ANGLES = 100_000   # per pattern cut; fig3 evaluates 721
+_CUT_SPAN = "config.pattern.angle_start_deg to angle_stop_deg"   # named if a cut scatters nothing
 
 EXPORT_COLUMNS = ("n_elements", "ris_x", "ris_y", "ris_z",
                   "sumse_target_ris", "sumse_target_noris",
@@ -422,6 +423,10 @@ def load_scenario(config) -> Scenario:
                     f"the surface influence band [{lo:g}, {hi:g}] Hz; scattering impact "
                     "there is negligible"))
 
+    with np.errstate(over="ignore", under="ignore"):
+        noise_w = noise_power(**cfg["noise"])
+    if not 0 < noise_w < np.inf:
+        raise ConfigError(f"config.noise gives noise power {noise_w:g} W, not finite and positive")
     operators = [
         OperatorConfig(**{**op, "bs": Node(position=op["bs"]["position"],
                                           n_antennas=op["bs"]["antennas"],
@@ -432,7 +437,7 @@ def load_scenario(config) -> Scenario:
     surface = RisConfig(**{**ris, "circuit": CircuitParams(
         **{key.rsplit("_", 1)[0]: value for key, value in circuit.items()})})
     return Scenario(master_seed=cfg["master_seed"], realizations=cfg["realizations"],
-                    operators=operators, ris=surface, noise_w=noise_power(**cfg["noise"]),
+                    operators=operators, ris=surface, noise_w=noise_w,
                     k_factor_db=cfg["channel"]["k_factor_db"],
                     sweep_spec=None if cfg["sweep"] is None else SweepSpec(**cfg["sweep"]),
                     pattern=None if pattern is None else PatternConfig(**pattern),
@@ -580,8 +585,9 @@ def _in_scene(field: str, build, *args):
     """``build(*args)``, with its failure reported against ``field``.
 
     Every argument but the scene geometry is validated when the config
-    loads, so the ValueError left is coincident or collinear terminals (a
-    ConfigError), and a NumericalError is a scene whose scale overflows.
+    loads, so a ValueError left is coincident or collinear terminals or a cut
+    that scatters nothing (a ConfigError), and a NumericalError is a scene
+    whose scale overflows.
     """
     try:
         return build(*args)
@@ -903,8 +909,8 @@ def _case_metrics(case: Scenario, outcomes: np.ndarray, clamp: np.ndarray,
 
     per_ue = {}
     for j, ue in enumerate(ues):
-        (se_r, se_r_err), (se_n, se_n_err), (sinr_r, _), (sinr_n, _) = (
-            _mean_stderr(outcomes[:, row, j]) for row in range(4))
+        (se_r, se_r_err), (se_n, se_n_err) = (_mean_stderr(outcomes[:, row, j]) for row in (0, 1))
+        sinr_r, sinr_n = (float(outcomes[:, row, j].mean()) for row in (2, 3))
         per_ue[ue.id] = {"role": ue.role, "se_ris": se_r, "se_noris": se_n,
                          "stderr_se_ris": se_r_err, "stderr_se_noris": se_n_err,
                          "sinr_ris": sinr_r, "sinr_noris": sinr_n}
@@ -1117,50 +1123,42 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     Writes ``pattern_<f>GHz.csv`` per frequency and
     ``pattern_summary.json``. When the probe-frequency main lobe misses
     the configured reference angle by more than the window, a circuit
-    sensitivity sweep runs and lands in ``squint_sensitivity.csv``.
+    sensitivity sweep runs and lands in ``squint_sensitivity.csv``. Every
+    pattern is evaluated before ``out_dir`` is created, so a study that
+    fails writes nothing.
     """
     if scenario.pattern is None:
         raise ConfigError("config.pattern section is required for a pattern study")
     cfg = scenario.pattern
     params = scenario.ris.circuit
     array = build_surface(scenario.ris, scenario.owner.carrier_hz)
-    tuning = realize_capacitances(_pattern_phases(scenario, array), params)
+    theta = _pattern_phases(scenario, array)
+    tuning = realize_capacitances(theta, params)
     cut = _pattern_cut(scenario, array)
     angles = cfg.angle_grid()
-    feed = scenario.owner.bs.position
-    os.makedirs(out_dir, exist_ok=True)
+    carriers = list(cfg.frequencies_hz)
+    if cfg.reference_angle_deg is not None:
+        # the probe is the last listed carrier unless a sensitivity block names one
+        probe_f = carriers[-1] if cfg.sensitivity is None else cfg.sensitivity["frequency_hz"]
+        carriers.append(probe_f)
+    patterns = {f: _in_scene(_CUT_SPAN, directivity_pattern, array,
+                             evaluate_off_frequency(tuning, f, params),
+                             scenario.owner.bs.position, angles, cut)
+                for f in dict.fromkeys(carriers)}
+    peaks = {f: main_lobe_angle(pattern) for f, pattern in patterns.items()}
 
-    entries = []
-    peaks = {}
-    for f in cfg.frequencies_hz:
-        pattern = directivity_pattern(array, evaluate_off_frequency(tuning, f, params),
-                                      feed, angles, cut)
-        name = f"pattern_{f / 1e9:.3f}GHz.csv"
-        pattern_to_csv(pattern, os.path.join(out_dir, name))
-        peaks[f] = main_lobe_angle(pattern)
-        entries.append({"frequency_hz": f, "file": name, "main_lobe_deg": peaks[f]})
-    design_peak = entries[0]["main_lobe_deg"]
-    for entry in entries:
-        entry["offset_from_design_peak_deg"] = entry["main_lobe_deg"] - design_peak
-
+    design_peak = peaks[cfg.frequencies_hz[0]]
+    entries = [{"frequency_hz": f, "file": f"pattern_{f / 1e9:.3f}GHz.csv",
+                "main_lobe_deg": peaks[f], "offset_from_design_peak_deg": peaks[f] - design_peak}
+               for f in cfg.frequencies_hz]
     summary = {
         "design_frequency_hz": tuning.frequency,
         "target_angle_deg": cut.angle_of(array, scenario.owner.ues[0].position),
         "clamped_fraction": len(tuning.clamp_report) / array.n_elements,
         "frequencies": entries,
     }
-
+    rows = []
     if cfg.reference_angle_deg is not None:
-        # the probe defaults to the last listed carrier; a sensitivity block
-        # may name a different one
-        if cfg.sensitivity is not None:
-            probe_f = cfg.sensitivity["frequency_hz"]
-        else:
-            probe_f = cfg.frequencies_hz[-1]
-        if probe_f not in peaks:
-            pattern = directivity_pattern(array, evaluate_off_frequency(tuning, probe_f, params),
-                                          feed, angles, cut)
-            peaks[probe_f] = main_lobe_angle(pattern)
         offset = peaks[probe_f] - cfg.reference_angle_deg
         summary["reference"] = {
             "frequency_hz": probe_f,
@@ -1169,76 +1167,59 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
             "within_window": abs(offset) <= cfg.reference_window_deg,
         }
         if abs(offset) > cfg.reference_window_deg and cfg.sensitivity is not None:
-            rows, closest = squint_sensitivity_report(
-                scenario, os.path.join(out_dir, "squint_sensitivity.csv"))
+            rows, closest = squint_sensitivity_report(scenario, array, cut, theta)
             summary["sensitivity"] = {
                 "file": "squint_sensitivity.csv",
                 "cases": len(rows),
                 "closest": closest,
             }
 
+    os.makedirs(out_dir, exist_ok=True)
+    for entry in entries:
+        pattern_to_csv(patterns[entry["frequency_hz"]], os.path.join(out_dir, entry["file"]))
+    if rows:
+        lines = [",".join(SENSITIVITY_COLUMNS)]
+        lines += [",".join(f"{row[c]:.9g}" for c in SENSITIVITY_COLUMNS) for row in rows]
+        with open(os.path.join(out_dir, "squint_sensitivity.csv"), "w",
+                  encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out_dir, "pattern_summary.json"), "w",
               encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
-def squint_sensitivity_report(scenario: Scenario, out_path) -> tuple[list, dict]:
+def squint_sensitivity_report(scenario: Scenario, array: RisArray, cut: PatternCut,
+                              theta: ScatteringState) -> tuple[list, dict]:
     """Sweep circuit constants, tracking the probe-frequency main lobe.
 
-    For each (top inductance, capacitance range) combination the surface
-    is retuned at the design carrier and its main lobes at the design and
-    probe frequencies are recorded, along with the offset of the probe
-    lobe from the configured reference angle. The rows are written to
-    ``out_path`` as CSV; returns them and the row closest to the
-    reference, flagged with whether it falls inside the sensitivity window.
+    Each (top inductance, capacitance range) case realizes the ideal phases
+    ``theta`` on ``array``; its main lobes in ``cut`` at the design and
+    probe frequencies and the probe lobe's offset from the reference angle
+    are recorded. The cases are rows of (cases, 1) circuit constants, so
+    one varactor inversion and one stacked pattern call per carrier cover
+    them all. Returns the rows and the row closest to the reference,
+    flagged with whether it falls inside the sensitivity window.
     """
-    if scenario.pattern is None or scenario.pattern.sensitivity is None:
-        raise ConfigError("config.pattern.sensitivity section is required")
     cfg = scenario.pattern
-    if cfg.reference_angle_deg is None:
-        raise ConfigError("config.pattern.reference_angle_deg is required for "
-                          "a sensitivity sweep")
     sens = cfg.sensitivity
+    l_top = np.repeat(sens["l_top_h"], len(sens["c_ranges_f"]))[:, None]
+    c_min, c_max = np.tile(sens["c_ranges_f"], (len(sens["l_top_h"]), 1)).T[:, :, None]
+    params = replace(scenario.ris.circuit, l_top=l_top, c_min=c_min, c_max=c_max)
+    tuning = realize_capacitances(theta, params)
+    clamped = np.bincount(tuning.clamp_report // array.n_elements,
+                          minlength=len(l_top)) / array.n_elements
     angles = cfg.angle_grid(sens["angle_step_deg"])
-    f_design = scenario.ris.design_frequency_hz or scenario.owner.carrier_hz
-    base = scenario.ris.circuit
-
-    # the surface, the cut and the ideal phases do not depend on the circuit
-    # constants: every case realizes the same phases, then each carrier's
-    # patterns are evaluated in one stacked call
-    array = build_surface(scenario.ris, scenario.owner.carrier_hz)
-    cut = _pattern_cut(scenario, array)
-    theta = _pattern_phases(scenario, array)
-    carriers = (f_design, sens["frequency_hz"])
-    n_cases = len(sens["l_top_h"]) * len(sens["c_ranges_f"])
-    stacks = np.empty((len(carriers), n_cases, array.n_elements), dtype=complex)
-    rows = []
-    for l_top in sens["l_top_h"]:
-        for c_lo, c_hi in sens["c_ranges_f"]:
-            params = replace(base, l_top=l_top, c_min=c_lo, c_max=c_hi)
-            tuning = realize_capacitances(theta, params)
-            for stack, f in zip(stacks, carriers):
-                stack[len(rows)] = evaluate_off_frequency(tuning, f, params).gammas
-            rows.append({
-                "l_top_h": l_top, "c_min_f": c_lo, "c_max_f": c_hi,
-                "clamped_fraction": len(tuning.clamp_report) / array.n_elements,
-            })
     f1_peaks, f3_peaks = (
         [main_lobe_angle(p) for p in
-         directivity_pattern(array, ScatteringState(stack, f), scenario.owner.bs.position,
-                             angles, cut)]
-        for stack, f in zip(stacks, carriers))
-    for row, f1_peak, f3_peak in zip(rows, f1_peaks, f3_peaks):
-        row["f1_peak_deg"] = f1_peak
-        row["f3_peak_deg"] = f3_peak
-        row["offset_from_reference_deg"] = f3_peak - cfg.reference_angle_deg
-
+         _in_scene(_CUT_SPAN, directivity_pattern, array,
+                   evaluate_off_frequency(tuning, f, params), scenario.owner.bs.position,
+                   angles, cut)]
+        for f in (theta.frequency, sens["frequency_hz"]))
+    cases = zip(l_top[:, 0].tolist(), c_min[:, 0].tolist(), c_max[:, 0].tolist(),
+                f1_peaks, f3_peaks, clamped.tolist())
+    rows = [dict(zip(SENSITIVITY_COLUMNS, (*case, f3, clamp, f3 - cfg.reference_angle_deg)))
+            for *case, f3, clamp in cases]
     closest = dict(min(rows, key=lambda r: abs(r["offset_from_reference_deg"])))
     closest["within_window"] = abs(closest["offset_from_reference_deg"]) <= sens["window_deg"]
-
-    lines = [",".join(SENSITIVITY_COLUMNS)]
-    lines += [",".join(f"{row[c]:.9g}" for c in SENSITIVITY_COLUMNS) for row in rows]
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
     return rows, closest

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorrelatedChannelsError, DegenerateChannelError
+from .errors import CorrelatedChannelsError, DegenerateChannelError, NumericalError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -156,8 +156,11 @@ def link_metrics(channels, precoders: PrecodeResult, noise_power: float) -> Link
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
     cross = h @ precoders.matrix                   # (u, v) = h_u . w_v
-    gains = precoders.powers[..., None, :] * np.abs(cross) ** 2
-    signal = np.diagonal(gains, axis1=-2, axis2=-1).copy()
-    interference = gains.sum(axis=-1) - signal
-    sinr = signal / (interference + noise_power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = precoders.powers[..., None, :] * np.abs(cross) ** 2
+        signal = np.diagonal(gains, axis1=-2, axis2=-1).copy()
+        interference = gains.sum(axis=-1) - signal
+        sinr = signal / (interference + noise_power)
+    if not np.all(np.isfinite(sinr)):
+        raise NumericalError("SINR is not finite: transmit power times channel gain overflows")
     return LinkMetrics(sinr=sinr, se=np.log2(1.0 + sinr))

@@ -166,8 +166,8 @@ def realize_capacitances(theta_star: ScatteringState, params: CircuitParams) -> 
     """Invert ideal phases to capacitances through the element circuit.
 
     Unreachable phases clamp to the nearest achievable phase; the clamp
-    report lists their flat element indices. Stacked phases are inverted
-    in one call.
+    report lists their flat element indices. Stacked phases, and (S, 1)
+    per-case circuit constants as S stacked cases, are inverted in one call.
     """
     f = theta_star.frequency
     solution = phase_to_capacitance(np.angle(theta_star.gammas), f, params)

@@ -20,8 +20,7 @@ from squintsim import (ChannelSet, CircuitParams, OptimizationLog, ScatteringSta
                        load_preset, optimize_weighted_sum_power, realize_capacitances,
                        reflected_field, run_case, run_pattern, sweep,
                        weighted_sum_power, zf_precoder)
-from squintsim.circuit import (SPEED_OF_LIGHT, element_reflection,
-                               reflection_phase_interval, wrap_phase,
+from squintsim.circuit import (SPEED_OF_LIGHT, element_reflection, wrap_phase,
                                phase_to_capacitance)
 from squintsim.errors import CorrelatedChannelsError
 
@@ -261,7 +260,8 @@ def test_criterion_5_circuit_properties(capfd):
                       for f in freqs])
     unit_err = float(np.max(np.abs(mags0 - 1.0)))
 
-    lo_edge, hi_edge = reflection_phase_interval(2.5e9, params)
+    lo_edge, hi_edge = np.angle(element_reflection([params.c_min, params.c_max], 2.5e9,
+                                                   params))
     lo, hi = min(lo_edge, hi_edge), max(lo_edge, hi_edge)
     rng = np.random.default_rng(5)
     targets = rng.uniform(lo + 1e-9, hi - 1e-9, 1000)

@@ -1,13 +1,15 @@
 """Element circuit: impedance, reflection, and phase inversion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squintsim import (CircuitParams, element_impedance, element_reflection,
                        phase_to_capacitance)
-from squintsim.circuit import reflection_phase_interval, wrap_phase
+from squintsim.circuit import wrap_phase
 
 F_REF = 2.5e9
 
@@ -36,6 +38,9 @@ def test_params_defaults(params):
     {"z0": 0.0},
     {"c_min": 0.0},
     {"c_min": 2e-12, "c_max": 1e-12},
+    # per-case constants: one bad case rejects them all
+    {"l_top": np.array([[1e-9], [-1e-9]])},
+    {"c_max": np.array([[2e-12], [0.4e-12]])},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
@@ -120,7 +125,7 @@ def test_reflection_phase_monotone_in_capacitance(params):
 
 
 def test_phase_interval_span(params):
-    lo, hi = reflection_phase_interval(F_REF, params)
+    lo, hi = np.angle(element_reflection([params.c_min, params.c_max], F_REF, params))
     assert lo == pytest.approx(PHASE_AT_CMIN, abs=1e-12)
     assert hi == pytest.approx(PHASE_AT_CMAX, abs=1e-12)
     span = np.degrees(lo - hi)
@@ -129,7 +134,7 @@ def test_phase_interval_span(params):
 
 
 def test_phase_round_trip(params, rng):
-    lo, hi = reflection_phase_interval(F_REF, params)
+    lo, hi = np.angle(element_reflection([params.c_min, params.c_max], F_REF, params))
     targets = rng.uniform(hi + 1e-9, lo - 1e-9, 1000)
     sol = phase_to_capacitance(targets, F_REF, params)
     assert not np.any(sol.clamped)
@@ -148,7 +153,7 @@ def test_phase_round_trip_scalar(params):
 
 
 def test_phase_clamps_to_nearest_boundary(params):
-    lo, hi = reflection_phase_interval(F_REF, params)
+    lo, hi = np.angle(element_reflection([params.c_min, params.c_max], F_REF, params))
     # just above the top of the achievable arc: clamp to c_min
     above = phase_to_capacitance(lo + 0.05, F_REF, params)
     assert above.clamped
@@ -201,6 +206,56 @@ def test_phase_inversion_matches_dense_sampling(r_loss, l_bottom, z0, frequency,
     off = wrap_phase(targets[:, None] - grid[None, :-1])
     between = np.any((off * step >= 0) & (np.abs(off) <= np.abs(step)), axis=1)
     assert np.all(sol.clamped[(best > 1e-3) & ~between])
+
+
+def tie_targets(params, frequency):
+    """Targets a few ulps around both circular midpoints of the range-edge phases.
+
+    Some of them are exactly as far from the phase at c_min as from the
+    phase at c_max, so a clamp there has to break a tie.
+    """
+    p_lo, p_hi = np.angle(element_reflection(np.array([params.c_min, params.c_max]),
+                                             frequency, params))
+    mids = wrap_phase(np.array([(p_lo + p_hi) / 2, (p_lo + p_hi) / 2 + np.pi]))
+    return (mids[:, None] + np.arange(-4, 5) * np.spacing(mids)[:, None]).ravel()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(r_loss=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+       l_bottom=st.floats(0.5e-9, 10e-9), z0=st.floats(50.0, 400.0),
+       frequency=st.floats(1e9, 6e9),
+       cases=st.lists(st.tuples(st.floats(0.1e-9, 3e-9), st.floats(0.1e-12, 2e-12),
+                                st.floats(1.05, 10.0)), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+# 5 ohm: the phase has an extremum inside the range of both cases
+@example(r_loss=5.0, l_bottom=2.5e-9, z0=376.730313668, frequency=2.5e9,
+         cases=[(0.7e-9, 0.47e-12, 5.0), (0.4e-9, 0.3e-12, 8.0)], seed=0)
+def test_phase_inversion_broadcasts_over_case_constants(r_loss, l_bottom, z0, frequency,
+                                                        cases, seed):
+    """S cases as (S, 1) constants give the bits of S calls with scalar constants.
+
+    The targets are random, on each case's range edges, and at the edge
+    midpoints where clamps tie; lossy constants put phase extrema inside
+    the range, and narrow ranges leave most targets off the arc.
+    """
+    base = CircuitParams(r_loss=r_loss, l_bottom=l_bottom, z0=z0)
+    singles = [replace(base, l_top=l_top, c_min=c_min, c_max=c_min * ratio)
+               for l_top, c_min, ratio in cases]
+    targets = np.concatenate(
+        [np.random.default_rng(seed).uniform(-np.pi, np.pi, 32),
+         *(np.angle(element_reflection(np.array([p.c_min, p.c_max]), frequency, p))
+           for p in singles),
+         *(tie_targets(p, frequency) for p in singles)])
+    column = np.array([[p.l_top, p.c_min, p.c_max] for p in singles]).T[:, :, None]
+    stacked = phase_to_capacitance(targets, frequency,
+                                   replace(base, l_top=column[0], c_min=column[1],
+                                           c_max=column[2]))
+    assert stacked.capacitance.shape == (len(singles), len(targets))
+    for s, p in enumerate(singles):
+        single = phase_to_capacitance(targets, frequency, p)
+        assert np.array_equal(stacked.capacitance[s], single.capacitance)
+        assert np.array_equal(stacked.clamped[s], single.clamped)
+        assert np.array_equal(stacked.gamma[s], single.gamma)
 
 
 def test_wrap_phase_range():

@@ -2,10 +2,11 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from squintsim import ConfigError, load_scenario
+from squintsim import ConfigError, load_scenario, run_case
 from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS
 from squintsim.presets import preset_config
@@ -231,6 +232,10 @@ def test_hole_base_config_loads():
     ("sweep.element_counts", [], "sweep.element_counts"),
     ("sweep.element_counts", [0], "sweep.element_counts[0]"),
     ("sweep.positions", [], "sweep.positions"),
+    # a noise power that underflows to zero (a raw ValueError before) or
+    # overflows to infinity (every SINR 0 and exit 0 before)
+    ("noise.density_dbm_per_hz", -4000, "noise"),
+    ("noise.density_dbm_per_hz", 4000, "noise"),
 ])
 def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     config = tmp_path / "fig4d.json"
@@ -303,6 +308,8 @@ def test_pattern_geometry_fails_as_config_error(tmp_path, capsys, feed, position
     # numpy overflow warnings on stderr before the message
     ("pattern", "ris.spacing_fraction", 1e300, "config.operators[0].bs.position"),
     ("pattern", "ris.position", [1e308, 1e308, 0.0], "config.operators[0].bs.position"),
+    # two numpy overflow warnings on stderr before the message
+    ("run", "operators.0.power_w", 1e308, "SINR is not finite"),
 ])
 def test_overflowing_scene_fails_as_numerical_error(tmp_path, capsys, command, path, value,
                                                     named):
@@ -321,6 +328,90 @@ def test_overflowing_scene_fails_as_numerical_error(tmp_path, capsys, command, p
     # a near-zero carrier also leaves the influence band, which is a ConfigWarning
     assert all(line.startswith("warning: operator ") for line in warned)
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_overflowing_power_prints_nothing_to_stdout(tmp_path, capsys):
+    """Stdout got Infinity and NaN with exit 0 before."""
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(hole_config("operators.0.power_w", 1e308)), encoding="utf-8")
+    assert main(["run", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: SINR is not finite")
+    assert captured.err.count("\n") == 1
+
+
+def test_stdout_table_refuses_non_finite_values(tmp_path, capsys, monkeypatch):
+    """Whatever makes a result non-finite, stdout gets no Infinity or NaN."""
+    import squintsim.cli as cli
+    case = run_case(load_scenario(hole_config("realizations", 1)))
+    monkeypatch.setattr(cli, "run_case", lambda *args, **kwargs: replace(
+        case, degradation_stderr=float("nan")))
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(hole_config("realizations", 1)), encoding="utf-8")
+    assert main(["run", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: the result table holds a NaN or "
+                            "infinite value\n")
+
+
+def test_large_power_runs_without_warnings(tmp_path, capsys):
+    """The SINR rows' unused standard error overflowed and warned before."""
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(hole_config("operators.0.power_w", 1e300)), encoding="utf-8")
+    assert main(["run", str(config), "--out", str(tmp_path / "case.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
+    """Ran serially with exit 0 before."""
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(hole_config("realizations", 1)), encoding="utf-8")
+    out = tmp_path / "case.csv"
+    assert main([command, str(config), "--out", str(out), "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
+def zero_pattern_config():
+    """Cosine elements whose whole cut lies behind the surface: every angle scatters nothing."""
+    cfg = preset_config("fig3")
+    cfg["ris"]["element_pattern"] = "cosine"
+    cfg["operators"][0]["bs"]["position"] = [50.0, 50.0, 18.0]
+    cfg["pattern"].update(angle_start_deg=95.0, angle_stop_deg=170.0, reference_angle_deg=None)
+    return cfg
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("cfg, code, named", [
+    # the second case overflows the element circuit; the first left a partial --out-dir
+    (set_field(preset_config("fig3"), "pattern.sensitivity.l_top_h", [4e-10, 1e300]), 3,
+     ["numerical failure: ", "element circuit"]),
+    # a raw ValueError and an empty --out-dir before
+    (zero_pattern_config(), 2,
+     ["config error: ", "config.pattern.angle_start_deg ", "angle_stop_deg "]),
+], ids=["sensitivity-overflow", "zero-pattern"])
+def test_failing_pattern_study_writes_nothing(tmp_path, capsys, cfg, code, named, existing):
+    config = tmp_path / "fig3.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "patterns"
+    if existing:
+        out_dir.mkdir()
+        (out_dir / "sentinel.txt").write_text("kept", encoding="utf-8")
+    assert main(["pattern", str(config), "--out-dir", str(out_dir)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert all(part in err for part in named) and err.startswith(named[0])
+    if existing:
+        assert [p.name for p in out_dir.iterdir()] == ["sentinel.txt"]
+        assert (out_dir / "sentinel.txt").read_text(encoding="utf-8") == "kept"
+    else:
+        assert not out_dir.exists()
 
 
 def test_config_warning_is_one_line(tmp_path, capsys):

@@ -7,7 +7,7 @@ from squintsim import (ChannelSet, CircuitParams, OptimizationLog, ScatteringSta
                        align_phases_single_target, evaluate_off_frequency,
                        optimize_weighted_sum_power, realize_capacitances,
                        weighted_sum_power)
-from squintsim.circuit import element_reflection, reflection_phase_interval, wrap_phase
+from squintsim.circuit import element_reflection, wrap_phase
 from squintsim.errors import DegenerateChannelError
 
 F1 = 2.5e9
@@ -170,7 +170,7 @@ def test_realize_caps_reproduce_circuit(params, rng):
 
 
 def test_realize_clamp_report(params):
-    lo, hi = reflection_phase_interval(F1, params)
+    lo, hi = np.angle(element_reflection([params.c_min, params.c_max], F1, params))
     # one achievable target, one inside the unreachable arc
     targets = np.array([0.5, hi - 0.05])
     state = ScatteringState(gammas=np.exp(1j * targets), frequency=F1)
