@@ -601,10 +601,11 @@ def _in_scene(field: str, build, *args):
 # one block of a run. It sets a block's realization count and so bounds the
 # draws and channels a block holds for each case; the block ranges it sets
 # never depend on the worker count.
-_BLOCK_TERMS = 1 << 15
+_BLOCK_TERMS = 1 << 16
 # Cap on the same count summed over one stack, the same-size cases of a
 # block that are tuned, precoded and evaluated together. It bounds the
-# ascent's arrays; fig5's four positions at each size fit in one stack.
+# ascent's arrays; fig5's four positions make one stack at 10 and 30
+# elements and two at 50 and 70.
 _STACK_TERMS = 1 << 17
 # Cap on the terms of one realization's largest array, an operator's
 # cascade from every BS antenna through every element to every user.
@@ -786,25 +787,27 @@ def _stack_block(cases: list, links: list, draws: dict, direct: list, blind: lis
 
     The stack's cases share a surface size. They run case-major on the
     realization axis through one ascent, one varactor inversion, and per
-    operator one channel evaluation, precoding and metric call; no stacked
-    operation mixes realizations, so each case's results are those of a run
-    on it alone.
+    operator one channel evaluation, precoding and metric call. Each of
+    these gives every realization the bits of a call on it alone, whatever
+    the stack size and whichever buffers hold it, so each case's results
+    are those of a run on it alone.
     """
     case, n_cases, n_real = cases[0], len(cases), len(direct[0])
     owner = [op.id for op in case.operators].index(case.ris.owner)
-    targets = _operator_channels(cases, links, owner, draws, direct)
+    targets = [_operator_channels(cases, links, owner, draws, direct)]
     clamp, converged = np.zeros(n_cases * n_real), np.ones(n_cases * n_real, dtype=bool)
     tuning = None
     if case.ris.enabled:
         log, n_el = OptimizationLog(), case.ris.n_elements
-        tuning = realize_capacitances(optimize_weighted_sum_power([targets], log=log),
+        tuning = realize_capacitances(optimize_weighted_sum_power(targets, log=log),
                                       case.ris.circuit)
         clamp = np.bincount(tuning.clamp_report // n_el, minlength=len(clamp)) / n_el
         converged = log.converged_each
 
     outcomes = []
     for i, op in enumerate(case.operators):
-        chs = targets if i == owner else _operator_channels(cases, links, i, draws, direct)
+        # popped here and deleted below, so that no two operators' sets are held at once
+        chs = targets.pop() if i == owner else _operator_channels(cases, links, i, draws, direct)
         actual = effective_channel(chs, _surface_state(case, tuning, op.carrier_hz))
         # the surface owner precodes with current surface-inclusive knowledge;
         # other operators are surface-blind: design without, traverse with
@@ -817,6 +820,7 @@ def _stack_block(cases: list, links: list, draws: dict, direct: list, blind: lis
                                   np.broadcast_to(without[i].se, shape),
                                   with_ris.sinr.reshape(shape),
                                   np.broadcast_to(without[i].sinr, shape)], axis=2))
+        del chs
     return list(zip(np.concatenate(outcomes, axis=3), clamp.reshape(n_cases, n_real),
                     converged.reshape(n_cases, n_real)))
 
@@ -910,7 +914,12 @@ def _case_metrics(case: Scenario, outcomes: np.ndarray, clamp: np.ndarray,
     per_ue = {}
     for j, ue in enumerate(ues):
         (se_r, se_r_err), (se_n, se_n_err) = (_mean_stderr(outcomes[:, row, j]) for row in (0, 1))
-        sinr_r, sinr_n = (float(outcomes[:, row, j].mean()) for row in (2, 3))
+        # finite SINR samples can still sum past the float range
+        with np.errstate(over="ignore"):
+            sinr_r, sinr_n = (float(outcomes[:, row, j].mean()) for row in (2, 3))
+        if not np.isfinite([sinr_r, sinr_n]).all():
+            raise NumericalError(f"the mean SINR of UE '{ue.id}' is not finite: its samples "
+                                 "are so large that their sum overflows")
         per_ue[ue.id] = {"role": ue.role, "se_ris": se_r, "se_noris": se_n,
                          "stderr_se_ris": se_r_err, "stderr_se_noris": se_n_err,
                          "sinr_ris": sinr_r, "sinr_noris": sinr_n}
@@ -934,9 +943,10 @@ def _case_metrics(case: Scenario, outcomes: np.ndarray, clamp: np.ndarray,
 def _run_cases(cases: list, workers: int | None) -> list:
     """CaseMetrics of cases that differ only in their surface, block by block.
 
-    Every case sees the same fixed realization blocks, and no stacked
-    operation mixes realizations, so a case's results depend neither on
-    ``workers`` nor on the other cases of the run.
+    Every case sees the same fixed realization blocks, and every stacked
+    call gives a realization the same bits whatever else shares its stack,
+    so a case's results depend neither on ``workers`` nor on the other
+    cases of the run.
     """
     links = _los_links(cases)
     tasks = [(cases, links, start, stop) for start, stop in _blocks(cases)]

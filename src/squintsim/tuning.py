@@ -51,8 +51,9 @@ class TuningResult:
 
 
 def _flat_terms(channel_sets):
-    """Carrier, every direct entry as (realizations x entries), and the
-    (realizations x elements x entries) cascade; unstacked sets are one realization."""
+    """Carrier, every direct entry as (realizations x entries), and the conjugated
+    cascade laid out element-major as (elements x realizations x entries);
+    unstacked sets are one realization."""
     if len(channel_sets) == 0:
         raise ValueError("at least one target channel set is required")
     f = channel_sets[0].frequency
@@ -67,12 +68,17 @@ def _flat_terms(channel_sets):
             raise ValueError("all target channel sets must stack the same realizations")
     n_real = int(np.prod(lead))
     base = np.concatenate([chs.direct.reshape(n_real, -1) for chs in channel_sets], axis=1)
-    # entry (r, n, (u, m)) is element n's gain from BS antenna m to row u;
-    # built C-ordered, so that flattening (u, m) makes no copy
-    parts = [np.multiply(np.swapaxes(chs.ris_to_ue, -1, -2)[..., :, :, None],
-                         chs.bs_to_ris[..., :, None, :], order="C").reshape(n_real, n_el, -1)
-             for chs in channel_sets]
-    return f, base, parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+    conj = np.empty((n_el, n_real, sum(chs.direct.shape[-2] * chs.bs_to_ris.shape[-1]
+                                       for chs in channel_sets)), dtype=complex)
+    stop = 0
+    for chs in channel_sets:
+        n_ue, n_bs = chs.direct.shape[-2], chs.bs_to_ris.shape[-1]
+        start, stop = stop, stop + n_ue * n_bs
+        # entry (n, r, (u, m)) is element n's gain from BS antenna m to row u
+        np.multiply(np.moveaxis(chs.ris_to_ue.reshape(n_real, n_ue, n_el), 2, 0)[..., None],
+                    np.moveaxis(chs.bs_to_ris.reshape(n_real, n_el, n_bs), 1, 0)[:, :, None],
+                    out=conj[:, :, start:stop].reshape(n_el, n_real, n_ue, n_bs))
+    return f, base, np.conjugate(conj, out=conj)
 
 
 def _power(residual: np.ndarray) -> np.ndarray:
@@ -80,8 +86,9 @@ def _power(residual: np.ndarray) -> np.ndarray:
     return (residual.real ** 2 + residual.imag ** 2).sum(axis=-1)
 
 
-def _residual(theta: np.ndarray, base: np.ndarray, cascade: np.ndarray) -> np.ndarray:
-    return base + (theta[:, None, :] @ cascade)[:, 0, :]
+def _residual(theta: np.ndarray, base: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """``base`` plus every element's cascade weighted by its reflection ``theta``."""
+    return base + (theta.conj()[:, None, :] @ conj.transpose(1, 0, 2))[:, 0, :].conj()
 
 
 def weighted_sum_power(channel_sets, state: ScatteringState):
@@ -89,8 +96,8 @@ def weighted_sum_power(channel_sets, state: ScatteringState):
 
     A float, or one value per realization for stacked sets and states.
     """
-    _, base, cascade = _flat_terms(channel_sets)
-    power = _power(_residual(np.broadcast_to(state.gammas, cascade.shape[:2]), base, cascade))
+    _, base, conj = _flat_terms(channel_sets)
+    power = _power(_residual(np.broadcast_to(state.gammas, (len(base), len(conj))), base, conj))
     return power if channel_sets[0].direct.ndim == 3 else float(power[0])
 
 
@@ -130,28 +137,29 @@ def optimize_weighted_sum_power(channel_sets, max_iters: int = 200, tol: float =
         raise ValueError("max_iters must be at least 1")
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    f, base, cascade = _flat_terms(channel_sets)
-    theta = np.ones(cascade.shape[:2], dtype=complex)
-    residual = _residual(theta, base, cascade)
+    f, base, conj = _flat_terms(channel_sets)
+    theta = np.ones((len(base), len(conj)), dtype=complex)
+    residual = _residual(theta, base, conj)
     current = _power(residual)
     trace = [current]
     converged = np.zeros(len(theta), dtype=bool)
     for _ in range(max_iters):
-        for n in range(cascade.shape[1]):
-            c = cascade[:, n]
-            residual -= theta[:, n, None] * c
-            # conj of vdot(residual, c); a zero correlation leaves the phase as it is
-            s = np.add.reduce(residual * c.conj(), axis=-1)
+        for n, c in enumerate(conj):
+            cascade = c.conj()
+            residual -= theta[:, n, None] * cascade
+            # vdot(cascade, residual) as one BLAS product per realization, whose bits do not
+            # depend on the stack size; a zero correlation leaves the phase as it is
+            s = (residual[:, None, :] @ c[:, :, None])[:, 0, 0]
             mag = np.abs(s)
             np.divide(s, mag, out=theta[:, n], where=mag > 0)
-            residual += theta[:, n, None] * c
+            residual += theta[:, n, None] * cascade
         previous, current = current, _power(residual)
         trace.append(current)
         done = ~converged & (current - previous <= tol * np.maximum(previous,
                                                                     np.finfo(float).tiny))
         converged |= done
         # a converged realization's zero cascade leaves its phases and residual as they are
-        cascade[done] = 0.0
+        conj[:, done] = 0.0
         if converged.all():
             break
     stacked = channel_sets[0].direct.ndim == 3

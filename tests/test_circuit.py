@@ -200,11 +200,12 @@ def test_phase_inversion_matches_dense_sampling(r_loss, l_bottom, z0, frequency,
 
     grid = np.angle(element_reflection(np.linspace(p.c_min, p.c_max, 20_001),
                                        frequency, p))
-    best = np.min(np.abs(wrap_phase(targets[:, None] - grid[None, :])), axis=1)
+    off = wrap_phase(targets[:, None] - grid[None, :])
+    gap = np.abs(off)
+    best = np.min(gap, axis=1)
     assert np.all(residual[sol.clamped] <= best[sol.clamped] + 1e-6)
     step = wrap_phase(np.diff(grid))
-    off = wrap_phase(targets[:, None] - grid[None, :-1])
-    between = np.any((off * step >= 0) & (np.abs(off) <= np.abs(step)), axis=1)
+    between = np.any((off[:, :-1] * step >= 0) & (gap[:, :-1] <= np.abs(step)), axis=1)
     assert np.all(sol.clamped[(best > 1e-3) & ~between])
 
 

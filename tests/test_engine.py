@@ -645,6 +645,21 @@ def test_sweep_splits_a_large_group_into_several_stacks():
         assert run_case(load_scenario(lone_config(cfg, case))).to_dict() == case.to_dict()
 
 
+@pytest.mark.parametrize("n_elements, realizations", [(4, 204), (6, 136)])
+def test_large_stack_sweep_points_equal_lone_runs(n_elements, realizations):
+    """fig5 at few elements stacks its four positions into one stack of 500 to 820
+    realizations; every point differed from its lone run in the last bits before."""
+    cfg = preset_config("fig5")
+    cfg["realizations"] = realizations
+    cfg["sweep"]["element_counts"] = [n_elements]
+    sc = load_scenario(cfg)
+    cases = [engine._with_surface(sc, n_elements, pos) for pos in sc.sweep_spec.positions]
+    assert len(engine._blocks(cases)) == 1 and engine._stacks(cases, realizations) == [
+        [0, 1, 2, 3]]
+    for case in sweep(sc):
+        assert run_case(load_scenario(lone_config(cfg, case))).to_dict() == case.to_dict()
+
+
 def test_sweep_correlated_channels_error_matches_cases_run_in_order():
     """A stack reports the first failing case's first failing realization.
 
