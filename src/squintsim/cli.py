@@ -12,8 +12,8 @@ import sys
 import warnings
 
 from ._version import __version__
-from .engine import (Scenario, export_results, fractional_boi, load_scenario,
-                     run_case, run_pattern, sweep)
+from .engine import (Scenario, export_results, format_cases, fractional_boi,
+                     load_scenario, run_case, run_pattern, sweep)
 from .errors import ConfigError, NumericalError, SquintSimError
 from .presets import PRESET_NAMES, load_preset, preset_text
 
@@ -32,29 +32,16 @@ def _load_config(arg: str) -> Scenario:
                       f"({', '.join(PRESET_NAMES)})")
 
 
-def _emit_table(table, scenario: Scenario, args) -> None:
-    if args.out is not None:
+def _cmd_results(args) -> int:
+    """``run`` or ``sweep``: export the result table to ``--out``, or print its JSON export."""
+    scenario = _load_config(args.config)
+    table = sweep(scenario, workers=args.workers) if args.command == "sweep" else \
+        [run_case(scenario, workers=args.workers)]
+    if args.out is None:
+        sys.stdout.write(format_cases(table, "json", scenario))
+    else:
         export_results(table, args.format, args.out, scenario=scenario)
         print(f"wrote {len(table)} case(s) to {args.out}")
-    else:
-        try:
-            print(json.dumps({"cases": [case.to_dict() for case in table]},
-                             indent=2, sort_keys=True, allow_nan=False))
-        except ValueError:
-            raise NumericalError("the result table holds a NaN or infinite value") from None
-
-
-def _cmd_run(args) -> int:
-    scenario = _load_config(args.config)
-    case = run_case(scenario, workers=args.workers)
-    _emit_table([case], scenario, args)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    scenario = _load_config(args.config)
-    table = sweep(scenario, workers=args.workers)
-    _emit_table(table, scenario, args)
     return 0
 
 
@@ -89,21 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"squintsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p):
+    for command, text in (("run", "run one scenario case"),
+                          ("sweep", "sweep surface size and position")):
+        p = sub.add_parser(command, help=text)
         p.add_argument("config", help="config JSON path or preset name")
         p.add_argument("--out", default=None,
-                       help="output file; prints JSON to stdout when omitted")
+                       help="output file; prints the JSON export to stdout when omitted")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=int, default=None,
                        help="parallel worker processes")
-
-    p_run = sub.add_parser("run", help="run one scenario case")
-    add_io(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="sweep surface size and position")
-    add_io(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+        p.set_defaults(func=_cmd_results)
 
     p_pattern = sub.add_parser("pattern", help="radiation-pattern study")
     p_pattern.add_argument("config", help="config JSON path or preset name")

@@ -12,7 +12,8 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -149,28 +150,26 @@ class CaseMetrics:
     sumse_nontarget_ris: float
     sumse_nontarget_noris: float
     degradation_ratio: float
-    stderr_target_ris: float = 0.0
-    stderr_target_noris: float = 0.0
-    stderr_nontarget_ris: float = 0.0
-    stderr_nontarget_noris: float = 0.0
-    stderr_target_diff: float = 0.0
-    stderr_nontarget_diff: float = 0.0
-    degradation_stderr: float = 0.0
-    clamp_fraction: float = 0.0
-    tuning_converged_fraction: float = 1.0
-    per_ue: dict = field(default_factory=dict)
-
-    def to_row(self) -> list:
-        x, y, z = self.ris_position
-        return [self.n_elements, x, y, z,
-                self.sumse_target_ris, self.sumse_target_noris,
-                self.sumse_nontarget_ris, self.sumse_nontarget_noris,
-                self.degradation_ratio]
+    stderr_target_ris: float
+    stderr_target_noris: float
+    stderr_nontarget_ris: float
+    stderr_nontarget_noris: float
+    stderr_target_diff: float
+    stderr_nontarget_diff: float
+    degradation_stderr: float
+    clamp_fraction: float
+    tuning_converged_fraction: float
+    per_ue: dict
 
     def to_dict(self) -> dict:
-        d = dict(zip(EXPORT_COLUMNS, self.to_row()))
-        d.update((name, getattr(self, name)) for name in METRIC_NAMES[len(EXPORT_COLUMNS):])
+        """Every field by name, with ris_position split into ris_x, ris_y and ris_z."""
+        d = dict(vars(self))
+        d.update(zip(("ris_x", "ris_y", "ris_z"), d.pop("ris_position")))
         return d
+
+    def to_row(self) -> list:
+        d = self.to_dict()
+        return [d[name] for name in EXPORT_COLUMNS]
 
 
 # every key of CaseMetrics.to_dict: the export columns, then the remaining
@@ -660,13 +659,13 @@ def _link_field(key: tuple) -> str:
     return f"config.operators[{i}].ues[{slot - 1}].position"
 
 
-def _los_links(cases: list) -> list:
-    """Per case, the line-of-sight matrix of every link, keyed like the draws.
+def _los_links(cases: list) -> tuple[dict, list]:
+    """The direct links, shared by every case, and per case the surface links.
 
-    The geometry depends on no realization, so it is computed once per run
-    and handed to every block; the direct links do not depend on the
-    surface either and are shared by every case. The owner's surface links
-    are evaluated before the other operators', the order a block uses them in.
+    Each is a dict of line-of-sight matrices keyed like the draws. The geometry
+    depends on no realization, so it is computed once per run and handed to
+    every block. The owner's surface links are evaluated before the other
+    operators', the order a block uses them in.
     """
     operators = cases[0].operators
     owner = [op.id for op in operators].index(cases[0].ris.owner)
@@ -679,7 +678,7 @@ def _los_links(cases: list) -> list:
                                            Node(position=ue.position))
               for i, op in enumerate(operators) for j, ue in enumerate(op.ues)
               if not ue.blocked}
-    links = [dict(direct) for _ in cases]
+    links = [{} for _ in cases]
     arrays = [build_surface(case.ris, case.owner.carrier_hz) for case in cases]
     for i in [owner] + [i for i in range(len(operators)) if i != owner]:
         op = operators[i]
@@ -688,7 +687,7 @@ def _los_links(cases: list) -> list:
             for j, ue in enumerate(op.ues):
                 key = (i, j + 1, RIS_UE_LINK)
                 case_links[key] = los(key, array, Node(position=ue.position))
-    return links
+    return direct, links
 
 
 def _link(scenario: Scenario, links: dict, draws: dict, key: tuple, out: np.ndarray) -> None:
@@ -850,12 +849,12 @@ def _block_worker(args) -> list:
     The draws, the direct links, the surface-blind precoders and every
     metric without the surface depend on no surface, so they are computed
     once and shared by every case; the cases then run stack by stack.
-    ``links`` holds each case's line-of-sight matrices (``_los_links``).
+    ``direct_los`` and ``links`` are the line-of-sight matrices of ``_los_links``.
     """
-    cases, links, start, stop = args
+    cases, direct_los, links, start, stop = args
     scenario = cases[0]
     draws = _link_draws(scenario, start, stop, max(case.ris.n_elements for case in cases))
-    direct = _direct_links(scenario, links[0], draws, stop - start)
+    direct = _direct_links(scenario, direct_los, draws, stop - start)
     blind = [_precode_rows(h, op) for op, h in zip(scenario.operators, direct)]
     without = [link_metrics(h, p, scenario.noise_w) for h, p in zip(direct, blind)]
     return [part for stack in _stacks(cases, stop - start)
@@ -873,11 +872,18 @@ def _blocks(cases: list) -> list:
             for start in range(0, scenario.realizations, size)]
 
 
-def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(samples.mean())
-    if len(samples) < 2:
-        return mean, 0.0
-    return mean, float(samples.std(ddof=1) / np.sqrt(len(samples)))
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, mean and standard error over the last (realization) axis, made
+    contiguous so that each row gets the bits of its own 1-D ``mean`` and ``std``."""
+    samples = np.ascontiguousarray(samples)
+    n = samples.shape[-1]
+    std = samples.std(axis=-1, ddof=1) if n > 1 else np.zeros(samples.shape[:-1])
+    return samples.mean(axis=-1), std / np.sqrt(n)
+
+
+# each role's SE sum with and without the surface, then each role's difference
+_ROLE_SERIES = ("target_ris", "target_noris", "nontarget_ris", "nontarget_noris",
+                "target_diff", "nontarget_diff")
 
 
 def _case_metrics(case: Scenario, outcomes: np.ndarray, clamp: np.ndarray,
@@ -885,59 +891,46 @@ def _case_metrics(case: Scenario, outcomes: np.ndarray, clamp: np.ndarray,
     """Monte-Carlo averages of one case's (realizations x 4 x UEs) outcomes."""
     ues = [ue for op in case.operators for ue in op.ues]
     target = np.array([ue.role == "target" for ue in ues])
+    # (4 x UEs x realizations): SE with and without the surface, then SINR
+    per_row = outcomes.transpose(1, 2, 0)
+    # UE by UE in config order, so the sums round as per-UE sums do
+    t_ris, t_nor, n_ris, n_nor = (sum(per_row[row, mask], np.zeros(len(outcomes)))
+                                  for mask in (target, ~target) for row in (0, 1))
+    mean, err = _mean_stderr(np.stack([t_ris, t_nor, n_ris, n_nor,
+                                       t_ris - t_nor, n_ris - n_nor]))
+    values = {"sumse_" + name: m for name, m in zip(_ROLE_SERIES[:4], mean.tolist())}
+    values.update(("stderr_" + name, e) for name, e in zip(_ROLE_SERIES, err.tolist()))
 
-    def role_sums(row, mask):
-        # column by column in config order, so the sums round as per-UE sums do
-        return sum(outcomes[:, row, mask].T, np.zeros(len(outcomes)))
-
-    t_ris, t_nor = role_sums(0, target), role_sums(1, target)
-    n_ris, n_nor = role_sums(0, ~target), role_sums(1, ~target)
-
-    mean_t_ris, se_t_ris = _mean_stderr(t_ris)
-    mean_t_nor, se_t_nor = _mean_stderr(t_nor)
-    mean_n_ris, se_n_ris = _mean_stderr(n_ris)
-    mean_n_nor, se_n_nor = _mean_stderr(n_nor)
-    _, se_t_diff = _mean_stderr(t_ris - t_nor)
-    _, se_n_diff = _mean_stderr(n_ris - n_nor)
-
+    degradation = degradation_stderr = 0.0
+    mean_n_ris, mean_n_nor = values["sumse_nontarget_ris"], values["sumse_nontarget_noris"]
     if mean_n_nor > 0:
         # first-order error of the ratio of two means
         degradation = 1.0 - mean_n_ris / mean_n_nor
-        rel_sq = (se_n_nor / mean_n_nor) ** 2
+        rel_sq = (values["stderr_nontarget_noris"] / mean_n_nor) ** 2
         if mean_n_ris > 0:
-            rel_sq += (se_n_ris / mean_n_ris) ** 2
-        degradation_stderr = abs(mean_n_ris / mean_n_nor) * np.sqrt(rel_sq)
-    else:
-        degradation = 0.0
-        degradation_stderr = 0.0
+            rel_sq += (values["stderr_nontarget_ris"] / mean_n_ris) ** 2
+        degradation_stderr = float(abs(mean_n_ris / mean_n_nor) * np.sqrt(rel_sq))
 
-    per_ue = {}
-    for j, ue in enumerate(ues):
-        (se_r, se_r_err), (se_n, se_n_err) = (_mean_stderr(outcomes[:, row, j]) for row in (0, 1))
-        # finite SINR samples can still sum past the float range
-        with np.errstate(over="ignore"):
-            sinr_r, sinr_n = (float(outcomes[:, row, j].mean()) for row in (2, 3))
-        if not np.isfinite([sinr_r, sinr_n]).all():
-            raise NumericalError(f"the mean SINR of UE '{ue.id}' is not finite: its samples "
-                                 "are so large that their sum overflows")
-        per_ue[ue.id] = {"role": ue.role, "se_ris": se_r, "se_noris": se_n,
-                         "stderr_se_ris": se_r_err, "stderr_se_noris": se_n_err,
-                         "sinr_ris": sinr_r, "sinr_noris": sinr_n}
+    # finite SINR samples can still sum past the float range; the SINR rows'
+    # unused standard errors overflow sooner
+    with np.errstate(over="ignore"):
+        ue_mean, ue_err = _mean_stderr(per_row)
+    overflowed = np.flatnonzero(~np.isfinite(ue_mean[2:]).all(axis=0))
+    if len(overflowed):
+        raise NumericalError(f"the mean SINR of UE '{ues[overflowed[0]].id}' is not finite: "
+                             "its samples are so large that their sum overflows")
+    per_ue = {ue.id: {"role": ue.role, "se_ris": m[0], "se_noris": m[1],
+                      "stderr_se_ris": e[0], "stderr_se_noris": e[1],
+                      "sinr_ris": m[2], "sinr_noris": m[3]}
+              for ue, m, e in zip(ues, ue_mean.T.tolist(), ue_err.T.tolist())}
 
-    return CaseMetrics(
-        n_elements=case.ris.n_elements,
-        ris_position=tuple(float(x) for x in case.ris.position),
-        realizations=case.realizations,
-        sumse_target_ris=mean_t_ris, sumse_target_noris=mean_t_nor,
-        sumse_nontarget_ris=mean_n_ris, sumse_nontarget_noris=mean_n_nor,
-        degradation_ratio=degradation,
-        stderr_target_ris=se_t_ris, stderr_target_noris=se_t_nor,
-        stderr_nontarget_ris=se_n_ris, stderr_nontarget_noris=se_n_nor,
-        stderr_target_diff=se_t_diff, stderr_nontarget_diff=se_n_diff,
-        degradation_stderr=degradation_stderr,
-        clamp_fraction=float(np.mean(clamp)),
-        tuning_converged_fraction=float(np.mean(converged)),
-        per_ue=per_ue)
+    return CaseMetrics(n_elements=case.ris.n_elements,
+                       ris_position=tuple(float(x) for x in case.ris.position),
+                       realizations=case.realizations, degradation_ratio=degradation,
+                       degradation_stderr=degradation_stderr,
+                       clamp_fraction=float(np.mean(clamp)),
+                       tuning_converged_fraction=float(np.mean(converged)),
+                       per_ue=per_ue, **values)
 
 
 def _run_cases(cases: list, workers: int | None) -> list:
@@ -948,8 +941,8 @@ def _run_cases(cases: list, workers: int | None) -> list:
     so a case's results depend neither on ``workers`` nor on the other
     cases of the run.
     """
-    links = _los_links(cases)
-    tasks = [(cases, links, start, stop) for start, stop in _blocks(cases)]
+    direct_los, links = _los_links(cases)
+    tasks = [(cases, direct_los, links, start, stop) for start, stop in _blocks(cases)]
     if workers and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_block_worker, tasks))
@@ -1026,10 +1019,50 @@ def fractional_boi(f_low: float, f_high: float, f_center: float | None = None) -
 # ---------------------------------------------------------------------------
 # exports
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+def format_cases(table, fmt: str, scenario: Scenario) -> str:
+    """The CSV or JSON text of case metrics, as exported and as printed to stdout.
+
+    JSON keeps only the case identity and the configured ``sweep.metrics``
+    when that list is set. A NaN or infinite value raises NumericalError.
+    """
+    if not table:
+        raise ValueError("result table is empty")
+    if fmt == "csv":
+        data = [case.to_row() for case in table]
+    elif fmt == "json":
+        spec = scenario.sweep_spec
+        keep = set(METRIC_NAMES) if spec is None or spec.metrics is None \
+            else set(spec.metrics) | {"n_elements", "ris_x", "ris_y", "ris_z"}
+        data = {"cases": [{k: v for k, v in case.to_dict().items() if k in keep}
+                          for case in table]}
+    else:
+        raise ValueError("format must be 'csv' or 'json'")
+    try:
+        # the one finite check: JSON has no NaN or infinity, so every value is refused
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError("the result table holds a NaN or infinite value") from None
+    if fmt == "json":
+        return text
+    # n_elements, the first column, is the one integer
+    lines = [",".join(EXPORT_COLUMNS)]
+    lines += [",".join([str(n), *(f"{v:.12g}" for v in rest)]) for n, *rest in data]
+    return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def _undo_on_failure(paths):
+    """Run the block; if it fails, delete each file, then each directory, of ``paths`` it created."""
+    new = [path for path in paths if not os.path.lexists(path)]
+    try:
+        yield
+    except BaseException:
+        for path in new:
+            if os.path.isdir(path):
+                os.rmdir(path)
+            elif os.path.lexists(path):
+                os.remove(path)
+        raise
 
 
 def export_results(table, fmt: str, path, scenario: Scenario) -> None:
@@ -1038,32 +1071,9 @@ def export_results(table, fmt: str, path, scenario: Scenario) -> None:
     The manifest echoes the materialized config, the seed rule, and the
     tool version; it carries no timestamps, so re-exporting an identical
     run is byte-identical. A NaN or infinite value raises NumericalError
-    before any file is written.
+    before any file is opened, and a failed write leaves no new file.
     """
-    if not table:
-        raise ValueError("result table is empty")
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be 'csv' or 'json'")
-    path = str(path)
-    non_finite = NumericalError(f"the result table holds a NaN or infinite value; "
-                                f"nothing was written to '{path}'")
-    if fmt == "csv":
-        rows = [case.to_row() for case in table]
-        if not np.all(np.isfinite(np.asarray(rows, dtype=float))):
-            raise non_finite
-        lines = [",".join(EXPORT_COLUMNS)]
-        lines += [",".join(_format_value(v) for v in row) for row in rows]
-        payload = "\n".join(lines) + "\n"
-    else:
-        spec = scenario.sweep_spec
-        keep = set(METRIC_NAMES) if spec is None or spec.metrics is None \
-            else set(spec.metrics) | {"n_elements", "ris_x", "ris_y", "ris_z"}
-        cases = [{k: v for k, v in case.to_dict().items() if k in keep} for case in table]
-        try:
-            payload = json.dumps({"cases": cases}, indent=2, sort_keys=True,
-                                 allow_nan=False) + "\n"
-        except ValueError:
-            raise non_finite from None
+    payload = format_cases(table, fmt, scenario)
     manifest = {
         "version": __version__,
         "seed_rule": ("SeedSequence([master_seed, realization, operator_index, "
@@ -1074,11 +1084,14 @@ def export_results(table, fmt: str, path, scenario: Scenario) -> None:
         "cases": len(table),
         "config": scenario.config_echo,
     }
+    path = str(path)
+    texts = {path: payload,
+             path + ".manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-        with open(path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with _undo_on_failure(texts):
+            for target, text in texts.items():
+                with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
     except OSError as exc:
         raise OSError(f"failed writing results to '{path}': {exc}") from exc
 
@@ -1184,18 +1197,20 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
                 "closest": closest,
             }
 
-    os.makedirs(out_dir, exist_ok=True)
-    for entry in entries:
-        pattern_to_csv(patterns[entry["frequency_hz"]], os.path.join(out_dir, entry["file"]))
+    csvs = {os.path.join(out_dir, e["file"]): patterns[e["frequency_hz"]] for e in entries}
+    texts = {os.path.join(out_dir, "pattern_summary.json"):
+             json.dumps(summary, indent=2, sort_keys=True) + "\n"}
     if rows:
         lines = [",".join(SENSITIVITY_COLUMNS)]
         lines += [",".join(f"{row[c]:.9g}" for c in SENSITIVITY_COLUMNS) for row in rows]
-        with open(os.path.join(out_dir, "squint_sensitivity.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "pattern_summary.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        texts[os.path.join(out_dir, "squint_sensitivity.csv")] = "\n".join(lines) + "\n"
+    with _undo_on_failure([*csvs, *texts, out_dir]):
+        os.makedirs(out_dir, exist_ok=True)
+        for path, pattern in csvs.items():
+            pattern_to_csv(pattern, path)
+        for path, text in texts.items():
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     return summary
 
 

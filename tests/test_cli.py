@@ -90,6 +90,22 @@ def test_run_json_format(tmp_path, capsys):
     assert len(blob["cases"]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("metrics", [None, ["degradation_ratio"]], ids=["all", "listed"])
+def test_stdout_is_the_json_export(tmp_path, capsys, command, metrics):
+    """Stdout printed every metric before, whatever sweep.metrics listed."""
+    spec = {"element_counts": [4, 9], "positions": [[0.0, 0.0, 0.0]]}
+    if metrics is not None:
+        spec["metrics"] = metrics
+    cfg = small_config_file(tmp_path, extra={"sweep": spec})
+    assert main([command, str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "cases.json"
+    assert main([command, str(cfg), "--out", str(out), "--format", "json"]) == 0
+    assert printed.encode("utf-8") == out.read_bytes()
+    assert ("sumse_target_ris" in printed) == (metrics is None)
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = small_config_file(tmp_path, extra={
         "sweep": {"element_counts": [4, 9], "positions": [[0.0, 0.0, 0.0]]}})
@@ -473,3 +489,22 @@ def test_out_path_unwritable(tmp_path, capsys):
     missing = tmp_path / "no_dir" / "case.csv"
     assert main(["run", str(cfg), "--out", str(missing)]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["manifest-name-too-long", "out-is-a-directory",
+                                    "manifest-is-a-directory"])
+def test_failed_export_leaves_no_new_file(tmp_path, capsys, target):
+    """A 250-character --out wrote the CSV, then failed on its manifest, before."""
+    cfg = small_config_file(tmp_path)
+    out = tmp_path / ("c" * 246 + ".csv" if target == "manifest-name-too-long" else "case.csv")
+    if target == "out-is-a-directory":
+        out.mkdir()
+    elif target == "manifest-is-a-directory":
+        (tmp_path / "case.csv.manifest.json").mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    assert all(not p.is_dir() or not any(p.iterdir()) for p in before)

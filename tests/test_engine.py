@@ -3,10 +3,11 @@
 import copy
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squintsim import (ChannelSet, ConfigError, ConfigWarning, Node, OptimizationLog,
@@ -533,6 +534,141 @@ def test_run_case_matches_per_realization_reference(name, precoder):
                                                             rel=1e-12, abs=0.0)
     assert case.clamp_fraction == np.mean([ref[1] for ref in refs])
     assert case.tuning_converged_fraction == np.mean([ref[2] for ref in refs])
+
+
+# --- case aggregation ---------------------------------------------------------
+
+def reference_mean_stderr(samples):
+    mean = float(samples.mean())
+    if len(samples) < 2:
+        return mean, 0.0
+    return mean, float(samples.std(ddof=1) / np.sqrt(len(samples)))
+
+
+def reference_case_metrics(case, outcomes, clamp, converged):
+    """Every CaseMetrics field of one case, one scalar reduction at a time."""
+    ues = [ue for op in case.operators for ue in op.ues]
+    target = np.array([ue.role == "target" for ue in ues])
+
+    def role_sums(row, mask):
+        return sum(outcomes[:, row, mask].T, np.zeros(len(outcomes)))
+
+    t_ris, t_nor = role_sums(0, target), role_sums(1, target)
+    n_ris, n_nor = role_sums(0, ~target), role_sums(1, ~target)
+    mean_t_ris, se_t_ris = reference_mean_stderr(t_ris)
+    mean_t_nor, se_t_nor = reference_mean_stderr(t_nor)
+    mean_n_ris, se_n_ris = reference_mean_stderr(n_ris)
+    mean_n_nor, se_n_nor = reference_mean_stderr(n_nor)
+    _, se_t_diff = reference_mean_stderr(t_ris - t_nor)
+    _, se_n_diff = reference_mean_stderr(n_ris - n_nor)
+    if mean_n_nor > 0:
+        degradation = 1.0 - mean_n_ris / mean_n_nor
+        rel_sq = (se_n_nor / mean_n_nor) ** 2
+        if mean_n_ris > 0:
+            rel_sq += (se_n_ris / mean_n_ris) ** 2
+        degradation_stderr = abs(mean_n_ris / mean_n_nor) * np.sqrt(rel_sq)
+    else:
+        degradation = 0.0
+        degradation_stderr = 0.0
+    per_ue = {}
+    for j, ue in enumerate(ues):
+        (se_r, se_r_err), (se_n, se_n_err) = (reference_mean_stderr(outcomes[:, row, j])
+                                              for row in (0, 1))
+        with np.errstate(over="ignore"):
+            sinr_r, sinr_n = (float(outcomes[:, row, j].mean()) for row in (2, 3))
+        if not np.isfinite([sinr_r, sinr_n]).all():
+            raise NumericalError(f"the mean SINR of UE '{ue.id}' is not finite: its samples "
+                                 "are so large that their sum overflows")
+        per_ue[ue.id] = {"role": ue.role, "se_ris": se_r, "se_noris": se_n,
+                         "stderr_se_ris": se_r_err, "stderr_se_noris": se_n_err,
+                         "sinr_ris": sinr_r, "sinr_noris": sinr_n}
+    return dict(
+        n_elements=case.ris.n_elements,
+        ris_position=tuple(float(x) for x in case.ris.position),
+        realizations=case.realizations,
+        sumse_target_ris=mean_t_ris, sumse_target_noris=mean_t_nor,
+        sumse_nontarget_ris=mean_n_ris, sumse_nontarget_noris=mean_n_nor,
+        degradation_ratio=degradation,
+        stderr_target_ris=se_t_ris, stderr_target_noris=se_t_nor,
+        stderr_nontarget_ris=se_n_ris, stderr_nontarget_noris=se_n_nor,
+        stderr_target_diff=se_t_diff, stderr_nontarget_diff=se_n_diff,
+        degradation_stderr=degradation_stderr,
+        clamp_fraction=float(np.mean(clamp)),
+        tuning_converged_fraction=float(np.mean(converged)),
+        per_ue=per_ue)
+
+
+def aggregation_case(counts, owner, n_real):
+    """base_config's scene with ``counts[i]`` UEs on operator ``i`` and ``owner`` owning."""
+    sc = load_scenario(base_config())
+    template = sc.operators
+    operators = []
+    for i, count in enumerate(counts):
+        op = template[i % 2]
+        ues = [engine.UeConfig(id=f"o{i}u{j}", position=[float(j), 1.0, 0.0],
+                               role="target" if i == owner else "non-target", blocked=False)
+               for j in range(count)]
+        operators.append(replace(op, id=f"op{i}", ues=ues))
+    return replace(sc, operators=operators, realizations=n_real,
+                   ris=replace(sc.ris, owner=f"op{owner}"))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(n_real=st.sampled_from([1, 2, 8, 9]) | st.integers(1, 600),
+       counts=(st.lists(st.integers(1, 9), min_size=2, max_size=3) |
+               st.lists(st.integers(1, 9), min_size=1, max_size=1)).filter(
+           lambda c: sum(c) <= 10),
+       owner=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["plain", "no-nontarget-se", "no-nontarget-ris-se",
+                              "sinr-overflow"]),
+       overflowing=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+       sinr_row=st.sampled_from([2, 3]))
+@example(n_real=600, counts=[8, 2], owner=0, seed=1, shape="plain", overflowing=[0],
+         sinr_row=2)
+@example(n_real=8, counts=[1, 9], owner=0, seed=2, shape="no-nontarget-se", overflowing=[0],
+         sinr_row=2)
+@example(n_real=9, counts=[10], owner=0, seed=3, shape="plain", overflowing=[0], sinr_row=2)
+@example(n_real=1, counts=[3, 4], owner=1, seed=4, shape="no-nontarget-ris-se",
+         overflowing=[0], sinr_row=2)
+@example(n_real=2, counts=[2, 3, 1], owner=1, seed=5, shape="sinr-overflow",
+         overflowing=[4, 1], sinr_row=3)
+def test_case_metrics_match_scalar_reference(n_real, counts, owner, seed, shape, overflowing,
+                                             sinr_row):
+    """Every field, per_ue included, has the bits of the scalar per-UE reduction.
+
+    Covers both degradation branches, scenes without a non-target UE, and a
+    SINR column whose mean overflows, which names the first such UE.
+    """
+    owner %= len(counts)
+    case = aggregation_case(counts, owner, n_real)
+    n_ues = sum(counts)
+    rng = np.random.default_rng(seed)
+    # per-UE magnitudes over many decades, so the sums round differently by order
+    scale = 10.0 ** rng.uniform(-3, 3, size=(1, 4, n_ues))
+    outcomes = rng.exponential(1.0, size=(n_real, 4, n_ues)) * scale
+    outcomes[:, :, rng.random(n_ues) < 0.15] = 0.0          # silent UEs
+    nontarget = np.array([i != owner for i, count in enumerate(counts)
+                          for _ in range(count)])
+    if shape == "no-nontarget-se":
+        outcomes[:, :2, nontarget] = 0.0
+    elif shape == "no-nontarget-ris-se":
+        outcomes[:, 0, nontarget] = 0.0
+    elif shape == "sinr-overflow":
+        # two samples at 1.5e308 sum past the float range; one alone does not
+        outcomes[:, sinr_row, [j % n_ues for j in overflowing]] = 1.5e308
+    clamp = rng.integers(0, 5, size=n_real) / 4
+    converged = rng.random(n_real) < 0.9
+    try:
+        expected = reference_case_metrics(case, outcomes, clamp, converged)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as raised:
+            engine._case_metrics(case, outcomes, clamp, converged)
+        assert str(raised.value) == str(exc)
+        return
+    got = engine._case_metrics(case, outcomes, clamp, converged)
+    assert list(vars(got)) == list(expected)
+    for name, value in expected.items():
+        assert getattr(got, name) == value, name
 
 
 def block_spanning_config(cfg, counts, entries):
