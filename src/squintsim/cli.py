@@ -62,8 +62,6 @@ def _cmd_boi(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    if args.action != "dump":
-        raise ConfigError(f"unknown preset action '{args.action}'; expected 'dump'")
     sys.stdout.write(preset_text(args.name))
     return 0
 

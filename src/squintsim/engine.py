@@ -8,12 +8,13 @@ channels, and then evaluates everyone on the channels that actually
 exist, with the frozen surface state re-evaluated at each carrier.
 """
 
+import errno
 import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -597,58 +598,75 @@ def _in_scene(field: str, build, *args):
 
 
 # Cap on realizations x surface elements x owner cascade entries per case in
-# one block of a run. It sets a block's realization count and so bounds the
-# draws and channels a block holds for each case; the block ranges it sets
-# never depend on the worker count.
-_BLOCK_TERMS = 1 << 16
+# one block of a run. It sets how many equal blocks a run is split into and
+# so bounds the channels a block holds for each case; the block ranges it
+# sets never depend on the worker count.
+_BLOCK_TERMS = 1 << 17
 # Cap on the same count summed over one stack, the same-size cases of a
 # block that are tuned, precoded and evaluated together. It bounds the
-# ascent's arrays; fig5's four positions make one stack at 10 and 30
-# elements and two at 50 and 70.
+# ascent's arrays; in fig5's blocks of 45 or 46 realizations its four
+# positions make one stack at 10 elements, two at 30 and four, one case
+# each, at 50 and 70.
 _STACK_TERMS = 1 << 17
 # Cap on the terms of one realization's largest array, an operator's
 # cascade from every BS antenna through every element to every user.
 _REALIZATION_TERMS = 1 << 22
 
 
-def _link_draws(scenario: Scenario, start: int, stop: int, n_elements: int) -> dict:
+class _LinkDraws:
     """Standard normals of every random link of realizations [start, stop).
 
-    Keyed by (operator index, ue slot, link code), each is a
-    (realizations x 2 * entries) array drawn from the link's own
-    ``derive_seed`` stream at ``n_elements`` surface elements: real parts,
-    then imaginary parts. A link of a smaller surface takes the prefix its
-    entries need, since a stream's prefix does not depend on its length.
-    Empty for pure line of sight.
+    ``take(key)`` returns the normals of link (operator index, ue slot,
+    link code): a (realizations x 2 * entries) array drawn from the link's
+    own ``derive_seed`` stream at ``n_elements`` surface elements, real
+    parts, then imaginary parts. A link of a smaller surface takes the
+    prefix its entries need, since a stream's prefix does not depend on its
+    length. A link is drawn when it is first taken and forgotten after its
+    last take: once for a direct link, ``reads`` times for a surface link.
 
-    The streams are seeded by ``_pcg64_states``, numpy's SeedSequence to
-    PCG64 derivation in array form, and drawn through one reused
-    generator. Its first state is checked against ``derive_seed``, so a
-    numpy whose derivation differs fails the run instead of changing it.
+    Every stream is seeded up front by ``_pcg64_states``, numpy's
+    SeedSequence to PCG64 derivation in array form, and drawn through one
+    reused generator. Its first state is checked against ``derive_seed``,
+    so a numpy whose derivation differs fails the run instead of changing it.
     """
-    if scenario.k_factor_db is None:
-        return {}
-    entries = {}
-    for i, op in enumerate(scenario.operators):
-        entries[i, 0, BS_RIS_LINK] = n_elements * op.bs.n_antennas
-        for j, ue in enumerate(op.ues):
-            if not ue.blocked:
-                entries[i, j + 1, DIRECT_LINK] = op.bs.n_antennas
-            entries[i, j + 1, RIS_UE_LINK] = n_elements
-    draws = {key: np.empty((stop - start, 2 * size)) for key, size in entries.items()}
-    states = _pcg64_states(scenario.master_seed, range(start, stop), list(draws))
-    bit_generator = np.random.PCG64(derive_seed(scenario.master_seed, start, *next(iter(draws))))
-    if bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
-        raise SquintSimError(f"numpy {np.__version__} seeds PCG64 from a SeedSequence "
-                             "differently from the derivation this engine reproduces, "
-                             "so its draws would break the stated seed rule")
-    generator = np.random.Generator(bit_generator)
-    rows = (out[r] for r in range(stop - start) for out in draws.values())
-    for (state, inc), row in zip(states, rows):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        generator.standard_normal(out=row)
-    return draws
+
+    def __init__(self, scenario: Scenario, start: int, stop: int, n_elements: int,
+                 reads: int):
+        entries = {}
+        for i, op in enumerate(scenario.operators):
+            entries[i, 0, BS_RIS_LINK] = n_elements * op.bs.n_antennas
+            for j, ue in enumerate(op.ues):
+                if not ue.blocked:
+                    entries[i, j + 1, DIRECT_LINK] = op.bs.n_antennas
+                entries[i, j + 1, RIS_UE_LINK] = n_elements
+        keys = list(entries)
+        states = _pcg64_states(scenario.master_seed, range(start, stop), keys)
+        bit_generator = np.random.PCG64(derive_seed(scenario.master_seed, start, *keys[0]))
+        if bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
+            raise SquintSimError(f"numpy {np.__version__} seeds PCG64 from a SeedSequence "
+                                 "differently from the derivation this engine reproduces, "
+                                 "so its draws would break the stated seed rule")
+        self._bit_generator = bit_generator
+        self._generator = np.random.Generator(bit_generator)
+        # realization-major states, so a key's realizations are every len(keys)-th pair
+        self._streams = {key: (entries[key], states[k::len(keys)]) for k, key in enumerate(keys)}
+        self._reads = {key: 1 if key[2] == DIRECT_LINK else reads for key in keys}
+        self._drawn = {}
+
+    def take(self, key: tuple) -> np.ndarray:
+        normals = self._drawn.get(key)
+        if normals is None:
+            size, states = self._streams[key]
+            normals = self._drawn[key] = np.empty((len(states), 2 * size))
+            for (state, inc), row in zip(states, normals):
+                self._bit_generator.state = {"bit_generator": "PCG64",
+                                             "state": {"state": state, "inc": inc},
+                                             "has_uint32": 0, "uinteger": 0}
+                self._generator.standard_normal(out=row)
+        self._reads[key] -= 1
+        if not self._reads[key]:
+            del self._drawn[key]
+        return normals
 
 
 def _link_field(key: tuple) -> str:
@@ -690,17 +708,19 @@ def _los_links(cases: list) -> tuple[dict, list]:
     return direct, links
 
 
-def _link(scenario: Scenario, links: dict, draws: dict, key: tuple, out: np.ndarray) -> None:
+def _link(scenario: Scenario, links: dict, draws: _LinkDraws | None, key: tuple,
+          out: np.ndarray) -> None:
     """Fill ``out``, (realizations,) + link shape, with one link's LoS entries and scatter."""
     los = links[key]
     if scenario.k_factor_db is None:
         out[...] = los
         return
-    normals = draws[key][:, :2 * los.size].reshape((len(out), 2) + los.shape)
+    normals = draws.take(key)[:, :2 * los.size].reshape((len(out), 2) + los.shape)
     _in_scene(_link_field(key), rician_channel, los, scenario.k_factor_db, normals, out)
 
 
-def _direct_links(scenario: Scenario, links: dict, draws: dict, n_real: int) -> list:
+def _direct_links(scenario: Scenario, links: dict, draws: _LinkDraws | None,
+                  n_real: int) -> list:
     """Each operator's (realizations x UEs x BS antennas) direct links.
 
     A blocked UE has a zero row.
@@ -715,22 +735,25 @@ def _direct_links(scenario: Scenario, links: dict, draws: dict, n_real: int) -> 
     return out
 
 
-def _operator_channels(cases: list, links: list, i: int, draws: dict,
+def _operator_channels(cases: list, links: list, i: int, draws: _LinkDraws | None,
                        direct: list) -> ChannelSet:
     """Operator ``i``'s ChannelSet at its carrier, a row per UE, over a stack of cases.
 
     The cases share a surface size and are stacked case-major on the
     realization axis; each case's links (``links``, one dict per case) are
-    written straight into the stack.
+    written straight into the stack. The links are filled one at a time
+    across the cases, so that a link read for the last time is freed before
+    the next one is drawn.
     """
     op = cases[0].operators[i]
     n_real, n_el = len(direct[i]), cases[0].ris.n_elements
     bs_to_ris = np.empty((len(cases), n_real, n_el, op.bs.n_antennas), dtype=complex)
     ris_to_ue = np.empty((len(cases), n_real, len(op.ues), n_el), dtype=complex)
-    for k, (case, case_links) in enumerate(zip(cases, links)):
-        _link(case, case_links, draws, (i, 0, BS_RIS_LINK), bs_to_ris[k])
-        for j in range(len(op.ues)):
-            _link(case, case_links, draws, (i, j + 1, RIS_UE_LINK), ris_to_ue[k, :, j:j + 1])
+    fills = [((i, 0, BS_RIS_LINK), bs_to_ris)]
+    fills += [((i, j + 1, RIS_UE_LINK), ris_to_ue[:, :, j:j + 1]) for j in range(len(op.ues))]
+    for key, out in fills:
+        for case, case_links, case_out in zip(cases, links, out):
+            _link(case, case_links, draws, key, case_out)
     n_stack = len(cases) * n_real
     return ChannelSet(direct=np.tile(direct[i], (len(cases), 1, 1)),
                       bs_to_ris=bs_to_ris.reshape(n_stack, n_el, -1),
@@ -780,7 +803,7 @@ def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
     return PrecodeResult(matrix=matrix, powers=powers)
 
 
-def _stack_block(cases: list, links: list, draws: dict, direct: list, blind: list,
+def _stack_block(cases: list, links: list, draws: _LinkDraws | None, direct: list, blind: list,
                  without: list) -> list:
     """Per case, (outcomes, clamp fractions, converged flags) of one stack over one block.
 
@@ -846,14 +869,17 @@ def _block_worker(args) -> list:
 
     ``outcomes`` is (realizations x 4 x UEs), UEs in config order; its rows
     are SE with and without the surface, then SINR with and without it.
-    The draws, the direct links, the surface-blind precoders and every
-    metric without the surface depend on no surface, so they are computed
-    once and shared by every case; the cases then run stack by stack.
+    The direct links, the surface-blind precoders and every metric without
+    the surface depend on no surface, so they are computed once and shared
+    by every case; the cases then run stack by stack. Each surface link is
+    drawn when the first stack reads it and freed after the last stack
+    does, so a one-stack block holds no draws through its ascent.
     ``direct_los`` and ``links`` are the line-of-sight matrices of ``_los_links``.
     """
     cases, direct_los, links, start, stop = args
     scenario = cases[0]
-    draws = _link_draws(scenario, start, stop, max(case.ris.n_elements for case in cases))
+    draws = None if scenario.k_factor_db is None else _LinkDraws(
+        scenario, start, stop, max(case.ris.n_elements for case in cases), reads=len(cases))
     direct = _direct_links(scenario, direct_los, draws, stop - start)
     blind = [_precode_rows(h, op) for op, h in zip(scenario.operators, direct)]
     without = [link_metrics(h, p, scenario.noise_w) for h, p in zip(direct, blind)]
@@ -863,13 +889,18 @@ def _block_worker(args) -> list:
 
 
 def _blocks(cases: list) -> list:
-    """The fixed realization ranges [start, stop) of a run, sized by _BLOCK_TERMS."""
+    """The fixed realization ranges [start, stop) of a run.
+
+    The fewest blocks of at most _BLOCK_TERMS terms each, with sizes that
+    differ by at most one.
+    """
     scenario = cases[0]
     owner = scenario.owner
     terms = max(case.ris.n_elements for case in cases) * len(owner.ues) * owner.bs.n_antennas
-    size = max(1, _BLOCK_TERMS // terms)
-    return [(start, min(start + size, scenario.realizations))
-            for start in range(0, scenario.realizations, size)]
+    total = scenario.realizations
+    n_blocks = -(-total // max(1, _BLOCK_TERMS // terms))
+    bounds = [k * total // n_blocks for k in range(n_blocks + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1050,19 +1081,51 @@ def format_cases(table, fmt: str, scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _undo_on_failure(paths):
-    """Run the block; if it fails, delete each file, then each directory, of ``paths`` it created."""
-    new = [path for path in paths if not os.path.lexists(path)]
+def _write_all(writers: dict, out_dir=None) -> None:
+    """Write every file of ``writers``, or leave the file system as it was.
+
+    ``writers`` maps each path to a function that writes that file's
+    content to the name it is given: a hidden temporary name beside the
+    path. The temporary files are renamed onto their paths only once all of
+    them are written, and a path that names a directory, onto which no file
+    can be renamed, fails the call before anything is written. ``out_dir``,
+    when given, is created with its missing parents first. A failure
+    deletes the temporary files, every renamed file that did not exist
+    before and every directory this call created.
+    """
+    for path in writers:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    temporary = {path: os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+                 for path in writers}
+    new = [path for path in writers if not os.path.lexists(path)]
+    missing = []
+    if out_dir is not None:
+        parent = os.path.abspath(out_dir)
+        while not os.path.lexists(parent):
+            missing.append(parent)
+            parent = os.path.dirname(parent)
+    created = []
     try:
-        yield
+        for directory in reversed(missing):
+            os.mkdir(directory)
+            created.append(directory)
+        for path, write in writers.items():
+            write(temporary[path])
+        for path in writers:
+            os.replace(temporary[path], path)
     except BaseException:
-        for path in new:
-            if os.path.isdir(path):
-                os.rmdir(path)
-            elif os.path.lexists(path):
+        for path in [*temporary.values(), *new]:
+            if os.path.lexists(path) and not os.path.isdir(path):
                 os.remove(path)
+        for directory in reversed(created):
+            os.rmdir(directory)
         raise
+
+
+def _write_text(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def export_results(table, fmt: str, path, scenario: Scenario) -> None:
@@ -1071,7 +1134,8 @@ def export_results(table, fmt: str, path, scenario: Scenario) -> None:
     The manifest echoes the materialized config, the seed rule, and the
     tool version; it carries no timestamps, so re-exporting an identical
     run is byte-identical. A NaN or infinite value raises NumericalError
-    before any file is opened, and a failed write leaves no new file.
+    before any file is opened, and a failed write (``_write_all``) leaves
+    no new file.
     """
     payload = format_cases(table, fmt, scenario)
     manifest = {
@@ -1085,13 +1149,10 @@ def export_results(table, fmt: str, path, scenario: Scenario) -> None:
         "config": scenario.config_echo,
     }
     path = str(path)
-    texts = {path: payload,
-             path + ".manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     try:
-        with _undo_on_failure(texts):
-            for target, text in texts.items():
-                with open(target, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
+        _write_all({path: partial(_write_text, payload),
+                    path + ".manifest.json": partial(_write_text, manifest_text)})
     except OSError as exc:
         raise OSError(f"failed writing results to '{path}': {exc}") from exc
 
@@ -1147,8 +1208,9 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     ``pattern_summary.json``. When the probe-frequency main lobe misses
     the configured reference angle by more than the window, a circuit
     sensitivity sweep runs and lands in ``squint_sensitivity.csv``. Every
-    pattern is evaluated before ``out_dir`` is created, so a study that
-    fails writes nothing.
+    pattern is evaluated before anything is written, and the files are
+    written together (``_write_all``), so a study that fails leaves
+    ``out_dir`` and its parents as they were.
     """
     if scenario.pattern is None:
         raise ConfigError("config.pattern section is required for a pattern study")
@@ -1197,20 +1259,16 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
                 "closest": closest,
             }
 
-    csvs = {os.path.join(out_dir, e["file"]): patterns[e["frequency_hz"]] for e in entries}
-    texts = {os.path.join(out_dir, "pattern_summary.json"):
-             json.dumps(summary, indent=2, sort_keys=True) + "\n"}
+    writers = {os.path.join(out_dir, e["file"]):
+               partial(pattern_to_csv, patterns[e["frequency_hz"]]) for e in entries}
+    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    writers[os.path.join(out_dir, "pattern_summary.json")] = partial(_write_text, summary_text)
     if rows:
         lines = [",".join(SENSITIVITY_COLUMNS)]
         lines += [",".join(f"{row[c]:.9g}" for c in SENSITIVITY_COLUMNS) for row in rows]
-        texts[os.path.join(out_dir, "squint_sensitivity.csv")] = "\n".join(lines) + "\n"
-    with _undo_on_failure([*csvs, *texts, out_dir]):
-        os.makedirs(out_dir, exist_ok=True)
-        for path, pattern in csvs.items():
-            pattern_to_csv(pattern, path)
-        for path, text in texts.items():
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+        writers[os.path.join(out_dir, "squint_sensitivity.csv")] = partial(
+            _write_text, "\n".join(lines) + "\n")
+    _write_all(writers, out_dir)
     return summary
 
 

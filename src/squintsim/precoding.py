@@ -121,7 +121,9 @@ def zf_precoder(channels, total_power: float = 1.0,
     if n_users > n_tx:
         raise ValueError(f"{n_users} users exceed {n_tx} BS antennas")
     norms = _nonzero_rows(h)
-    singulars = np.linalg.svd(h, compute_uv=False).reshape(-1, n_users)
+    # one factorization serves the checks and the pseudo-inverse
+    u, s, vt = np.linalg.svd(h.conj(), full_matrices=False)
+    singulars = s.reshape(-1, n_users)
     deficient = singulars[:, -1] <= max(n_users, n_tx) * np.finfo(float).eps * singulars[:, 0]
     condition = np.full(len(singulars), np.inf)
     np.divide(singulars[:, 0], singulars[:, -1], out=condition, where=~deficient)
@@ -137,7 +139,10 @@ def zf_precoder(channels, total_power: float = 1.0,
             f"channel condition number {condition[first]:.3e} exceeds the configured "
             f"limit {condition_limit:.3e}; users {pair[0]} and {pair[1]} are the "
             "most correlated pair", ue_pair=pair, condition_number=float(condition[first]))
-    w = np.linalg.pinv(h)
+    # np.linalg.pinv's product, which drops singular values at or below 1e-15 of the largest
+    large = s > 1e-15 * s[..., :1]
+    inverse = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    w = np.swapaxes(vt, -1, -2) @ (inverse[..., None] * np.swapaxes(u, -1, -2))
     w = w / np.linalg.norm(w, axis=-2, keepdims=True)
     return PrecodeResult(matrix=w, powers=np.full(norms.shape, total_power / n_users))
 

@@ -477,6 +477,13 @@ def test_preset_dump_unknown(capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
+def test_preset_unknown_action_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["preset", "foo", "fig1a"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -508,3 +515,17 @@ def test_failed_export_leaves_no_new_file(tmp_path, capsys, target):
     assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
     assert all(not p.is_dir() or not any(p.iterdir()) for p in before)
+
+
+def test_failed_export_keeps_an_existing_out(tmp_path, capsys):
+    """A manifest path that is a directory fails the export before an existing --out
+    is replaced; the payload was written over it, before."""
+    cfg = small_config_file(tmp_path)
+    out = tmp_path / "case.csv"
+    out.write_text("old\n", encoding="utf-8")
+    (tmp_path / "case.csv.manifest.json").mkdir()
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [cfg.name, "case.csv", "case.csv.manifest.json"])

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -294,6 +295,8 @@ def test_pcg64_states_match_derive_seed(master_seed, realizations, keys):
 def test_link_draws_match_derive_seed(name, master_seed, start):
     """Every preset's link draws are the normals of default_rng(derive_seed(...)).
 
+    Each link is drawn when it is first taken, here in another order than the
+    seeding one, and a link taken for the last time is drawn afresh if taken again.
     Pure line-of-sight presets are given scatter so that their links are drawn.
     """
     cfg = preset_config(name)
@@ -302,10 +305,14 @@ def test_link_draws_match_derive_seed(name, master_seed, start):
     sc = load_scenario(cfg)
     counts = [sc.ris.n_elements] + (sc.sweep_spec.element_counts if sc.sweep_spec else [])
     stop = start + len(STRADDLE)
-    draws = engine._link_draws(sc, start, stop, max(counts))
-    n_links = sum(1 + sum(2 - ue.blocked for ue in op.ues) for op in sc.operators)
-    assert len(draws) == n_links
-    for key, normals in draws.items():
+    draws = engine._LinkDraws(sc, start, stop, max(counts), reads=1)
+    keys = [(i, 0, 1) for i in range(len(sc.operators))]
+    keys += [(i, j + 1, code) for i, op in enumerate(sc.operators)
+             for j, ue in enumerate(op.ues) for code in (0, 2)[ue.blocked:]]
+    assert sorted(draws._streams) == sorted(keys)
+    for key in reversed(keys):
+        normals = draws.take(key)
+        assert draws.take(key) is not normals
         for r in range(start, stop):
             rng = np.random.default_rng(derive_seed(master_seed, r, *key))
             assert np.array_equal(normals[r - start], rng.standard_normal(normals.shape[1]))
@@ -671,8 +678,42 @@ def test_case_metrics_match_scalar_reference(n_real, counts, owner, seed, shape,
         assert getattr(got, name) == value, name
 
 
+BLOCK_SCENE = load_scenario(base_config())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(realizations=st.integers(1, 5000),
+       counts=st.lists(st.integers(1, 20_000), min_size=1, max_size=3))
+def test_blocks_are_the_fewest_equal_ranges(realizations, counts):
+    """[0, R) in order, in ceil(R / cap) blocks whose sizes differ by at most one."""
+    sc = replace(BLOCK_SCENE, realizations=realizations)
+    cases = [engine._with_surface(sc, n, (0.0, 0.0, 0.0)) for n in counts]
+    # base_config's owner serves two UEs from four antennas
+    cap = max(1, engine._BLOCK_TERMS // (max(counts) * 2 * 4))
+    blocks = engine._blocks(cases)
+    assert len(blocks) == -(-realizations // cap)
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == realizations
+    sizes = [stop - start for start, stop in blocks]
+    assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+
+
+def test_fig4d_run_holds_no_draws_through_its_ascent():
+    """Drawing each link at its first read and freeing it after its last keeps a
+    one-stack block's peak below 5.0 MB (5.13 MB with every draw held per block)."""
+    sc = load_preset("fig4d")
+    tracemalloc.start()
+    try:
+        run_case(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0e6
+
+
 def block_spanning_config(cfg, counts, entries):
-    """``cfg`` with enough realizations for two full blocks and a remainder."""
+    """``cfg`` with two full blocks' realizations and three more, so that the run
+    splits into three equal blocks."""
     size = engine._BLOCK_TERMS // (max(counts) * entries)
     assert size > 3
     cfg["realizations"] = 2 * size + 3
@@ -743,15 +784,19 @@ def lone_config(cfg, case):
 
 
 def test_sweep_stacks_only_consecutive_equal_sizes(tmp_path):
-    """Sizes 16, 64, 16 make three stacks; exports and points match workers=1 and lone runs."""
+    """Sizes 16, 64, 16 make four stacks, the two 16-element groups apart; exports and
+    points match workers=1 and lone runs."""
     counts = [16, 64, 16]
     cfg = block_spanning_config(base_config(), counts, entries=2 * 4)
     cfg["sweep"] = {"element_counts": counts,
                     "positions": [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]}
     sc = load_scenario(cfg)
     cases = [engine._with_surface(sc, n, pos) for n in counts for pos in cfg["sweep"]["positions"]]
-    start, stop = engine._blocks(cases)[0]
-    assert [len(stack) for stack in engine._stacks(cases, stop - start)] == [2, 2, 2]
+    # 515 realizations in blocks of 171 or 172; a full block fits five 16-element
+    # cases but one 64-element case (64 x 8 x 172 = 88,064 of 131,072 terms)
+    assert engine._blocks(cases) == [(0, 171), (171, 343), (343, 515)]
+    for start, stop in engine._blocks(cases):
+        assert engine._stacks(cases, stop - start) == [[0, 1], [2], [3], [4, 5]]
     files = {}
     for workers in (1, 3):
         table = sweep(sc, workers=workers)

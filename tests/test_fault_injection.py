@@ -136,3 +136,31 @@ def test_injected_failure_fails_closed(reached, tmp_path, capsys, entry, error, 
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.err.startswith(prefix) and message in captured.err
         assert snapshot(out) == before, command
+
+
+@pytest.mark.parametrize("out_dir", ["c", "a/b"], ids=["existing-file", "nested-new-dir"])
+def test_failed_pattern_write_leaves_no_change(tmp_path, capsys, monkeypatch, out_dir):
+    """An OSError from the second pattern file leaves every file and directory as it was:
+    an existing ``pattern_2.500GHz.csv`` keeps its content, no temporary file stays, and
+    the missing parents of a nested ``--out-dir`` are removed with it."""
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(scene_config()), encoding="utf-8")
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "pattern_2.500GHz.csv").write_text("old\n", encoding="utf-8")
+    before = snapshot(tmp_path)
+    written = []
+
+    def second_fails(pattern, path):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(f"injected into the write of {path}")
+        real(pattern, path)
+
+    engine = importlib.import_module("squintsim.engine")
+    real = engine.pattern_to_csv
+    monkeypatch.setattr(engine, "pattern_to_csv", second_fails)
+    assert main(["pattern", str(config), "--out-dir", str(tmp_path / out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert len(written) == 2
+    assert captured.out == "" and captured.err.startswith("i/o error: injected")
+    assert snapshot(tmp_path) == before

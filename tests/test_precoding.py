@@ -104,6 +104,17 @@ def test_zf_residual_relative_bound(rng):
         assert np.max(off) < 1e-9 * np.min(diag)
 
 
+@pytest.mark.parametrize("shape", [(400, 2, 8), (120, 2, 20), (30, 4, 20), (7, 1, 8),
+                                   (3, 8), (6, 3, 3)])
+def test_zf_matrix_is_the_normalized_pinv(rng, shape):
+    """The one SVD's pseudo-inverse is bit for bit np.linalg.pinv's, ill-conditioned rows too."""
+    h = cplx(rng, shape)
+    h[..., 0, :] += 1e4 * h[..., -1, :]
+    expected = np.linalg.pinv(h)
+    expected = expected / np.linalg.norm(expected, axis=-2, keepdims=True)
+    assert np.array_equal(zf_precoder(h).matrix, expected)
+
+
 def test_zf_too_many_users():
     h = np.ones((5, 4), dtype=complex) + 1j
     with pytest.raises(ValueError, match="5 users exceed 4"):
