@@ -8,7 +8,9 @@ channels, and then evaluates everyone on the channels that actually
 exist, with the frozen surface state re-evaluated at each carrier.
 """
 
+import contextlib
 import errno
+import itertools
 import json
 import os
 import warnings
@@ -216,12 +218,14 @@ _POSITIVE = _number(positive=True)
 _NON_NEGATIVE = _number(non_negative=True)
 
 
-def _integer(minimum: int):
+def _integer(minimum: int, maximum: int | None = None):
     def check(value, path):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigError(f"{path} must be an integer")
         if value < minimum:
             raise ConfigError(f"{path} must be at least {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{path} must be at most {maximum}")
         return int(value)
     return check
 
@@ -296,6 +300,7 @@ def _cut_radius(value, path):
 # a UE's role is filled in from surface ownership when omitted
 _UE = {"id": (_name, _REQUIRED), "position": (_VECTOR, _REQUIRED),
        "role": (_one_of("target", "non-target"), None), "blocked": (_flag, False)}
+# Node's fields in order, with n_antennas as antennas
 _BS = {"position": (_VECTOR, _REQUIRED), "antennas": (_integer(1), 1),
        "spacing_fraction": (_POSITIVE, 0.5), "axis": (_VECTOR, [1.0, 0.0, 0.0])}
 _OPERATOR = {"id": (_name, _REQUIRED), "carrier_hz": (_POSITIVE, _REQUIRED),
@@ -334,7 +339,7 @@ _PATTERN = {"frequencies_hz": (_list_of(_POSITIVE), _REQUIRED),
 _CONFIG = _section({
     "operators": (_list_of(_section(_OPERATOR)), _REQUIRED),
     "ris": (_section(_RIS), _REQUIRED),
-    "master_seed": (_integer(0), 0), "realizations": (_integer(1), 100),
+    "master_seed": (_integer(0), 0), "realizations": (_integer(1, 1 << 32), 100),
     "noise": (_section(_NOISE), {}),
     "channel": (_section({"k_factor_db": (_FINITE, None)}), {}),
     "sweep": (_section(_SWEEP), None), "pattern": (_section(_PATTERN), None)})
@@ -388,6 +393,10 @@ def load_scenario(config) -> Scenario:
     circuit = ris["circuit"]
     if not circuit["c_min_f"] < circuit["c_max_f"]:
         raise ConfigError("config.ris.circuit.c_max_f must exceed c_min_f")
+    try:    # the linear ratio rician_channel takes leaves the float range near 3,083 dB
+        10.0 ** ((cfg["channel"]["k_factor_db"] or 0.0) / 10.0)
+    except OverflowError:
+        raise ConfigError("config.channel.k_factor_db must keep 10^(dB / 10) finite") from None
     surfaces = [("config.ris.rows x config.ris.cols", ris["rows"] * ris["cols"])]
     if cfg["sweep"] is not None:
         surfaces += [(f"config.sweep.element_counts[{k}]", n)
@@ -428,10 +437,7 @@ def load_scenario(config) -> Scenario:
     if not 0 < noise_w < np.inf:
         raise ConfigError(f"config.noise gives noise power {noise_w:g} W, not finite and positive")
     operators = [
-        OperatorConfig(**{**op, "bs": Node(position=op["bs"]["position"],
-                                          n_antennas=op["bs"]["antennas"],
-                                          spacing_fraction=op["bs"]["spacing_fraction"],
-                                          axis=op["bs"]["axis"]),
+        OperatorConfig(**{**op, "bs": Node(*op["bs"].values()),
                           "ues": [UeConfig(**ue) for ue in op["ues"]]})
         for op in ops]
     surface = RisConfig(**{**ris, "circuit": CircuitParams(
@@ -472,34 +478,19 @@ _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 
 
-def _entropy_words(ints) -> list:
-    """The uint32 words SeedSequence takes from a list of non-negative ints.
-
-    Each int contributes its little-endian 32-bit words; zero is one word.
-    """
-    words = []
-    for part in ints:
-        words.append(part & _MASK32)
-        part >>= 32
-        while part:
-            words.append(part & _MASK32)
-            part >>= 32
-    return words
-
-
 def _generate_state(entropy: np.ndarray) -> list:
     """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of a uint32 array.
 
     Rows hold at least the pool's four words, as every seeding key does.
     Returns the four uint64 columns. The hash constants advance with the
-    number of words only, so every row of equal length hashes in step.
+    number of words only, so all rows hash in step.
     """
     hash_const = _INIT_A
 
-    def hashmix(value):
+    def hashmix(value, mult=_MULT_A):
         nonlocal hash_const
         value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
+        hash_const = hash_const * mult & _MASK32
         value = value * np.uint32(hash_const)
         return value ^ (value >> _XSHIFT)
 
@@ -518,54 +509,34 @@ def _generate_state(entropy: np.ndarray) -> list:
 
     # eight uint32 words, read in pairs as the four little-endian uint64s
     hash_const = _INIT_B
-    words = []
-    for i in range(2 * 4):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    words = [hashmix(pool[i % _POOL_SIZE], _MULT_B).astype(np.uint64) for i in range(2 * 4)]
     return [lo | hi << np.uint64(32) for lo, hi in zip(words[0::2], words[1::2])]
-
-
-def _word_groups(items: list) -> list:
-    """(positions, words) of ``items``, tuples of ints, grouped by word count.
-
-    ``words`` stacks the ``_entropy_words`` of the items at ``positions``.
-    """
-    groups = {}
-    for n, item in enumerate(items):
-        words = _entropy_words(item)
-        positions, rows = groups.setdefault(len(words), ([], []))
-        positions.append(n)
-        rows.append(words)
-    return [(np.array(positions), np.array(rows, dtype=np.uint32))
-            for positions, rows in groups.values()]
 
 
 def _pcg64_states(master_seed: int, realizations, keys: list) -> list:
     """PCG64's seeded (state, inc) for ``derive_seed(master_seed, r, *key)``.
 
-    One pair per realization and key, realization-major. Reproduces
-    numpy's SeedSequence pool hash and ``generate_state(4, uint64)`` as
-    uint32 array operations over all pairs at once, pairs of equal word
-    count together, then PCG64's seeding step in 128-bit integers:
+    One pair per realization and key, realization-major. The keys have one
+    length, and every realization and key entry is one uint32 word (a config
+    loads with at most 2^32 realizations), so each pair's entropy is a row of
+    one (realizations x keys x words) table: the master seed's little-endian
+    words, the realization, the key. One ``_generate_state`` call hashes it,
+    then PCG64's seeding step runs in 128-bit integers:
     inc = 2 seq + 1, state = (inc + initstate) MULT + inc.
     """
-    prefix = _entropy_words([int(master_seed)])
-    key_groups = _word_groups([tuple(map(int, key)) for key in keys])
-    states = [None] * (len(realizations) * len(keys))
-    for r_pos, r_words in _word_groups([(int(r),) for r in realizations]):
-        for k_pos, k_words in key_groups:
-            a, b = len(prefix), len(prefix) + r_words.shape[1]
-            entropy = np.empty((len(r_pos), len(k_pos), b + k_words.shape[1]), dtype=np.uint32)
-            entropy[..., :a] = prefix
-            entropy[..., a:b] = r_words[:, None]
-            entropy[..., b:] = k_words[None]
-            columns = _generate_state(entropy.reshape(-1, entropy.shape[-1]))
-            where = (r_pos[:, None] * len(keys) + k_pos).ravel().tolist()
-            for n, s_hi, s_lo, q_hi, q_lo in zip(where, *(c.tolist() for c in columns)):
-                inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-                states[n] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    seed = int(master_seed)
+    prefix = [seed >> 32 * k & _MASK32 for k in range(max(1, -(-seed.bit_length() // 32)))]
+    a = len(prefix)
+    entropy = np.empty((len(realizations), len(keys), a + 1 + len(keys[0])), dtype=np.uint32)
+    entropy[..., :a] = prefix
+    # numpy raises OverflowError for an entry that is not one uint32 word
+    entropy[..., a] = np.array(realizations, dtype=np.uint32)[:, None]
+    entropy[..., a + 1:] = np.array(keys, dtype=np.uint32)
+    columns = _generate_state(entropy.reshape(-1, entropy.shape[-1]))
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*(c.tolist() for c in columns)):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
     return states
 
 
@@ -597,17 +568,13 @@ def _in_scene(field: str, build, *args):
         raise NumericalError(f"evaluating {field}: {exc}") from None
 
 
-# Cap on realizations x surface elements x owner cascade entries per case in
-# one block of a run. It sets how many equal blocks a run is split into and
-# so bounds the channels a block holds for each case; the block ranges it
-# sets never depend on the worker count.
+# Cap on realizations x surface elements x owner cascade entries, per case in
+# one block of a run and summed over one stack (the same-size cases of a block
+# tuned, precoded and evaluated together). It sets how many equal blocks a run
+# is split into, whatever the worker count, and bounds a block's channels and
+# the ascent's arrays: in fig5's blocks of 45 or 46 realizations the four
+# positions make one stack at 10 elements, two at 30 and four of one case at 50 and 70.
 _BLOCK_TERMS = 1 << 17
-# Cap on the same count summed over one stack, the same-size cases of a
-# block that are tuned, precoded and evaluated together. It bounds the
-# ascent's arrays; in fig5's blocks of 45 or 46 realizations its four
-# positions make one stack at 10 elements, two at 30 and four, one case
-# each, at 50 and 70.
-_STACK_TERMS = 1 << 17
 # Cap on the terms of one realization's largest array, an operator's
 # cascade from every BS antenna through every element to every user.
 _REALIZATION_TERMS = 1 << 22
@@ -617,9 +584,10 @@ class _LinkDraws:
     """Standard normals of every random link of realizations [start, stop).
 
     ``take(key)`` returns the normals of link (operator index, ue slot,
-    link code): a (realizations x 2 * entries) array drawn from the link's
-    own ``derive_seed`` stream at ``n_elements`` surface elements, real
-    parts, then imaginary parts. A link of a smaller surface takes the
+    link code): a (realizations x 2 * sizes[key]) array drawn from the
+    link's own ``derive_seed`` stream, real parts, then imaginary parts.
+    ``sizes`` maps each link to the entry count of its line-of-sight matrix
+    at the block's largest surface; a link of a smaller surface takes the
     prefix its entries need, since a stream's prefix does not depend on its
     length. A link is drawn when it is first taken and forgotten after its
     last take: once for a direct link, ``reads`` times for a surface link.
@@ -630,26 +598,17 @@ class _LinkDraws:
     so a numpy whose derivation differs fails the run instead of changing it.
     """
 
-    def __init__(self, scenario: Scenario, start: int, stop: int, n_elements: int,
-                 reads: int):
-        entries = {}
-        for i, op in enumerate(scenario.operators):
-            entries[i, 0, BS_RIS_LINK] = n_elements * op.bs.n_antennas
-            for j, ue in enumerate(op.ues):
-                if not ue.blocked:
-                    entries[i, j + 1, DIRECT_LINK] = op.bs.n_antennas
-                entries[i, j + 1, RIS_UE_LINK] = n_elements
-        keys = list(entries)
-        states = _pcg64_states(scenario.master_seed, range(start, stop), keys)
-        bit_generator = np.random.PCG64(derive_seed(scenario.master_seed, start, *keys[0]))
+    def __init__(self, master_seed: int, start: int, stop: int, sizes: dict, reads: int):
+        keys = list(sizes)
+        states = _pcg64_states(master_seed, range(start, stop), keys)
+        bit_generator = np.random.PCG64(derive_seed(master_seed, start, *keys[0]))
         if bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
             raise SquintSimError(f"numpy {np.__version__} seeds PCG64 from a SeedSequence "
                                  "differently from the derivation this engine reproduces, "
                                  "so its draws would break the stated seed rule")
-        self._bit_generator = bit_generator
         self._generator = np.random.Generator(bit_generator)
         # realization-major states, so a key's realizations are every len(keys)-th pair
-        self._streams = {key: (entries[key], states[k::len(keys)]) for k, key in enumerate(keys)}
+        self._streams = {key: (sizes[key], states[k::len(keys)]) for k, key in enumerate(keys)}
         self._reads = {key: 1 if key[2] == DIRECT_LINK else reads for key in keys}
         self._drawn = {}
 
@@ -659,9 +618,9 @@ class _LinkDraws:
             size, states = self._streams[key]
             normals = self._drawn[key] = np.empty((len(states), 2 * size))
             for (state, inc), row in zip(states, normals):
-                self._bit_generator.state = {"bit_generator": "PCG64",
-                                             "state": {"state": state, "inc": inc},
-                                             "has_uint32": 0, "uinteger": 0}
+                self._generator.bit_generator.state = {
+                    "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
                 self._generator.standard_normal(out=row)
         self._reads[key] -= 1
         if not self._reads[key]:
@@ -848,7 +807,7 @@ def _stack_block(cases: list, links: list, draws: _LinkDraws | None, direct: lis
 
 
 def _stacks(cases: list, n_real: int) -> list:
-    """Runs of consecutive same-size cases of at most _STACK_TERMS terms (or one case).
+    """Runs of consecutive same-size cases of at most _BLOCK_TERMS terms (or one case).
 
     Each run is a list of indices into ``cases``.
     """
@@ -856,7 +815,7 @@ def _stacks(cases: list, n_real: int) -> list:
     stacks = []
     for k, case in enumerate(cases):
         n_el = case.ris.n_elements
-        room = _STACK_TERMS // (n_real * n_el * len(owner.ues) * owner.bs.n_antennas)
+        room = _BLOCK_TERMS // (n_real * n_el * len(owner.ues) * owner.bs.n_antennas)
         if stacks and cases[stacks[-1][0]].ris.n_elements == n_el and len(stacks[-1]) < room:
             stacks[-1].append(k)
         else:
@@ -878,8 +837,10 @@ def _block_worker(args) -> list:
     """
     cases, direct_los, links, start, stop = args
     scenario = cases[0]
+    largest = links[max(range(len(cases)), key=lambda k: cases[k].ris.n_elements)]
     draws = None if scenario.k_factor_db is None else _LinkDraws(
-        scenario, start, stop, max(case.ris.n_elements for case in cases), reads=len(cases))
+        scenario.master_seed, start, stop,
+        {key: los.size for key, los in {**direct_los, **largest}.items()}, reads=len(cases))
     direct = _direct_links(scenario, direct_los, draws, stop - start)
     blind = [_precode_rows(h, op) for op, h in zip(scenario.operators, direct)]
     without = [link_metrics(h, p, scenario.noise_w) for h, p in zip(direct, blind)]
@@ -894,10 +855,8 @@ def _blocks(cases: list) -> list:
     The fewest blocks of at most _BLOCK_TERMS terms each, with sizes that
     differ by at most one.
     """
-    scenario = cases[0]
-    owner = scenario.owner
+    owner, total = cases[0].owner, cases[0].realizations
     terms = max(case.ris.n_elements for case in cases) * len(owner.ues) * owner.bs.n_antennas
-    total = scenario.realizations
     n_blocks = -(-total // max(1, _BLOCK_TERMS // terms))
     bounds = [k * total // n_blocks for k in range(n_blocks + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -1081,23 +1040,31 @@ def format_cases(table, fmt: str, scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _temporary(path) -> str:
+    """A new empty file beside ``path`` under a hidden name no file held, made with
+    the mode ``open`` gives a new file, which the rename keeps."""
+    for n in itertools.count():
+        name = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{n}.tmp")
+        with contextlib.suppress(FileExistsError):
+            os.close(os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return name
+
+
 def _write_all(writers: dict, out_dir=None) -> None:
     """Write every file of ``writers``, or leave the file system as it was.
 
     ``writers`` maps each path to a function that writes that file's
-    content to the name it is given: a hidden temporary name beside the
-    path. The temporary files are renamed onto their paths only once all of
-    them are written, and a path that names a directory, onto which no file
-    can be renamed, fails the call before anything is written. ``out_dir``,
-    when given, is created with its missing parents first. A failure
-    deletes the temporary files, every renamed file that did not exist
-    before and every directory this call created.
+    content to the name it is given: a new temporary file beside the path
+    (``_temporary``). The temporary files are renamed onto their paths only
+    once all of them are written, and a path that names a directory, onto
+    which no file can be renamed, fails the call before anything is written.
+    ``out_dir``, when given, is created with its missing parents first. A
+    failure deletes the temporary files, every renamed file that did not
+    exist before and every directory this call created.
     """
     for path in writers:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    temporary = {path: os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
-                 for path in writers}
     new = [path for path in writers if not os.path.lexists(path)]
     missing = []
     if out_dir is not None:
@@ -1105,12 +1072,13 @@ def _write_all(writers: dict, out_dir=None) -> None:
         while not os.path.lexists(parent):
             missing.append(parent)
             parent = os.path.dirname(parent)
-    created = []
+    created, temporary = [], {}
     try:
         for directory in reversed(missing):
             os.mkdir(directory)
             created.append(directory)
         for path, write in writers.items():
+            temporary[path] = _temporary(path)
             write(temporary[path])
         for path in writers:
             os.replace(temporary[path], path)

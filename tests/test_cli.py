@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import os
+import stat
 import tracemalloc
 from dataclasses import replace
 
@@ -205,6 +207,11 @@ def test_hole_base_config_loads():
     assert sc.sweep_spec.element_counts == [4]
 
 
+def test_largest_realization_count_loads():
+    """2^32 realizations, counted and not run, keep every index within one seed word."""
+    assert load_scenario(hole_config("realizations", 2**32)).realizations == 2**32
+
+
 @pytest.mark.parametrize("path, value, field", [
     # raised a raw ValueError or TypeError before
     ("ris.rows", "abc", "ris.rows"),
@@ -252,6 +259,10 @@ def test_hole_base_config_loads():
     # overflows to infinity (every SINR 0 and exit 0 before)
     ("noise.density_dbm_per_hz", -4000, "noise"),
     ("noise.density_dbm_per_hz", 4000, "noise"),
+    # a realization index past one uint32 seed word
+    ("realizations", 2**32 + 1, "realizations"),
+    # a raw OverflowError from the linear K ratio in the pipeline before
+    ("channel.k_factor_db", 1e308, "channel.k_factor_db"),
 ])
 def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     config = tmp_path / "fig4d.json"
@@ -529,3 +540,36 @@ def test_failed_export_keeps_an_existing_out(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [cfg.name, "case.csv", "case.csv.manifest.json"])
+
+
+@pytest.mark.parametrize("args, folder, first, written", [
+    (["run", "fig1a", "--out", "case.csv"], ".", "case.csv",
+     ["case.csv", "case.csv.manifest.json"]),
+    (["pattern", "fig3", "--out-dir", "patterns"], "patterns", "pattern_summary.json",
+     ["pattern_2.500GHz.csv", "pattern_2.520GHz.csv", "pattern_2.750GHz.csv",
+      "pattern_summary.json", "squint_sensitivity.csv"]),
+], ids=["run", "pattern"])
+def test_export_keeps_files_named_like_its_temporaries(tmp_path, capsys, args, folder, first,
+                                                       written):
+    """A file named like a temporary was deleted by the export it belonged to, before."""
+    folder = tmp_path / folder
+    folder.mkdir(exist_ok=True)
+    hidden = [f".{first}.tmp", f".{first}.0.tmp", f".{first}.1.tmp"]
+    for name in hidden:
+        (folder / name).write_text("mine", encoding="utf-8")
+    assert main(args[:-1] + [str(tmp_path / args[-1])]) == 0
+    assert sorted(p.name for p in folder.iterdir()) == sorted(hidden + written)
+    assert all((folder / name).read_text(encoding="utf-8") == "mine" for name in hidden)
+
+
+def test_exported_files_have_the_mode_of_a_plain_open(tmp_path, capsys):
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+            pass
+        assert main(["run", "fig1a", "--out", str(tmp_path / "case.csv")]) == 0
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+    for name in ("case.csv", "case.csv.manifest.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode

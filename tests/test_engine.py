@@ -271,47 +271,61 @@ def reference_state(master_seed, *path):
 
 # master seeds at the edges of one, two and three uint32 words
 SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 5]
-# a realization range that straddles the second uint32 word
-STRADDLE = range(2**32 - 2, 2**32 + 2)
+# the last block a config can load ends at the top of the realizations' one word
+TOP = range(2**32 - 4, 2**32)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(master_seed=st.sampled_from(SEED_EDGES) | st.integers(0, 2**96),
-       realizations=st.lists(st.sampled_from(list(STRADDLE)) | st.integers(0, 2**66),
+       realizations=st.lists(st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1),
                              min_size=1, max_size=4),
        keys=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6),
-                               st.sampled_from([0, 1, 2, 2**32, 2**64])),
+                               st.sampled_from([0, 1, 2, 2**32 - 1])),
                      min_size=1, max_size=4))
 def test_pcg64_states_match_derive_seed(master_seed, realizations, keys):
-    """The array derivation gives PCG64 the state derive_seed does, at any word count."""
+    """The array derivation gives PCG64 the state derive_seed does, at every master seed
+    width and every realization and key entry a loaded config can reach."""
     states = engine._pcg64_states(master_seed, realizations, keys)
     expected = [reference_state(master_seed, r, *key) for r in realizations for key in keys]
     assert states == expected
 
 
+@pytest.mark.parametrize("realizations, key", [([2**32], (0, 0, 0)), ([0], (0, 0, 2**32))])
+def test_pcg64_states_refuse_an_entry_beyond_one_word(realizations, key):
+    with pytest.raises(OverflowError):
+        engine._pcg64_states(7, realizations, [key])
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(name=st.sampled_from(PRESET_NAMES), master_seed=st.sampled_from(SEED_EDGES),
-       start=st.sampled_from([0, 5, STRADDLE.start]))
+       start=st.sampled_from([0, 5, TOP.start]))
 def test_link_draws_match_derive_seed(name, master_seed, start):
     """Every preset's link draws are the normals of default_rng(derive_seed(...)).
 
-    Each link is drawn when it is first taken, here in another order than the
-    seeding one, and a link taken for the last time is drawn afresh if taken again.
-    Pure line-of-sight presets are given scatter so that their links are drawn.
+    Each link is drawn, at the size of its line-of-sight matrix on the largest
+    surface, when it is first taken, here in another order than the seeding one,
+    and a link taken for the last time is drawn afresh if taken again. Pure
+    line-of-sight presets are given scatter so that their links are drawn.
     """
     cfg = preset_config(name)
     cfg["master_seed"] = master_seed
     cfg["channel"]["k_factor_db"] = 10.0
     sc = load_scenario(cfg)
-    counts = [sc.ris.n_elements] + (sc.sweep_spec.element_counts if sc.sweep_spec else [])
-    stop = start + len(STRADDLE)
-    draws = engine._LinkDraws(sc, start, stop, max(counts), reads=1)
+    spec = sc.sweep_spec
+    cases = [sc] + ([engine._with_surface(sc, n, pos) for n in spec.element_counts
+                     for pos in spec.positions] if spec else [])
+    direct_los, links = engine._los_links(cases)
+    largest = max(links, key=lambda case_links: case_links[0, 0, 1].size)
+    sizes = {key: los.size for key, los in {**direct_los, **largest}.items()}
+    stop = start + len(TOP)
+    draws = engine._LinkDraws(master_seed, start, stop, sizes, reads=1)
     keys = [(i, 0, 1) for i in range(len(sc.operators))]
     keys += [(i, j + 1, code) for i, op in enumerate(sc.operators)
              for j, ue in enumerate(op.ues) for code in (0, 2)[ue.blocked:]]
     assert sorted(draws._streams) == sorted(keys)
     for key in reversed(keys):
         normals = draws.take(key)
+        assert normals.shape == (len(TOP), 2 * sizes[key])
         assert draws.take(key) is not normals
         for r in range(start, stop):
             rng = np.random.default_rng(derive_seed(master_seed, r, *key))

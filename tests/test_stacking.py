@@ -45,7 +45,7 @@ def sampled(rng, n_real):
 
 
 stacks = st.fixed_dictionaries({
-    "n_real": st.integers(1, engine._STACK_TERMS // (USERS * ANTENNAS * ELEMENTS)),
+    "n_real": st.integers(1, engine._BLOCK_TERMS // (USERS * ANTENNAS * ELEMENTS)),
     "layout": st.sampled_from(LAYOUTS), "alone": st.sampled_from(LAYOUTS),
     "seed": st.integers(0, 2**32 - 1)})
 
