@@ -19,7 +19,7 @@ from .engine import (CaseMetrics, OperatorConfig, RisConfig, Scenario, SweepSpec
                      grid_shape, load_scenario, run_case, run_pattern, sweep)
 from .errors import (ConfigError, ConfigWarning, CorrelatedChannelsError,
                      DegenerateChannelError, FrequencyMismatchError,
-                     NumericalError, SingularityError, SquintSimError)
+                     NumericalError, SquintSimError)
 from .precoding import (LinkMetrics, PrecodeResult, link_metrics, mrt_precoder,
                         noise_power, zf_precoder)
 from .presets import PRESET_NAMES, load_preset, preset_config, preset_text
@@ -53,6 +53,6 @@ __all__ = [
     "PRESET_NAMES", "preset_config", "preset_text", "load_preset",
     # errors
     "SquintSimError", "ConfigError", "ConfigWarning", "NumericalError",
-    "SingularityError", "DegenerateChannelError", "CorrelatedChannelsError",
+    "DegenerateChannelError", "CorrelatedChannelsError",
     "FrequencyMismatchError",
 ]

@@ -159,14 +159,14 @@ def build_array(rows, cols, f_design, spacing_fraction=0.5, center=(0.0, 0.0, 0.
                     element_positions=positions, element_pattern=element_pattern)
 
 
-def _incident_at_elements(array: RisArray, source, k: float):
-    """Field of the point-source feed at ``source`` on every element, and the
-    elements' incidence cosines against the broadside normal."""
+def _feed_geometry(array: RisArray, source):
+    """Distances from the point-source feed at ``source`` to every element, and
+    the elements' incidence cosines against the broadside normal."""
     to_src = np.asarray(source, dtype=float)[None, :] - array.element_positions
     d = np.linalg.norm(to_src, axis=1)
     if np.any(d <= 0):
         raise ValueError("feed coincides with an array element")
-    return 1.0 / d * np.exp(-1j * k * d), np.maximum((to_src @ array.normal) / d, 0.0)
+    return d, np.maximum((to_src @ array.normal) / d, 0.0)
 
 
 def _departure_cosines(array: RisArray, observation, d):
@@ -198,7 +198,8 @@ def reflected_field(array: RisArray, state: ScatteringState, source,
         raise ValueError("scattering state does not match the array size")
     k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
     pos = array.element_positions
-    a_in, cos_in = _incident_at_elements(array, source, k)
+    d_in, cos_in = _feed_geometry(array, source)
+    a_in = 1.0 / d_in * np.exp(-1j * k * d_in)
     obs = np.asarray(observation, dtype=float)
     if far_field:
         n = np.linalg.norm(obs)
@@ -218,72 +219,107 @@ def reflected_field(array: RisArray, state: ScatteringState, source,
     return complex(np.sum(terms))
 
 
-def _outgoing_block(array: RisArray, k: float, dirs: np.ndarray, radius, cos_in):
-    """(B, N) propagation factors from every element to B cut observations.
+def _block_geometry(array: RisArray, dirs: np.ndarray, radius, cos_in):
+    """What every carrier shares of the propagation to B cut observations.
 
-    The observations are unit directions, or points on the arc. Each row
-    carries the same per-element propagation factors that
-    ``reflected_field`` computes for that observation; for cosine elements
-    they are multiplied by the incidence cosines ``cos_in`` times that
-    observation's departure cosines.
+    The observations are unit directions, or points on the arc. Returns
+    ``(path, cosines)``: the (B, N) element-to-observation distances on the
+    arc, or for far-field directions (``radius`` None) the elements'
+    projections on the normalized directions; and for cosine elements the
+    incidence cosines ``cos_in`` times each observation's departure cosines,
+    None for isotropic elements.
     """
     pos = array.element_positions
     if radius is None:
         # row-wise dot products: the same rounding as np.linalg.norm of one row
         obs = dirs / np.sqrt(dirs[:, None, :] @ dirs[:, :, None])[:, 0]
         d = None
-        factors = np.exp(1j * k * (obs @ pos.T))
+        path = obs @ pos.T
     else:
         obs = array.center + radius * dirs
         # per coordinate, so no (B, N, 3) temporary; summed in np.linalg.norm's order
         dx, dy, dz = (obs[:, i, None] - pos[:, i] for i in range(3))
-        d = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        path = d = np.sqrt((dx * dx + dy * dy) + dz * dz)
         if np.any(d <= 0):
             raise ValueError("observation point coincides with an array element")
-        factors = np.exp(-1j * k * d) / d
-    if array.element_pattern == "cosine":
-        factors *= cos_in * _departure_cosines(array, obs, d)
+    if array.element_pattern != "cosine":
+        return path, None
+    return path, cos_in * _departure_cosines(array, obs, d)
+
+
+def _outgoing_block(k: float, path: np.ndarray, cosines, far_field: bool):
+    """(B, N) propagation factors at wavenumber ``k`` from a block's geometry.
+
+    Each row carries the same per-element propagation factors that
+    ``reflected_field`` computes for that observation; for cosine elements
+    they are multiplied by the block's ``cosines``.
+    """
+    factors = np.exp(1j * k * path) if far_field else np.exp(-1j * k * path) / path
+    if cosines is not None:
+        factors *= cosines
     return factors
 
 
-def directivity_pattern(array: RisArray, state: ScatteringState, source,
-                        angle_grid_deg, cut: PatternCut) -> np.ndarray:
-    """Normalized power pattern over a cut, as (angle_deg, power_db) rows.
+def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
+                        cut: PatternCut):
+    """Normalized power patterns over a cut, as (angle_deg, power_db) rows.
 
-    The surface is fed from a point source at ``source``. ``state.gammas``
-    is one scattering state (N,) or a stack (S, N) of states at the same
-    frequency, e.g. one per tuning of the surface; the result is (A, 2)
+    The surface is fed from a point source at ``source``. ``state`` is one
+    ``ScatteringState`` or a sequence of them, each at its own carrier; one
+    state gives one result and a sequence a list, in order. A state's
+    ``gammas`` are one scattering state (N,) or a stack (S, N) of states at
+    its frequency, e.g. one per tuning of the surface; its result is (A, 2)
     rows for one state and (S, A, 2) for a stack, each pattern normalized
     on its own so its peak sits at 0 dB. Powers more than 300 dB below the
     peak are floored to keep the dB scale finite.
 
     The incident amplitude at the elements is folded into every state once,
-    as per-element weights. The cut is then evaluated in blocks of angles:
-    each block builds one (angles x elements) propagation matrix, with the
-    cosine element factors folded in, and sums it against each state's
-    weights with one matrix-vector product. Every row reproduces the
-    ``reflected_field`` sum at that observation up to rounding, and a state
-    in a stack gets exactly the values of a call on that state alone.
+    as per-element weights. The cut is then evaluated in blocks of at most
+    ``_BLOCK_TERMS`` angle x element terms. Each block computes its
+    observation geometry once (distances or far-field projections, and the
+    cosine element factors), each carrier's (angles x elements) propagation
+    matrix once from it, and every state of a stack at that carrier in one
+    batched product, which runs one matrix-vector product per state. Every
+    row reproduces the ``reflected_field`` sum at that observation up to
+    rounding, and a state gets exactly the values of a call on that state
+    alone, whatever else shares the call.
     """
+    single = isinstance(state, ScatteringState)
+    states = [state] if single else list(state)
     angles = np.asarray(angle_grid_deg, dtype=float)
     if angles.ndim != 1 or len(angles) < 1:
         raise ValueError("angle grid must be a non-empty 1-D array")
-    gammas = np.asarray(state.gammas)
-    if gammas.ndim not in (1, 2) or gammas.shape[-1] != array.n_elements:
+    gammas = [np.asarray(s.gammas) for s in states]
+    if any(g.ndim not in (1, 2) or g.shape[-1] != array.n_elements for g in gammas):
         raise ValueError("scattering state does not match the array size")
-    k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
-    a_in, cos_in = _incident_at_elements(array, source, k)
-    weights = a_in * gammas.reshape(-1, array.n_elements)
+    d_in, cos_in = _feed_geometry(array, source)
+    # per carrier: its wavenumber and the weights of its states, one (S, N) stack each
+    carriers = {}
+    for i, (s, g) in enumerate(zip(states, gammas)):
+        if s.frequency not in carriers:
+            k = 2.0 * np.pi * s.frequency / SPEED_OF_LIGHT
+            carriers[s.frequency] = (k, 1.0 / d_in * np.exp(-1j * k * d_in), [])
+        k, a_in, stacks = carriers[s.frequency]
+        stacks.append((i, a_in * g.reshape(-1, array.n_elements)))
+    powers = [np.empty((len(g) if g.ndim == 2 else 1, len(angles))) for g in gammas]
     dirs = cut.directions(angles)
     block = max(1, _BLOCK_TERMS // array.n_elements)
-    power = np.empty((len(weights), len(angles)))
     for start in range(0, len(angles), block):
         rows = slice(start, start + block)
-        a_out = _outgoing_block(array, k, dirs[rows], cut.radius, cos_in)
-        # one product per state, not one stack-wide product: each state's
-        # sums then come from the same BLAS call as in a call on it alone
-        for s, w in enumerate(weights):
-            power[s, rows] = np.abs(a_out @ w) ** 2
+        path, cosines = _block_geometry(array, dirs[rows], cut.radius, cos_in)
+        for k, _, stacks in carriers.values():
+            a_out = _outgoing_block(k, path, cosines, cut.radius is None)
+            for i, weights in stacks:
+                # one BLAS product per state: each state's sums come from the
+                # same call as in a call on it alone
+                powers[i][:, rows] = np.abs(np.matmul(a_out, weights[:, :, None])[..., 0]) ** 2
+    results = [_to_db(power, angles) for power in powers]
+    results = [r if g.ndim == 2 else r[0] for r, g in zip(results, gammas)]
+    return results[0] if single else results
+
+
+def _to_db(power: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """(S, A, 2) rows of a (S, A) power stack, each pattern in dB below its own peak."""
     peak = np.max(power, axis=1, keepdims=True)
     if np.any(peak <= 0):
         raise ValueError("pattern is identically zero")
@@ -295,39 +331,41 @@ def directivity_pattern(array: RisArray, state: ScatteringState, source,
     result = np.empty(power.shape + (2,))
     result[..., 0] = angles
     result[..., 1] = power
-    return result[0] if gammas.ndim == 1 else result
+    return result
 
 
-def main_lobe_angle(pattern: np.ndarray) -> float:
-    """Angle of the pattern maximum, refined by a parabolic fit.
+def main_lobe_angle(pattern: np.ndarray):
+    """Angle of each pattern's maximum, refined by a parabolic fit.
 
-    Fits a quadratic through the peak sample and its neighbors; falls back
-    to the grid angle at the edges or on flat tops. Ties resolve toward the
-    smaller angle (first maximum).
+    ``pattern`` is (..., A, 2) rows of (angle, power): one pattern gives a
+    float, a stack an array of one angle per pattern. Fits a quadratic
+    through the peak sample and its neighbors; falls back to the grid angle
+    at the edges or on flat tops. Ties resolve toward the smaller angle
+    (first maximum). The fit is element-wise arithmetic, so a pattern in a
+    stack gets exactly the angle of a call on it alone.
     """
     pattern = np.asarray(pattern, dtype=float)
-    if pattern.ndim != 2 or pattern.shape[1] != 2 or len(pattern) == 0:
-        raise ValueError("pattern must be an (N, 2) array of angle, power rows")
-    angles, power = pattern[:, 0], pattern[:, 1]
-    i = int(np.argmax(power))
-    if i == 0 or i == len(power) - 1:
-        return float(angles[i])
-    x0, x1, x2 = angles[i - 1], angles[i], angles[i + 1]
-    y0, y1, y2 = power[i - 1], power[i], power[i + 1]
-    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
-    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
-    b = (x2 * x2 * (y0 - y1) + x1 * x1 * (y2 - y0) + x0 * x0 * (y1 - y2)) / denom
-    if a >= 0:  # flat or degenerate neighborhood
-        return float(x1)
-    vertex = -b / (2.0 * a)
-    lo, hi = min(x0, x2), max(x0, x2)
-    return float(min(max(vertex, lo), hi))
+    if pattern.ndim < 2 or pattern.shape[-1] != 2 or pattern.shape[-2] == 0:
+        raise ValueError("pattern must be an (..., N, 2) array of angle, power rows")
+    angles, power = pattern[..., 0], pattern[..., 1]
+    last = power.shape[-1] - 1
+    i = np.argmax(power, axis=-1)[..., None]
+    # the peak and its neighbors; at an edge the clipped neighbors go unused
+    x0, x1, x2, y0, y1, y2 = (np.take_along_axis(v, np.clip(i + step, 0, last), -1)[..., 0]
+                              for v in (angles, power) for step in (-1, 0, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
+        a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
+        b = (x2 * x2 * (y0 - y1) + x1 * x1 * (y2 - y0) + x0 * x0 * (y1 - y2)) / denom
+        vertex = np.minimum(np.maximum(-b / (2.0 * a), np.minimum(x0, x2)), np.maximum(x0, x2))
+    # flat or degenerate neighborhoods keep the grid angle
+    peak = np.where((i[..., 0] % last == 0) | (a >= 0), x1, vertex) if last else x1
+    return float(peak) if peak.ndim == 0 else peak
 
 
 def pattern_to_csv(pattern: np.ndarray, path) -> None:
-    """Write a pattern as CSV with 9-significant-digit decimal fields."""
-    pattern = np.asarray(pattern, dtype=float)
+    """Write a pattern as CSV with 9-significant-digit decimal fields, in one write."""
+    rows = np.asarray(pattern, dtype=float).tolist()
+    text = "".join(f"{angle:.9g},{db:.9g}\n" for angle, db in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("angle_deg,power_db\n")
-        for angle, db in pattern:
-            fh.write(f"{angle:.9g},{db:.9g}\n")
+        fh.write("angle_deg,power_db\n" + text)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import NumericalError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 FREE_SPACE_IMPEDANCE = 376.730313668  # ohm
@@ -92,17 +92,17 @@ def element_reflection(capacitance, frequency, params: CircuitParams):
 
     |gamma| <= 1 whenever r_loss >= 0, and |gamma| == 1 in the lossless
     limit r_loss == 0. A non-finite reflection, from constants so extreme
-    that the impedance overflows, raises SingularityError.
+    that the impedance overflows, raises NumericalError.
     """
     # constants near the float range overflow here; the finite check below reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z = element_impedance(capacitance, frequency, params)
         denom = z + params.z0
         if np.any(np.abs(denom) < 1e-12 * params.z0):
-            raise SingularityError("element impedance equals -z0; reflection undefined")
+            raise NumericalError("element impedance equals -z0; reflection undefined")
         gamma = (z - params.z0) / denom
     if not np.all(np.isfinite(gamma)):
-        raise SingularityError("reflection is not finite; the element circuit overflows")
+        raise NumericalError("reflection is not finite; the element circuit overflows")
     return gamma
 
 
@@ -156,11 +156,20 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
         edges = [params.c_min, *(np.where((y_lo < e) & (e < y_hi), 1.0 / (w * (wl_top - e)),
                                           params.c_min) for e in extrema), params.c_max]
         reachable = ~np.isnan(y)
-        cap = np.clip(1.0 / (w * (wl_top - y)), params.c_min, params.c_max)
-    nearest, best = 0, np.inf
-    for i, edge in enumerate(edges):
-        gap = np.abs(wrap_phase(target - np.angle(element_reflection(edge, frequency, params))))
+        cap = np.asarray(np.clip(1.0 / (w * (wl_top - y)), params.c_min, params.c_max))
+    # each edge's phase at the edge's own shape, then the search over the unreachable
+    # targets only; a leading axis lets a 0-d solution be indexed too
+    phases = [np.angle(element_reflection(edge, frequency, params)) for edge in edges]
+    grid = (1, *reachable.shape)
+    unreachable = np.unravel_index(np.flatnonzero(~reachable), grid)
+
+    def at(values):
+        return np.broadcast_to(values, grid)[unreachable]
+
+    goal, nearest, best = at(target), 0, np.inf
+    for i, phase in enumerate(phases):
+        gap = np.abs(wrap_phase(goal - at(phase)))
         nearest, best = np.where(gap < best, i, nearest), np.minimum(gap, best)
-    cap = np.where(reachable, cap, np.choose(nearest, edges))
+    cap.reshape(grid)[unreachable] = np.choose(nearest, [at(edge) for edge in edges])
     return CapacitanceSolution(capacitance=cap, clamped=~reachable,
                                gamma=element_reflection(cap, frequency, params))

@@ -894,12 +894,11 @@ def _case_metrics(case: Scenario, outcomes: np.ndarray, clamp: np.ndarray,
     degradation = degradation_stderr = 0.0
     mean_n_ris, mean_n_nor = values["sumse_nontarget_ris"], values["sumse_nontarget_noris"]
     if mean_n_nor > 0:
-        # first-order error of the ratio of two means
-        degradation = 1.0 - mean_n_ris / mean_n_nor
-        rel_sq = (values["stderr_nontarget_noris"] / mean_n_nor) ** 2
-        if mean_n_ris > 0:
-            rel_sq += (values["stderr_nontarget_ris"] / mean_n_ris) ** 2
-        degradation_stderr = float(abs(mean_n_ris / mean_n_nor) * np.sqrt(rel_sq))
+        # both means come from the same realizations, so the ratio's first-order
+        # error is the standard error of its linearisation, realization by realization
+        ratio = mean_n_ris / mean_n_nor
+        degradation = 1.0 - ratio
+        degradation_stderr = float(_mean_stderr((n_ris - ratio * n_nor) / mean_n_nor)[1])
 
     # finite SINR samples can still sum past the float range; the SINR rows'
     # unused standard errors overflow sooner
@@ -1194,11 +1193,12 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
         # the probe is the last listed carrier unless a sensitivity block names one
         probe_f = carriers[-1] if cfg.sensitivity is None else cfg.sensitivity["frequency_hz"]
         carriers.append(probe_f)
-    patterns = {f: _in_scene(_CUT_SPAN, directivity_pattern, array,
-                             evaluate_off_frequency(tuning, f, params),
-                             scenario.owner.bs.position, angles, cut)
-                for f in dict.fromkeys(carriers)}
-    peaks = {f: main_lobe_angle(pattern) for f, pattern in patterns.items()}
+    carriers = list(dict.fromkeys(carriers))
+    patterns = dict(zip(carriers, _in_scene(
+        _CUT_SPAN, directivity_pattern, array,
+        [evaluate_off_frequency(tuning, f, params) for f in carriers],
+        scenario.owner.bs.position, angles, cut)))
+    peaks = dict(zip(carriers, main_lobe_angle(list(patterns.values())).tolist()))
 
     design_peak = peaks[cfg.frequencies_hz[0]]
     entries = [{"frequency_hz": f, "file": f"pattern_{f / 1e9:.3f}GHz.csv",
@@ -1261,11 +1261,11 @@ def squint_sensitivity_report(scenario: Scenario, array: RisArray, cut: PatternC
     clamped = np.bincount(tuning.clamp_report // array.n_elements,
                           minlength=len(l_top)) / array.n_elements
     angles = cfg.angle_grid(sens["angle_step_deg"])
+    # one pattern call per carrier: a call on both stacks would hold both at once
     f1_peaks, f3_peaks = (
-        [main_lobe_angle(p) for p in
-         _in_scene(_CUT_SPAN, directivity_pattern, array,
-                   evaluate_off_frequency(tuning, f, params), scenario.owner.bs.position,
-                   angles, cut)]
+        main_lobe_angle(_in_scene(_CUT_SPAN, directivity_pattern, array,
+                                  evaluate_off_frequency(tuning, f, params),
+                                  scenario.owner.bs.position, angles, cut)).tolist()
         for f in (theta.frequency, sens["frequency_hz"]))
     cases = zip(l_top[:, 0].tolist(), c_min[:, 0].tolist(), c_max[:, 0].tolist(),
                 f1_peaks, f3_peaks, clamped.tolist())

@@ -17,10 +17,6 @@ class NumericalError(SquintSimError):
     """Numerical failure inside the simulation pipeline."""
 
 
-class SingularityError(NumericalError):
-    """An impedance or matrix operation hit a singular point."""
-
-
 class DegenerateChannelError(NumericalError):
     """A channel required by an operation is identically zero."""
 

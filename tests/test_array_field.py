@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from squintsim import (CircuitParams, PatternCut, ScatteringState, build_array,
                        directivity_pattern, main_lobe_angle, pattern_to_csv,
                        reflected_field)
-from squintsim.array_field import _outgoing_block
+from squintsim.array_field import _block_geometry, _outgoing_block
 from squintsim.circuit import SPEED_OF_LIGHT
 
 F_REF = 2.5e9
@@ -249,12 +249,48 @@ def test_directivity_pattern_stack_equals_single_calls(radius, element_pattern, 
         assert np.array_equal(stacked[s], single)
 
 
+@pytest.mark.parametrize("element_pattern", ["isotropic", "cosine"])
+@pytest.mark.parametrize("radius", [None, 12.0])
+def test_directivity_pattern_mixed_carriers_equal_lone_calls(radius, element_pattern, rng):
+    """States at several carriers, lone and stacked, share one call and one geometry
+    pass per block, yet each gets the bits of a call on it alone."""
+    array = build_array(20, 20, F_REF, element_pattern=element_pattern)
+    source = [4.0, 30.0, 2.0]
+    angles = np.linspace(-80.0, 80.0, 170)
+    cut = axis_cut(array, radius)
+    n = array.n_elements
+    states = [ScatteringState(np.exp(1j * rng.uniform(-np.pi, np.pi, shape)), f)
+              for shape, f in [((n,), 2.75e9), ((4, n), F_REF), ((n,), F_REF),
+                               ((1, n), 2.52e9), ((2, n), 2.75e9)]]
+    patterns = directivity_pattern(array, states, source, angles, cut)
+    assert isinstance(patterns, list) and len(patterns) == len(states)
+    for state, pattern in zip(states, patterns):
+        lone = directivity_pattern(array, state, source, angles, cut)
+        assert pattern.shape == lone.shape
+        assert np.array_equal(pattern, lone)
+        for s, row in enumerate(np.atleast_2d(state.gammas)):
+            alone = directivity_pattern(array, ScatteringState(row, state.frequency), source,
+                                        angles, cut)
+            assert np.array_equal(pattern.reshape(-1, len(angles), 2)[s], alone)
+
+
+def test_directivity_pattern_sequence_checks_every_state():
+    array = build_array(2, 2, F_REF)
+    good = ScatteringState(np.ones(4, dtype=complex), F_REF)
+    bad = ScatteringState(np.ones(3, dtype=complex), 2.6e9)
+    with pytest.raises(ValueError, match="array size"):
+        directivity_pattern(array, [good, bad], [0.0, 10.0, 0.0], FULL_GRID, axis_cut(array))
+    zero = ScatteringState(np.zeros(4, dtype=complex), 2.6e9)
+    with pytest.raises(ValueError, match="identically zero"):
+        directivity_pattern(array, [good, zero], [0.0, 10.0, 0.0], FULL_GRID, axis_cut(array))
+
+
 def test_outgoing_block_matches_reflected_field_distances(rng):
     """Near-field factors are the per-observation values of reflected_field, bit for bit."""
     array = build_array(20, 20, F_REF, center=rng.uniform(-3, 3, 3))
     k = 2.0 * np.pi * F_REF / SPEED_OF_LIGHT
     dirs = rng.normal(size=(50, 3))
-    factors = _outgoing_block(array, k, dirs, 7.5, None)
+    factors = _outgoing_block(k, *_block_geometry(array, dirs, 7.5, None), False)
     for row, point in zip(factors, array.center + 7.5 * dirs):
         d = np.linalg.norm(point - array.element_positions, axis=1)
         assert np.array_equal(row, np.exp(-1j * k * d) / d)
@@ -274,7 +310,8 @@ def test_outgoing_block_cosines_match_full_vectors(plane, rng):
     cos_out = np.maximum((to_obs @ array.normal) / d, 0.0)
     want = np.exp(-1j * k * d) / d
     want *= cos_in * cos_out
-    assert np.array_equal(_outgoing_block(array, k, dirs, 4.0, cos_in), want)
+    assert np.array_equal(_outgoing_block(k, *_block_geometry(array, dirs, 4.0, cos_in), False),
+                          want)
 
 
 @pytest.mark.parametrize("radius", [None, 12.0])
@@ -410,11 +447,41 @@ def test_main_lobe_edge_and_flat():
     assert main_lobe_angle(np.column_stack([angles, [0.0, 0.0, 0.0]])) == 0.0
 
 
+def test_main_lobe_stack_equals_single_calls(rng):
+    """A (2, 3, A, 2) stack gets one angle per pattern, each the bits of a lone call,
+    across interior peaks, edge peaks, plateaus and ties."""
+    angles = np.linspace(-60.0, 60.0, 41)
+    power = rng.normal(size=(2, 3, len(angles)))
+    power[0, 1, 0] = power[1, 0, -1] = 10.0           # peaks on either edge
+    power[0, 2, 5:8] = power.max() + 1.0               # plateau
+    power[1, 1, [9, 30]] = power.max() + 2.0           # tie: the first wins
+    stack = np.stack([np.broadcast_to(angles, power.shape), power], axis=-1)
+    peaks = main_lobe_angle(stack)
+    assert peaks.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        single = main_lobe_angle(stack[index])
+        assert isinstance(single, float)
+        assert peaks[index] == single
+    assert peaks[0, 1] == angles[0] and peaks[1, 0] == angles[-1]
+    assert angles[5] < peaks[0, 2] < angles[6] and abs(peaks[1, 1] - angles[9]) <= 3.0
+
+
+@pytest.mark.parametrize("n_angles", [1, 2])
+def test_main_lobe_short_patterns_keep_the_grid_angle(n_angles):
+    pattern = np.column_stack([np.arange(n_angles, dtype=float), -np.arange(n_angles)[::-1]])
+    assert main_lobe_angle(pattern) == n_angles - 1.0
+    assert main_lobe_angle(pattern[None]).tolist() == [n_angles - 1.0]
+
+
 def test_main_lobe_validation():
     with pytest.raises(ValueError):
         main_lobe_angle(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         main_lobe_angle(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        main_lobe_angle(np.zeros(2))
+    with pytest.raises(ValueError):
+        main_lobe_angle(np.zeros((4, 0, 2)))
 
 
 def test_pattern_to_csv_format(tmp_path):

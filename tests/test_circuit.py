@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from squintsim import (CircuitParams, element_impedance, element_reflection,
                        phase_to_capacitance)
-from squintsim.circuit import wrap_phase
+from squintsim.circuit import _real_roots, wrap_phase
 
 F_REF = 2.5e9
 
@@ -257,6 +257,68 @@ def test_phase_inversion_broadcasts_over_case_constants(r_loss, l_bottom, z0, fr
         assert np.array_equal(stacked.capacitance[s], single.capacitance)
         assert np.array_equal(stacked.clamped[s], single.clamped)
         assert np.array_equal(stacked.gamma[s], single.gamma)
+
+
+def search_every_target(target_phase, frequency, params):
+    """The closed-form inversion with the clamp search run over every target,
+    reachable or not, on the broadcast shape of the solution."""
+    target = wrap_phase(np.asarray(target_phase, dtype=float))
+    w = 2.0 * np.pi * frequency
+    z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
+    a, b = 1j * (z_b - z0), r * (z_b - z0) - z0 * z_b
+    c, d = 1j * (z_b + z0), r * (z_b + z0) + z0 * z_b
+    p2, p1, p0 = a * np.conj(c), a * np.conj(d) + b * np.conj(c), b * np.conj(d)
+    k = a * d - b * c
+    rot = np.exp(-1j * target)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wl_top = w * params.l_top
+        y_lo, y_hi = (wl_top - 1.0 / (w * edge) for edge in (params.c_min, params.c_max))
+        y = np.full(np.broadcast_shapes(target.shape, np.shape(y_lo), np.shape(y_hi)), np.nan)
+        for root in _real_roots((rot * p2).imag, (rot * p1).imag, (rot * p0).imag):
+            on_arc = (rot * ((p2 * root + p1) * root + p0)).real > 0
+            y = np.where(np.isnan(y) & on_arc & (root >= y_lo) & (root <= y_hi), root, y)
+        extrema = _real_roots((k * np.conj(a * c)).imag, (k * np.conj(a * d + b * c)).imag,
+                              (k * np.conj(b * d)).imag)
+        edges = [params.c_min, *(np.where((y_lo < e) & (e < y_hi), 1.0 / (w * (wl_top - e)),
+                                          params.c_min) for e in extrema), params.c_max]
+        reachable = ~np.isnan(y)
+        cap = np.clip(1.0 / (w * (wl_top - y)), params.c_min, params.c_max)
+    nearest, best = 0, np.inf
+    for i, edge in enumerate(edges):
+        gap = np.abs(wrap_phase(target - np.angle(element_reflection(edge, frequency, params))))
+        nearest, best = np.where(gap < best, i, nearest), np.minimum(gap, best)
+    cap = np.where(reachable, cap, np.choose(nearest, edges))
+    return cap, ~reachable, element_reflection(cap, frequency, params)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(r_loss=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+       frequency=st.floats(1e9, 6e9),
+       cases=st.lists(st.tuples(st.floats(0.1e-9, 3e-9), st.floats(0.1e-12, 2e-12),
+                                st.floats(1.05, 10.0)), min_size=1, max_size=5),
+       per_case=st.booleans(), n_targets=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(r_loss=5.0, frequency=2.5e9, cases=[(0.7e-9, 0.47e-12, 5.0), (0.4e-9, 0.3e-12, 8.0)],
+         per_case=True, n_targets=40, seed=0)
+def test_clamp_search_over_unreachable_targets_only(r_loss, frequency, cases, per_case,
+                                                    n_targets, seed):
+    """Searching the clamp edges only where a target is unreachable gives the bits of a
+    search over every target: scalar or (S, 1) constants, 0-d or 1-d targets."""
+    rng = np.random.default_rng(seed)
+    base = CircuitParams(r_loss=r_loss)
+    if per_case:
+        column = np.array([[l_top, c_min, c_min * ratio] for l_top, c_min, ratio in cases]).T
+        params = replace(base, l_top=column[0, :, None], c_min=column[1, :, None],
+                         c_max=column[2, :, None])
+    else:
+        l_top, c_min, ratio = cases[0]
+        params = replace(base, l_top=l_top, c_min=c_min, c_max=c_min * ratio)
+    for targets in (rng.uniform(-np.pi, np.pi, n_targets), rng.uniform(-np.pi, np.pi)):
+        got = phase_to_capacitance(targets, frequency, params)
+        cap, clamped, gamma = search_every_target(targets, frequency, params)
+        assert np.array_equal(got.capacitance, cap)
+        assert np.array_equal(got.clamped, clamped)
+        assert np.array_equal(got.gamma, gamma)
 
 
 def test_wrap_phase_range():
