@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import SPEED_OF_LIGHT
+from .errors import NumericalError
 
 PLANE_AXES = {
     # plane -> (column axis, row axis, broadside normal)
@@ -159,28 +160,62 @@ def build_array(rows, cols, f_design, spacing_fraction=0.5, center=(0.0, 0.0, 0.
                     element_positions=positions, element_pattern=element_pattern)
 
 
+def _distances(points: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """(P, N) distances from (P, 3) points to (N, 3) positions, summed per coordinate
+    in np.linalg.norm's order: no (P, N, 3) temporary, and the norm's bits."""
+    dx, dy, dz = (points[:, i, None] - positions[:, i] for i in range(3))
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def _incident(k: float, d: np.ndarray) -> np.ndarray:
+    """Field 1/d exp(-jkd) of a unit point source at distances ``d``, wavenumber ``k``."""
+    return 1.0 / d * np.exp(-1j * k * d)
+
+
 def _feed_geometry(array: RisArray, source):
     """Distances from the point-source feed at ``source`` to every element, and
     the elements' incidence cosines against the broadside normal."""
-    to_src = np.asarray(source, dtype=float)[None, :] - array.element_positions
-    d = np.linalg.norm(to_src, axis=1)
+    source = np.asarray(source, dtype=float)
+    d = _distances(source[None, :], array.element_positions)[0]
     if np.any(d <= 0):
         raise ValueError("feed coincides with an array element")
-    return d, np.maximum((to_src @ array.normal) / d, 0.0)
+    return d, np.maximum(((source - array.element_positions) @ array.normal) / d, 0.0)
 
 
-def _departure_cosines(array: RisArray, observation, d):
-    """Departure cosines against the broadside normal.
+def _block_geometry(array: RisArray, obs: np.ndarray, far_field: bool, cos_in):
+    """What every carrier shares of the propagation to B observations ``obs``, (B, 3)
+    points, or non-zero directions when ``far_field``.
 
-    ``observation`` is one 3-vector or a (B, 3) block of them, and ``d``
-    their (N,) or (B, N) distances to the elements, None for far-field
-    directions. The normal is a coordinate axis, so the offset along it
-    equals that coordinate of the element-to-observation vector exactly.
+    Returns ``(path, cosines)``: the (B, N) element distances, or the elements'
+    projections on the normalized directions; and for cosine elements the
+    incidence cosines ``cos_in`` times the departure cosines, None for
+    isotropic ones. The normal is a coordinate axis, so the offset along it
+    is that coordinate of the element-to-observation vector exactly.
     """
-    along = np.asarray(observation) @ array.normal
-    if d is None:
-        return np.maximum(along[..., None], 0.0)
-    return np.maximum((along[..., None] - array.element_positions @ array.normal) / d, 0.0)
+    pos = array.element_positions
+    if far_field:
+        # row-wise dot products: the same rounding as np.linalg.norm of one row
+        obs = obs / np.sqrt(obs[:, None, :] @ obs[:, :, None])[:, 0]
+        path = obs @ pos.T
+    else:
+        path = _distances(obs, pos)
+        if np.any(path <= 0):
+            raise ValueError("observation point coincides with an array element")
+    if array.element_pattern != "cosine":
+        return path, None
+    along = (obs @ array.normal)[:, None]
+    cos_out = along if far_field else (along - pos @ array.normal) / path
+    return path, cos_in * np.maximum(cos_out, 0.0)
+
+
+def _outgoing_block(k: float, path: np.ndarray, cosines, far_field: bool):
+    """(B, N) propagation factors at wavenumber ``k`` from a block's geometry:
+    the far-field phases, or the spherical waves 1/d exp(-jkd), times the
+    block's ``cosines`` for cosine elements."""
+    factors = np.exp(1j * k * path) if far_field else np.exp(-1j * k * path) / path
+    if cosines is not None:
+        factors *= cosines
+    return factors
 
 
 def reflected_field(array: RisArray, state: ScatteringState, source,
@@ -191,73 +226,20 @@ def reflected_field(array: RisArray, state: ScatteringState, source,
     at ``state.frequency``. ``observation`` is a 3-vector: a point when
     far_field is False, a unit direction when far_field is True. Point
     observations carry the exact 1/d spreading amplitude; far-field
-    directions carry phase only.
+    directions carry phase only. It is one observation of the kernel that
+    ``directivity_pattern`` evaluates a cut with.
     """
     gammas = np.asarray(state.gammas)
     if gammas.shape != (array.n_elements,):
         raise ValueError("scattering state does not match the array size")
-    k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
-    pos = array.element_positions
-    d_in, cos_in = _feed_geometry(array, source)
-    a_in = 1.0 / d_in * np.exp(-1j * k * d_in)
     obs = np.asarray(observation, dtype=float)
-    if far_field:
-        n = np.linalg.norm(obs)
-        if n == 0:
-            raise ValueError("far-field direction must be non-zero")
-        obs = obs / n
-        d = None
-        a_out = np.exp(1j * k * (pos @ obs))
-    else:
-        d = np.linalg.norm(obs[None, :] - pos, axis=1)
-        if np.any(d <= 0):
-            raise ValueError("observation point coincides with an array element")
-        a_out = np.exp(-1j * k * d) / d
-    terms = a_in * gammas * a_out
-    if array.element_pattern == "cosine":
-        terms = terms * cos_in * _departure_cosines(array, obs, d)
-    return complex(np.sum(terms))
-
-
-def _block_geometry(array: RisArray, dirs: np.ndarray, radius, cos_in):
-    """What every carrier shares of the propagation to B cut observations.
-
-    The observations are unit directions, or points on the arc. Returns
-    ``(path, cosines)``: the (B, N) element-to-observation distances on the
-    arc, or for far-field directions (``radius`` None) the elements'
-    projections on the normalized directions; and for cosine elements the
-    incidence cosines ``cos_in`` times each observation's departure cosines,
-    None for isotropic elements.
-    """
-    pos = array.element_positions
-    if radius is None:
-        # row-wise dot products: the same rounding as np.linalg.norm of one row
-        obs = dirs / np.sqrt(dirs[:, None, :] @ dirs[:, :, None])[:, 0]
-        d = None
-        path = obs @ pos.T
-    else:
-        obs = array.center + radius * dirs
-        # per coordinate, so no (B, N, 3) temporary; summed in np.linalg.norm's order
-        dx, dy, dz = (obs[:, i, None] - pos[:, i] for i in range(3))
-        path = d = np.sqrt((dx * dx + dy * dy) + dz * dz)
-        if np.any(d <= 0):
-            raise ValueError("observation point coincides with an array element")
-    if array.element_pattern != "cosine":
-        return path, None
-    return path, cos_in * _departure_cosines(array, obs, d)
-
-
-def _outgoing_block(k: float, path: np.ndarray, cosines, far_field: bool):
-    """(B, N) propagation factors at wavenumber ``k`` from a block's geometry.
-
-    Each row carries the same per-element propagation factors that
-    ``reflected_field`` computes for that observation; for cosine elements
-    they are multiplied by the block's ``cosines``.
-    """
-    factors = np.exp(1j * k * path) if far_field else np.exp(-1j * k * path) / path
-    if cosines is not None:
-        factors *= cosines
-    return factors
+    if far_field and np.linalg.norm(obs) == 0:
+        raise ValueError("far-field direction must be non-zero")
+    k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
+    d_in, cos_in = _feed_geometry(array, source)
+    a_out = _outgoing_block(k, *_block_geometry(array, obs[None, :], far_field, cos_in),
+                            far_field)
+    return complex((a_out @ (_incident(k, d_in) * gammas))[0])
 
 
 def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
@@ -271,18 +253,19 @@ def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
     its frequency, e.g. one per tuning of the surface; its result is (A, 2)
     rows for one state and (S, A, 2) for a stack, each pattern normalized
     on its own so its peak sits at 0 dB. Powers more than 300 dB below the
-    peak are floored to keep the dB scale finite.
+    peak are floored to keep the dB scale finite; a power that overflows
+    raises NumericalError.
 
-    The incident amplitude at the elements is folded into every state once,
+    The incident field at the elements is folded into every state once,
     as per-element weights. The cut is then evaluated in blocks of at most
     ``_BLOCK_TERMS`` angle x element terms. Each block computes its
     observation geometry once (distances or far-field projections, and the
     cosine element factors), each carrier's (angles x elements) propagation
     matrix once from it, and every state of a stack at that carrier in one
-    batched product, which runs one matrix-vector product per state. Every
-    row reproduces the ``reflected_field`` sum at that observation up to
-    rounding, and a state gets exactly the values of a call on that state
-    alone, whatever else shares the call.
+    batched product, which runs one matrix-vector product per state. Each
+    row is the ``reflected_field`` sum at that observation up to rounding,
+    and a state gets exactly the values of a call on that state alone,
+    whatever else shares the call.
     """
     single = isinstance(state, ScatteringState)
     states = [state] if single else list(state)
@@ -296,23 +279,27 @@ def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
     # per carrier: its wavenumber and the weights of its states, one (S, N) stack each
     carriers = {}
     for i, (s, g) in enumerate(zip(states, gammas)):
-        if s.frequency not in carriers:
-            k = 2.0 * np.pi * s.frequency / SPEED_OF_LIGHT
-            carriers[s.frequency] = (k, 1.0 / d_in * np.exp(-1j * k * d_in), [])
-        k, a_in, stacks = carriers[s.frequency]
-        stacks.append((i, a_in * g.reshape(-1, array.n_elements)))
+        k = 2.0 * np.pi * s.frequency / SPEED_OF_LIGHT
+        carriers.setdefault(s.frequency, (k, []))[1].append(
+            (i, _incident(k, d_in) * g.reshape(-1, array.n_elements)))
     powers = [np.empty((len(g) if g.ndim == 2 else 1, len(angles))) for g in gammas]
-    dirs = cut.directions(angles)
+    dirs, far_field = cut.directions(angles), cut.radius is None
     block = max(1, _BLOCK_TERMS // array.n_elements)
-    for start in range(0, len(angles), block):
-        rows = slice(start, start + block)
-        path, cosines = _block_geometry(array, dirs[rows], cut.radius, cos_in)
-        for k, _, stacks in carriers.values():
-            a_out = _outgoing_block(k, path, cosines, cut.radius is None)
-            for i, weights in stacks:
-                # one BLAS product per state: each state's sums come from the
-                # same call as in a call on it alone
-                powers[i][:, rows] = np.abs(np.matmul(a_out, weights[:, :, None])[..., 0]) ** 2
+    # an extreme cut radius or surface scale overflows here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        obs = dirs if far_field else array.center + cut.radius * dirs
+        for start in range(0, len(angles), block):
+            rows = slice(start, start + block)
+            path, cosines = _block_geometry(array, obs[rows], far_field, cos_in)
+            for k, stacks in carriers.values():
+                a_out = _outgoing_block(k, path, cosines, far_field)
+                for i, weights in stacks:
+                    # one BLAS product per state: each state's sums come from the
+                    # same call as in a call on it alone
+                    powers[i][:, rows] = np.abs(np.matmul(a_out, weights[:, :, None])[..., 0]) ** 2
+    if not all(np.all(np.isfinite(power)) for power in powers):
+        raise NumericalError("pattern power is not finite: the cut radius or the surface's "
+                             "scale overflows the field sum")
     results = [_to_db(power, angles) for power in powers]
     results = [r if g.ndim == 2 else r[0] for r, g in zip(results, gammas)]
     return results[0] if single else results

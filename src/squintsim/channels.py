@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_field import RisArray, ScatteringState, SPEED_OF_LIGHT
+from .array_field import RisArray, ScatteringState, SPEED_OF_LIGHT, _distances
 from .errors import FrequencyMismatchError, NumericalError
 
 MIN_LINK_DISTANCE = 1e-9  # m, below this tx and rx count as coincident
@@ -130,7 +130,7 @@ def los_channel(tx, rx, frequency: float) -> np.ndarray:
     tx_pos = _terminal_positions(tx, frequency)
     rx_pos = _terminal_positions(rx, frequency)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.linalg.norm(rx_pos[:, None, :] - tx_pos[None, :, :], axis=2)
+        d = _distances(rx_pos, tx_pos)
         if np.any(d < MIN_LINK_DISTANCE):
             raise ValueError("tx and rx antennas coincide")
         lam = SPEED_OF_LIGHT / frequency
@@ -142,13 +142,15 @@ def rician_channel(los: np.ndarray, k_factor_db: float, normals: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """LoS entries mixed with complex Gaussian scatter at the Rician ratio.
 
-    ``normals`` holds standard normals of shape (..., 2) + los.shape: the
+    ``normals`` holds standard normals of shape (..., 2) + link shape: the
     real parts of the scatter, then its imaginary parts. Leading axes stack
     realizations of the same link geometry, which is how one link's
-    realizations are synthesized at once. Each scatter entry has the power
-    of its LoS entry. The result is written to ``out`` when given, a
-    complex array of shape (...) + los.shape. Entries that overflow raise
-    NumericalError.
+    realizations are synthesized at once. ``los`` is one link matrix, or a
+    stack whose leading axes broadcast against the realizations', e.g. one
+    matrix per case of same-size surfaces, all mixed in one call. Each
+    scatter entry has the power of its LoS entry. The result, of the
+    broadcast shape, is written to ``out`` when given. Entries that
+    overflow raise NumericalError.
     """
     k = 10.0 ** (k_factor_db / 10.0)
     # in place, in one block-sized array; the products and sums commute, so

@@ -131,19 +131,19 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     per-case constants that broadcast against them; the solution takes that shape.
     """
     target = wrap_phase(np.asarray(target_phase, dtype=float))
-
-    w = 2.0 * np.pi * frequency
-    z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
-    a, b = 1j * (z_b - z0), r * (z_b - z0) - z0 * z_b
-    c, d = 1j * (z_b + z0), r * (z_b + z0) + z0 * z_b
-    # (a*y + b) conj(c*y + d) = p2 y^2 + p1 y + p0 for real y
-    p2, p1, p0 = a * np.conj(c), a * np.conj(d) + b * np.conj(c), b * np.conj(d)
-    # the phase is stationary where Im((ad - bc) conj((a*y + b)(c*y + d))) = 0
-    k = a * d - b * c
-    rot = np.exp(-1j * target)
-    # the roots do not depend on l_top, c_min or c_max: per-case values of those first
-    # broadcast in the range test. Extreme constants overflow here; element_reflection reports it
+    # extreme constants overflow here; element_reflection reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = 2.0 * np.pi * frequency
+        z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
+        a, b = 1j * (z_b - z0), r * (z_b - z0) - z0 * z_b
+        c, d = 1j * (z_b + z0), r * (z_b + z0) + z0 * z_b
+        # (a*y + b) conj(c*y + d) = p2 y^2 + p1 y + p0 for real y
+        p2, p1, p0 = a * np.conj(c), a * np.conj(d) + b * np.conj(c), b * np.conj(d)
+        # the phase is stationary where Im((ad - bc) conj((a*y + b)(c*y + d))) = 0
+        k = a * d - b * c
+        rot = np.exp(-1j * target)
+        # the roots do not depend on l_top, c_min or c_max: per-case values of those
+        # first broadcast in the range test
         wl_top = w * params.l_top
         y_lo, y_hi = (wl_top - 1.0 / (w * edge) for edge in (params.c_min, params.c_max))
         y = np.full(np.broadcast_shapes(target.shape, np.shape(y_lo), np.shape(y_hi)), np.nan)

@@ -589,8 +589,8 @@ class _LinkDraws:
     ``sizes`` maps each link to the entry count of its line-of-sight matrix
     at the block's largest surface; a link of a smaller surface takes the
     prefix its entries need, since a stream's prefix does not depend on its
-    length. A link is drawn when it is first taken and forgotten after its
-    last take: once for a direct link, ``reads`` times for a surface link.
+    length. A link is drawn when it is first taken and forgotten after its last
+    take: once for a direct link, ``reads`` times (once a stack) for a surface link.
 
     Every stream is seeded up front by ``_pcg64_states``, numpy's
     SeedSequence to PCG64 derivation in array form, and drawn through one
@@ -667,14 +667,15 @@ def _los_links(cases: list) -> tuple[dict, list]:
     return direct, links
 
 
-def _link(scenario: Scenario, links: dict, draws: _LinkDraws | None, key: tuple,
+def _link(scenario: Scenario, los: np.ndarray, draws: _LinkDraws | None, key: tuple,
           out: np.ndarray) -> None:
-    """Fill ``out``, (realizations,) + link shape, with one link's LoS entries and scatter."""
-    los = links[key]
+    """Fill ``out``, (..., realizations) + link shape, with one link's LoS entries and
+    scatter; ``los`` is its LoS matrix, or a (cases, 1) + link shape stack, one per case."""
     if scenario.k_factor_db is None:
         out[...] = los
         return
-    normals = draws.take(key)[:, :2 * los.size].reshape((len(out), 2) + los.shape)
+    n_real, rows, cols = out.shape[-3:]
+    normals = draws.take(key)[:, :2 * rows * cols].reshape(n_real, 2, rows, cols)
     _in_scene(_link_field(key), rician_channel, los, scenario.k_factor_db, normals, out)
 
 
@@ -689,7 +690,8 @@ def _direct_links(scenario: Scenario, links: dict, draws: _LinkDraws | None,
         direct = np.zeros((n_real, len(op.ues), op.bs.n_antennas), dtype=complex)
         for j, ue in enumerate(op.ues):
             if not ue.blocked:
-                _link(scenario, links, draws, (i, j + 1, DIRECT_LINK), direct[:, j:j + 1])
+                key = (i, j + 1, DIRECT_LINK)
+                _link(scenario, links[key], draws, key, direct[:, j:j + 1])
         out.append(direct)
     return out
 
@@ -699,10 +701,10 @@ def _operator_channels(cases: list, links: list, i: int, draws: _LinkDraws | Non
     """Operator ``i``'s ChannelSet at its carrier, a row per UE, over a stack of cases.
 
     The cases share a surface size and are stacked case-major on the
-    realization axis; each case's links (``links``, one dict per case) are
-    written straight into the stack. The links are filled one at a time
-    across the cases, so that a link read for the last time is freed before
-    the next one is drawn.
+    realization axis; each link of every case (``links``, one dict per case)
+    is mixed with its scatter in one call, straight into the stack. The links
+    are filled one at a time, so that a link read for the last time is freed
+    before the next one is drawn.
     """
     op = cases[0].operators[i]
     n_real, n_el = len(direct[i]), cases[0].ris.n_elements
@@ -711,8 +713,8 @@ def _operator_channels(cases: list, links: list, i: int, draws: _LinkDraws | Non
     fills = [((i, 0, BS_RIS_LINK), bs_to_ris)]
     fills += [((i, j + 1, RIS_UE_LINK), ris_to_ue[:, :, j:j + 1]) for j in range(len(op.ues))]
     for key, out in fills:
-        for case, case_links, case_out in zip(cases, links, out):
-            _link(case, case_links, draws, key, case_out)
+        _link(cases[0], np.stack([case_links[key] for case_links in links])[:, None], draws,
+              key, out)
     n_stack = len(cases) * n_real
     return ChannelSet(direct=np.tile(direct[i], (len(cases), 1, 1)),
                       bs_to_ris=bs_to_ris.reshape(n_stack, n_el, -1),
@@ -836,15 +838,15 @@ def _block_worker(args) -> list:
     ``direct_los`` and ``links`` are the line-of-sight matrices of ``_los_links``.
     """
     cases, direct_los, links, start, stop = args
-    scenario = cases[0]
+    scenario, stacks = cases[0], _stacks(cases, stop - start)
     largest = links[max(range(len(cases)), key=lambda k: cases[k].ris.n_elements)]
     draws = None if scenario.k_factor_db is None else _LinkDraws(
         scenario.master_seed, start, stop,
-        {key: los.size for key, los in {**direct_los, **largest}.items()}, reads=len(cases))
+        {key: los.size for key, los in {**direct_los, **largest}.items()}, reads=len(stacks))
     direct = _direct_links(scenario, direct_los, draws, stop - start)
     blind = [_precode_rows(h, op) for op, h in zip(scenario.operators, direct)]
     without = [link_metrics(h, p, scenario.noise_w) for h, p in zip(direct, blind)]
-    return [part for stack in _stacks(cases, stop - start)
+    return [part for stack in stacks
             for part in _stack_block([cases[k] for k in stack], [links[k] for k in stack],
                                      draws, direct, blind, without)]
 

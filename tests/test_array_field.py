@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from squintsim import (CircuitParams, PatternCut, ScatteringState, build_array,
                        directivity_pattern, main_lobe_angle, pattern_to_csv,
                        reflected_field)
-from squintsim.array_field import _block_geometry, _outgoing_block
+from squintsim.array_field import _block_geometry, _distances, _outgoing_block
 from squintsim.circuit import SPEED_OF_LIGHT
 
 F_REF = 2.5e9
@@ -93,10 +93,27 @@ def test_reflected_field_far_field_matches_brute_force(rng):
 def test_reflected_field_cosine_pattern(rng):
     for _ in range(20):
         array, state, source, amplitude = random_instance(rng, pattern="cosine")
-        point = array.center + rng.uniform(3, 40, 3)
-        got = amplitude * reflected_field(array, state, source, point)
-        want = brute_force_field(array, state.gammas, source, point, False, amplitude)
-        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-30)
+        # every offset positive: in front of the surface whatever its plane
+        for obs, far_field in [(array.center + rng.uniform(3, 40, 3), False),
+                               (rng.uniform(0.1, 1.0, 3), True)]:
+            got = amplitude * reflected_field(array, state, source, obs, far_field=far_field)
+            want = brute_force_field(array, state.gammas, source, obs, far_field, amplitude)
+            assert abs(got - want) <= 1e-10 * max(abs(want), 1e-30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n_points=st.integers(1, 5), n_positions=st.integers(1, 5),
+       exponents=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_distances_equal_norm_of_each_difference(n_points, n_positions, exponents, seed):
+    """The per-coordinate distances are np.linalg.norm of each difference, bit for bit,
+    with coordinates of magnitudes anywhere from 1e-150 to 1e150."""
+    rng = np.random.default_rng(seed)
+    low, high = sorted(exponents)
+    points, positions = (rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(low, high, (n, 3))
+                         for n in (n_points, n_positions))
+    want = np.linalg.norm(points[:, None, :] - positions[None, :, :], axis=-1)
+    assert np.array_equal(_distances(points, positions), want)
 
 
 def test_reflected_field_state_size_mismatch():
@@ -289,9 +306,9 @@ def test_outgoing_block_matches_reflected_field_distances(rng):
     """Near-field factors are the per-observation values of reflected_field, bit for bit."""
     array = build_array(20, 20, F_REF, center=rng.uniform(-3, 3, 3))
     k = 2.0 * np.pi * F_REF / SPEED_OF_LIGHT
-    dirs = rng.normal(size=(50, 3))
-    factors = _outgoing_block(k, *_block_geometry(array, dirs, 7.5, None), False)
-    for row, point in zip(factors, array.center + 7.5 * dirs):
+    points = array.center + 7.5 * rng.normal(size=(50, 3))
+    factors = _outgoing_block(k, *_block_geometry(array, points, False, None), False)
+    for row, point in zip(factors, points):
         d = np.linalg.norm(point - array.element_positions, axis=1)
         assert np.array_equal(row, np.exp(-1j * k * d) / d)
 
@@ -310,8 +327,8 @@ def test_outgoing_block_cosines_match_full_vectors(plane, rng):
     cos_out = np.maximum((to_obs @ array.normal) / d, 0.0)
     want = np.exp(-1j * k * d) / d
     want *= cos_in * cos_out
-    assert np.array_equal(_outgoing_block(k, *_block_geometry(array, dirs, 4.0, cos_in), False),
-                          want)
+    geometry = _block_geometry(array, array.center + 4.0 * dirs, False, cos_in)
+    assert np.array_equal(_outgoing_block(k, *geometry, False), want)
 
 
 @pytest.mark.parametrize("radius", [None, 12.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from squintsim import (ChannelSet, Node, ScatteringState, effective_channel,
+from squintsim import (ChannelSet, Node, ScatteringState, build_array, effective_channel,
                        freespace_pathloss, los_channel)
 from squintsim.channels import rician_channel
 from squintsim.circuit import SPEED_OF_LIGHT
@@ -82,6 +82,23 @@ def test_los_channel_reciprocity():
     h_ba = los_channel(b, a, f)
     assert h_ab.shape == (2, 3)
     assert np.allclose(h_ab, h_ba.T, rtol=1e-14)
+
+
+def test_los_channel_equals_norm_formula(rng):
+    """Entries are the np.linalg.norm form of the exact spherical link, bit for bit."""
+    for _ in range(40):
+        f = rng.uniform(1e9, 6e9)
+        terminals = [
+            Node(position=rng.uniform(-50, 50, 3), n_antennas=int(rng.integers(1, 5)),
+                 axis=rng.normal(size=3)),
+            build_array(int(rng.integers(1, 6)), int(rng.integers(1, 6)), f,
+                        center=rng.uniform(-50, 50, 3), plane=rng.choice(["xz", "xy", "yz"]))]
+        tx, rx = terminals if rng.random() < 0.5 else terminals[::-1]
+        tx_pos, rx_pos = (t.element_positions if hasattr(t, "element_positions")
+                          else t.antenna_positions(f) for t in (tx, rx))
+        d = np.linalg.norm(rx_pos[:, None, :] - tx_pos[None, :, :], axis=2)
+        want = freespace_pathloss(d, f) * np.exp(-2j * np.pi * d / (SPEED_OF_LIGHT / f))
+        assert np.array_equal(los_channel(tx, rx, f), want)
 
 
 def test_los_channel_coincident_error():

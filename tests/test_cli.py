@@ -419,6 +419,14 @@ def zero_pattern_config():
     return cfg
 
 
+def tiny_cut_config():
+    """A cut so close to the center element of an odd grid that its power overflows."""
+    cfg = set_field(preset_config("fig3"), "pattern.cut_radius", 1e-158)
+    cfg["ris"].update(rows=21, cols=21)
+    cfg["pattern"].update(reference_angle_deg=None, sensitivity=None)
+    return cfg
+
+
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize("cfg, code, named", [
     # the second case overflows the element circuit; the first left a partial --out-dir
@@ -427,7 +435,11 @@ def zero_pattern_config():
     # a raw ValueError and an empty --out-dir before
     (zero_pattern_config(), 2,
      ["config error: ", "config.pattern.angle_start_deg ", "angle_stop_deg "]),
-], ids=["sensitivity-overflow", "zero-pattern"])
+    # these two wrote all-NaN patterns, exited 0 and printed numpy's overflow warnings before
+    (set_field(preset_config("fig3"), "pattern.cut_radius", 1e300), 3,
+     ["numerical failure: ", "pattern power is not finite"]),
+    (tiny_cut_config(), 3, ["numerical failure: ", "pattern power is not finite"]),
+], ids=["sensitivity-overflow", "zero-pattern", "huge-cut-radius", "tiny-cut-radius"])
 def test_failing_pattern_study_writes_nothing(tmp_path, capsys, cfg, code, named, existing):
     config = tmp_path / "fig3.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
@@ -444,6 +456,18 @@ def test_failing_pattern_study_writes_nothing(tmp_path, capsys, cfg, code, named
         assert (out_dir / "sentinel.txt").read_text(encoding="utf-8") == "kept"
     else:
         assert not out_dir.exists()
+
+
+def test_extreme_loss_resistance_runs_without_warnings(tmp_path, capsys):
+    """The varactor inversion's coefficients overflowed outside its errstate and warned before;
+    the output was right: the reachable arc shrinks to a point, so every element is clamped."""
+    config = tmp_path / "fig3.json"
+    config.write_text(json.dumps(set_field(preset_config("fig3"), "ris.circuit.r_loss_ohm",
+                                           1e300)), encoding="utf-8")
+    assert main(["pattern", str(config), "--out-dir", str(tmp_path / "patterns")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["clamped_fraction"] == 1.0
 
 
 def test_config_warning_is_one_line(tmp_path, capsys):
