@@ -227,19 +227,26 @@ def reflected_field(array: RisArray, state: ScatteringState, source,
     far_field is False, a unit direction when far_field is True. Point
     observations carry the exact 1/d spreading amplitude; far-field
     directions carry phase only. It is one observation of the kernel that
-    ``directivity_pattern`` evaluates a cut with.
+    ``directivity_pattern`` evaluates a cut with. A field that overflows
+    raises NumericalError.
     """
     gammas = np.asarray(state.gammas)
     if gammas.shape != (array.n_elements,):
         raise ValueError("scattering state does not match the array size")
     obs = np.asarray(observation, dtype=float)
-    if far_field and np.linalg.norm(obs) == 0:
-        raise ValueError("far-field direction must be non-zero")
-    k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
-    d_in, cos_in = _feed_geometry(array, source)
-    a_out = _outgoing_block(k, *_block_geometry(array, obs[None, :], far_field, cos_in),
-                            far_field)
-    return complex((a_out @ (_incident(k, d_in) * gammas))[0])
+    # a far or tiny scene overflows here; the checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if far_field and not 0 < np.linalg.norm(obs) < np.inf:
+            raise ValueError("far-field direction must be non-zero")
+        k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
+        d_in, cos_in = _feed_geometry(array, source)
+        a_out = _outgoing_block(k, *_block_geometry(array, obs[None, :], far_field, cos_in),
+                                far_field)
+        field = complex((a_out @ (_incident(k, d_in) * gammas))[0])
+    if not np.isfinite(field):
+        raise NumericalError("reflected field is not finite: the observation, the feed or "
+                             "the surface's scale overflows the field sum")
+    return field
 
 
 def directivity_pattern(array: RisArray, state, source, angle_grid_deg,

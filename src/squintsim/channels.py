@@ -10,7 +10,7 @@ may carry a leading realization axis; every operation then acts on each
 realization alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class Node:
     position: np.ndarray
     n_antennas: int = 1
     spacing_fraction: float = 0.5       # of the carrier wavelength
-    axis: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
+    axis: np.ndarray = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -38,9 +38,10 @@ class Node:
         if self.spacing_fraction <= 0:
             raise ValueError("spacing_fraction must be positive")
         self.axis = np.asarray(self.axis, dtype=float)
-        norm = np.linalg.norm(self.axis)
-        if self.axis.shape != (3,) or norm == 0:
-            raise ValueError("axis must be a non-zero 3-vector")
+        with np.errstate(over="ignore"):    # a length that overflows is rejected below
+            norm = np.linalg.norm(self.axis)
+        if self.axis.shape != (3,) or not 0 < norm < np.inf:
+            raise ValueError("axis must be a non-zero 3-vector of finite length")
         self.axis = self.axis / norm
 
     def antenna_positions(self, frequency: float) -> np.ndarray:

@@ -15,7 +15,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -42,103 +42,12 @@ DIRECT_LINK, BS_RIS_LINK, RIS_UE_LINK = 0, 1, 2
 
 _MAX_CUT_ANGLES = 100_000   # per pattern cut; fig3 evaluates 721
 _CUT_SPAN = "config.pattern.angle_start_deg to angle_stop_deg"   # named if a cut scatters nothing
+_CUT_RADIUS = "config.pattern.cut_radius"   # named if its powers overflow
 
 EXPORT_COLUMNS = ("n_elements", "ris_x", "ris_y", "ris_z",
                   "sumse_target_ris", "sumse_target_noris",
                   "sumse_nontarget_ris", "sumse_nontarget_noris",
                   "degradation_ratio")
-
-
-# ---------------------------------------------------------------------------
-# scenario model: what load_scenario builds from a parsed config. Field
-# types, bounds and defaults live in the config schema tables below.
-
-@dataclass
-class UeConfig:
-    id: str
-    position: np.ndarray
-    role: str
-    blocked: bool
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-
-
-@dataclass
-class OperatorConfig:
-    id: str
-    carrier_hz: float
-    bs: Node
-    ues: list
-    power_w: float
-    precoder: str
-    zf_condition_limit: float | None
-
-
-@dataclass
-class RisConfig:
-    owner: str
-    rows: int
-    cols: int
-    position: np.ndarray
-    plane: str
-    spacing_fraction: float
-    design_frequency_hz: float | None
-    enabled: bool
-    narrowband: bool
-    element_pattern: str
-    circuit: CircuitParams
-    influence_band_hz: list | None
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-
-    @property
-    def n_elements(self) -> int:
-        return self.rows * self.cols
-
-
-@dataclass
-class SweepSpec:
-    """Grid of surface sizes and placements for a Fig. 5-style study."""
-
-    element_counts: list
-    positions: list
-    metrics: list | None = None
-
-
-@dataclass
-class PatternConfig:
-    frequencies_hz: list
-    angle_start_deg: float
-    angle_stop_deg: float
-    angle_step_deg: float
-    cut_plane: str
-    cut_radius: float | str | None
-    reference_angle_deg: float | None
-    reference_window_deg: float
-    sensitivity: dict | None            # the parsed sensitivity section
-
-    def angle_grid(self, step: float | None = None) -> np.ndarray:
-        step = self.angle_step_deg if step is None else step
-        return np.arange(self.angle_start_deg, self.angle_stop_deg + 1e-9, step)
-
-
-@dataclass
-class Scenario:
-    master_seed: int
-    realizations: int
-    operators: list
-    ris: RisConfig
-    noise_w: float
-    k_factor_db: float | None
-    sweep_spec: SweepSpec | None
-    pattern: PatternConfig | None
-    config_echo: dict
-
-    @property
-    def owner(self) -> OperatorConfig:
-        return next(op for op in self.operators if op.id == self.ris.owner)
 
 
 @dataclass
@@ -182,14 +91,15 @@ METRIC_NAMES = EXPORT_COLUMNS + tuple(
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema and scenario model
 #
-# Each section is a table mapping a field to (check, default). A check takes
-# (value, path) and returns the validated value or raises a ConfigError that
-# names the path. A missing field takes its default, run through the same
-# check so nested sections and lists are materialized; _REQUIRED fields must
-# be present. A field whose default is null also takes an explicit null. The
-# parsed config is the echo.
+# A check takes (value, path) and returns the validated value or raises a
+# ConfigError that names the path. A config section is parsed by a table
+# mapping each field to (check, default), or by a scenario record whose fields
+# carry their own (``_spec``). A missing field takes its default, run through
+# the same check so nested sections and lists are materialized; _REQUIRED
+# fields must be present. A field whose default is null also takes an explicit
+# null. The parsed config is the echo, and load_scenario builds the records from it.
 
 _REQUIRED = object()
 
@@ -263,6 +173,15 @@ def _list_of(check, length: int | None = None):
 _VECTOR = _list_of(_FINITE, length=3)
 
 
+def _direction(value, path):
+    vector = _VECTOR(value, path)
+    with np.errstate(over="ignore"):    # Node normalizes a direction by this length
+        length = np.linalg.norm(vector)
+    if not 0 < length < np.inf:
+        raise ConfigError(f"{path} must be a non-zero vector of finite length")
+    return vector
+
+
 def _interval(value, path):
     lo, hi = _list_of(_POSITIVE, length=2)(value, path)
     if not lo < hi:
@@ -270,7 +189,11 @@ def _interval(value, path):
     return [lo, hi]
 
 
-def _section(schema: dict):
+def _section(schema):
+    """Check of a config object; ``schema`` is a table or a record of ``_spec`` fields."""
+    if not isinstance(schema, dict):
+        schema = {f.name: f.metadata["config"] for f in fields(schema)}
+
     def check(raw, path):
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must be an object")
@@ -288,6 +211,11 @@ def _section(schema: dict):
     return check
 
 
+def _spec(check, default=_REQUIRED, /, **field_args):
+    """A record field that ``check`` reads from config, ``default`` when omitted."""
+    return field(metadata={"config": (check, default)}, **field_args)
+
+
 def _cut_radius(value, path):
     # null selects the far field
     if value is None or value == "target-distance":
@@ -297,52 +225,121 @@ def _cut_radius(value, path):
     return _POSITIVE(value, path)
 
 
-# a UE's role is filled in from surface ownership when omitted
-_UE = {"id": (_name, _REQUIRED), "position": (_VECTOR, _REQUIRED),
-       "role": (_one_of("target", "non-target"), None), "blocked": (_flag, False)}
-# Node's fields in order, with n_antennas as antennas
-_BS = {"position": (_VECTOR, _REQUIRED), "antennas": (_integer(1), 1),
-       "spacing_fraction": (_POSITIVE, 0.5), "axis": (_VECTOR, [1.0, 0.0, 0.0])}
-_OPERATOR = {"id": (_name, _REQUIRED), "carrier_hz": (_POSITIVE, _REQUIRED),
-             "bs": (_section(_BS), _REQUIRED), "ues": (_list_of(_section(_UE)), _REQUIRED),
-             "power_w": (_POSITIVE, 1.0), "precoder": (_one_of("zf", "mrt"), "zf"),
-             "zf_condition_limit": (_POSITIVE, None)}
-# the CircuitParams fields, with a unit suffix
-_CIRCUIT = {"l_bottom_h": (_POSITIVE, 2.5e-9), "l_top_h": (_POSITIVE, 0.7e-9),
-            "r_loss_ohm": (_NON_NEGATIVE, 1.0), "z0_ohm": (_POSITIVE, 376.730313668),
-            "c_min_f": (_POSITIVE, 0.47e-12), "c_max_f": (_POSITIVE, 2.35e-12)}
-_RIS = {"owner": (_name, _REQUIRED), "rows": (_integer(1), _REQUIRED),
-        "cols": (_integer(1), _REQUIRED), "position": (_VECTOR, _REQUIRED),
-        "plane": (_one_of(*PLANE_AXES), "xz"), "spacing_fraction": (_POSITIVE, 0.5),
-        "design_frequency_hz": (_POSITIVE, None), "enabled": (_flag, True),
-        "narrowband": (_flag, False),
-        "element_pattern": (_one_of("isotropic", "cosine"), "isotropic"),
-        "circuit": (_section(_CIRCUIT), {}), "influence_band_hz": (_interval, None)}
-_NOISE = {"bandwidth_hz": (_POSITIVE, 1e7), "noise_figure_db": (_FINITE, 9.0),
-          "density_dbm_per_hz": (_FINITE, -174.0)}
-_SWEEP = {"element_counts": (_list_of(_integer(1)), _REQUIRED),
-          "positions": (_list_of(_VECTOR), _REQUIRED),
-          "metrics": (_list_of(_one_of(*METRIC_NAMES)), None)}
+# Node's fields under their config names (n_antennas as antennas), with its defaults
+_BS = {"position": (_VECTOR, _REQUIRED), "antennas": (_integer(1), Node.n_antennas),
+       "spacing_fraction": (_POSITIVE, Node.spacing_fraction), "axis": (_direction, Node.axis)}
+# CircuitParams' fields with a unit suffix, and its defaults
+_CIRCUIT = {"l_bottom_h": (_POSITIVE, CircuitParams.l_bottom),
+            "l_top_h": (_POSITIVE, CircuitParams.l_top),
+            "r_loss_ohm": (_NON_NEGATIVE, CircuitParams.r_loss),
+            "z0_ohm": (_POSITIVE, CircuitParams.z0),
+            "c_min_f": (_POSITIVE, CircuitParams.c_min),
+            "c_max_f": (_POSITIVE, CircuitParams.c_max)}
 # the sensitivity step defaults to the pattern's step
 _SENSITIVITY = {"frequency_hz": (_POSITIVE, _REQUIRED),
                 "l_top_h": (_list_of(_POSITIVE), _REQUIRED),
                 "c_ranges_f": (_list_of(_interval), _REQUIRED),
                 "window_deg": (_NON_NEGATIVE, 5.0), "angle_step_deg": (_POSITIVE, None)}
-_PATTERN = {"frequencies_hz": (_list_of(_POSITIVE), _REQUIRED),
-            "angle_start_deg": (_FINITE, -90.0), "angle_stop_deg": (_FINITE, 90.0),
-            "angle_step_deg": (_POSITIVE, 0.25),
-            "cut_plane": (_one_of("terminals", "array-u", "array-v"), "terminals"),
-            "cut_radius": (_cut_radius, "target-distance"),
-            "reference_angle_deg": (_FINITE, None),
-            "reference_window_deg": (_NON_NEGATIVE, 10.0),
-            "sensitivity": (_section(_SENSITIVITY), None)}
+
+
+@dataclass
+class UeConfig:
+    id: str = _spec(_name)
+    position: np.ndarray = _spec(_VECTOR)
+    # filled in from surface ownership when omitted
+    role: str = _spec(_one_of("target", "non-target"), None)
+    blocked: bool = _spec(_flag, False)
+
+    def __post_init__(self):
+        self.position = np.asarray(self.position, dtype=float)
+
+
+@dataclass
+class OperatorConfig:
+    id: str = _spec(_name)
+    carrier_hz: float = _spec(_POSITIVE)
+    bs: Node = _spec(_section(_BS))
+    ues: list = _spec(_list_of(_section(UeConfig)))
+    power_w: float = _spec(_POSITIVE, 1.0)
+    precoder: str = _spec(_one_of("zf", "mrt"), "zf")
+    zf_condition_limit: float | None = _spec(_POSITIVE, None)
+
+
+@dataclass
+class RisConfig:
+    owner: str = _spec(_name)
+    rows: int = _spec(_integer(1))
+    cols: int = _spec(_integer(1))
+    position: np.ndarray = _spec(_VECTOR)
+    plane: str = _spec(_one_of(*PLANE_AXES), "xz")
+    spacing_fraction: float = _spec(_POSITIVE, 0.5)
+    design_frequency_hz: float | None = _spec(_POSITIVE, None)
+    enabled: bool = _spec(_flag, True)
+    narrowband: bool = _spec(_flag, False)
+    element_pattern: str = _spec(_one_of("isotropic", "cosine"), "isotropic")
+    circuit: CircuitParams = _spec(_section(_CIRCUIT), {})
+    influence_band_hz: list | None = _spec(_interval, None)
+
+    def __post_init__(self):
+        self.position = np.asarray(self.position, dtype=float)
+
+    @property
+    def n_elements(self) -> int:
+        return self.rows * self.cols
+
+
+@dataclass
+class SweepSpec:
+    """Grid of surface sizes and placements for a Fig. 5-style study."""
+
+    element_counts: list = _spec(_list_of(_integer(1)))
+    positions: list = _spec(_list_of(_VECTOR))
+    metrics: list | None = _spec(_list_of(_one_of(*METRIC_NAMES)), None, default=None)
+
+
+@dataclass
+class PatternConfig:
+    frequencies_hz: list = _spec(_list_of(_POSITIVE))
+    angle_start_deg: float = _spec(_FINITE, -90.0)
+    angle_stop_deg: float = _spec(_FINITE, 90.0)
+    angle_step_deg: float = _spec(_POSITIVE, 0.25)
+    cut_plane: str = _spec(_one_of("terminals", "array-u", "array-v"), "terminals")
+    cut_radius: float | str | None = _spec(_cut_radius, "target-distance")
+    reference_angle_deg: float | None = _spec(_FINITE, None)
+    reference_window_deg: float = _spec(_NON_NEGATIVE, 10.0)
+    sensitivity: dict | None = _spec(_section(_SENSITIVITY), None)   # the parsed section
+
+    def angle_grid(self, step: float | None = None) -> np.ndarray:
+        step = self.angle_step_deg if step is None else step
+        return np.arange(self.angle_start_deg, self.angle_stop_deg + 1e-9, step)
+
+
+@dataclass
+class Scenario:
+    master_seed: int
+    realizations: int
+    operators: list
+    ris: RisConfig
+    noise_w: float
+    k_factor_db: float | None
+    sweep_spec: SweepSpec | None
+    pattern: PatternConfig | None
+    config_echo: dict
+
+    @property
+    def owner(self) -> OperatorConfig:
+        return next(op for op in self.operators if op.id == self.ris.owner)
+
+
+_NOISE = {"bandwidth_hz": (_POSITIVE, 1e7), "noise_figure_db": (_FINITE, 9.0),
+          "density_dbm_per_hz": (_FINITE, -174.0)}
 _CONFIG = _section({
-    "operators": (_list_of(_section(_OPERATOR)), _REQUIRED),
-    "ris": (_section(_RIS), _REQUIRED),
+    "operators": (_list_of(_section(OperatorConfig)), _REQUIRED),
+    "ris": (_section(RisConfig), _REQUIRED),
     "master_seed": (_integer(0), 0), "realizations": (_integer(1, 1 << 32), 100),
     "noise": (_section(_NOISE), {}),
     "channel": (_section({"k_factor_db": (_FINITE, None)}), {}),
-    "sweep": (_section(_SWEEP), None), "pattern": (_section(_PATTERN), None)})
+    "sweep": (_section(SweepSpec), None), "pattern": (_section(PatternConfig), None)})
 
 
 def load_scenario(config) -> Scenario:
@@ -377,8 +374,6 @@ def load_scenario(config) -> Scenario:
     if dupes:
         raise ConfigError(f"duplicate UE identifiers: {sorted(dupes)}")
     for i, op in enumerate(ops):
-        if not any(op["bs"]["axis"]):
-            raise ConfigError(f"config.operators[{i}].bs.axis must be a non-zero vector")
         if op["precoder"] == "zf" and len(op["ues"]) > op["bs"]["antennas"]:
             raise ConfigError(f"config.operators[{i}].bs.antennas must be at least "
                               f"{len(op['ues'])}: zero-forcing needs one antenna per user")
@@ -437,8 +432,9 @@ def load_scenario(config) -> Scenario:
     if not 0 < noise_w < np.inf:
         raise ConfigError(f"config.noise gives noise power {noise_w:g} W, not finite and positive")
     operators = [
-        OperatorConfig(**{**op, "bs": Node(*op["bs"].values()),
-                          "ues": [UeConfig(**ue) for ue in op["ues"]]})
+        OperatorConfig(**{**op, "ues": [UeConfig(**ue) for ue in op["ues"]], "bs": Node(
+            op["bs"]["position"], n_antennas=op["bs"]["antennas"],
+            spacing_fraction=op["bs"]["spacing_fraction"], axis=op["bs"]["axis"])})
         for op in ops]
     surface = RisConfig(**{**ris, "circuit": CircuitParams(
         **{key.rsplit("_", 1)[0]: value for key, value in circuit.items()})})
@@ -552,8 +548,9 @@ def build_surface(ris: RisConfig, owner_carrier_hz: float) -> RisArray:
                        element_pattern=ris.element_pattern)
 
 
-def _in_scene(field: str, build, *args):
-    """``build(*args)``, with its failure reported against ``field``.
+def _in_scene(where: str, build, *args, overflow: str | None = None):
+    """``build(*args)``, with its failure reported against the config field ``where``,
+    or a NumericalError against ``overflow`` when given.
 
     Every argument but the scene geometry is validated when the config
     loads, so a ValueError left is coincident or collinear terminals or a cut
@@ -563,9 +560,9 @@ def _in_scene(field: str, build, *args):
     try:
         return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"{field} cannot be evaluated: {exc}") from None
+        raise ConfigError(f"{where} cannot be evaluated: {exc}") from None
     except NumericalError as exc:
-        raise NumericalError(f"evaluating {field}: {exc}") from None
+        raise NumericalError(f"evaluating {overflow or where}: {exc}") from None
 
 
 # Cap on realizations x surface elements x owner cascade entries, per case in
@@ -1141,7 +1138,7 @@ def _pattern_cut(scenario: Scenario, array: RisArray) -> PatternCut:
         return _in_scene("config.pattern.cut_plane", PatternCut.through_points, array,
                          owner.bs.position, ue.position, radius)
     sweep = array.u_axis if cfg.cut_plane == "array-u" else array.v_axis
-    return _in_scene("config.pattern.cut_radius", PatternCut, radius, tuple(sweep),
+    return _in_scene(_CUT_RADIUS, PatternCut, radius, tuple(sweep),
                      tuple(array.normal))
 
 
@@ -1199,7 +1196,7 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     patterns = dict(zip(carriers, _in_scene(
         _CUT_SPAN, directivity_pattern, array,
         [evaluate_off_frequency(tuning, f, params) for f in carriers],
-        scenario.owner.bs.position, angles, cut)))
+        scenario.owner.bs.position, angles, cut, overflow=_CUT_RADIUS)))
     peaks = dict(zip(carriers, main_lobe_angle(list(patterns.values())).tolist()))
 
     design_peak = peaks[cfg.frequencies_hz[0]]
@@ -1267,7 +1264,8 @@ def squint_sensitivity_report(scenario: Scenario, array: RisArray, cut: PatternC
     f1_peaks, f3_peaks = (
         main_lobe_angle(_in_scene(_CUT_SPAN, directivity_pattern, array,
                                   evaluate_off_frequency(tuning, f, params),
-                                  scenario.owner.bs.position, angles, cut)).tolist()
+                                  scenario.owner.bs.position, angles, cut,
+                                  overflow=_CUT_RADIUS)).tolist()
         for f in (theta.frequency, sens["frequency_hz"]))
     cases = zip(l_top[:, 0].tolist(), c_min[:, 0].tolist(), c_max[:, 0].tolist(),
                 f1_peaks, f3_peaks, clamped.tolist())

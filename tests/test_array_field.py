@@ -12,6 +12,7 @@ from squintsim import (CircuitParams, PatternCut, ScatteringState, build_array,
                        reflected_field)
 from squintsim.array_field import _block_geometry, _distances, _outgoing_block
 from squintsim.circuit import SPEED_OF_LIGHT
+from squintsim.errors import NumericalError
 
 F_REF = 2.5e9
 FULL_GRID = np.arange(-90.0, 90.0 + 1e-9, 0.25)
@@ -114,6 +115,36 @@ def test_distances_equal_norm_of_each_difference(n_points, n_positions, exponent
                          for n in (n_points, n_positions))
     want = np.linalg.norm(points[:, None, :] - positions[None, :, :], axis=-1)
     assert np.array_equal(_distances(points, positions), want)
+
+
+def surface_3x3():
+    """A 3x3 surface and a spread of phases; the tests feed it from [0, -50, 0]."""
+    return build_array(3, 3, F_REF), ScatteringState(gammas=np.exp(0.7j * np.arange(9)),
+                                                     frequency=F_REF)
+
+
+@pytest.mark.parametrize("source, point", [
+    ([0.0, -50.0, 0.0], [0.0, 1e300, 0.0]),     # the element-to-observation distances overflow
+    ([0.0, -1e300, 0.0], [0.0, 10.0, 0.0]),     # the feed-to-element distances overflow
+])
+def test_reflected_field_overflow_fails_closed(source, point):
+    """Returned nan+nanj with numpy's overflow and invalid-value warnings before; the
+    suite turns any RuntimeWarning into an error, so none is printed now."""
+    array, state = surface_3x3()
+    with pytest.raises(NumericalError, match="reflected field is not finite"):
+        reflected_field(array, state, source, point)
+
+
+def test_reflected_field_rejects_a_direction_whose_length_overflows():
+    """[0, 1e308, 1e308] normalized to zero and returned, with warnings, the field along
+    any direction perpendicular to the surface's axes before."""
+    array, state = surface_3x3()
+    feed = [0.0, -50.0, 0.0]
+    with pytest.raises(ValueError, match="far-field direction must be non-zero"):
+        reflected_field(array, state, feed, [0.0, 1e308, 1e308], far_field=True)
+    along = reflected_field(array, state, feed, [0.0, 1.0, 1.0], far_field=True)
+    assert along == reflected_field(array, state, feed, [0.0, 2.0, 2.0], far_field=True)
+    assert along != reflected_field(array, state, feed, [1.0, 0.0, 0.0], far_field=True)
 
 
 def test_reflected_field_state_size_mismatch():

@@ -60,6 +60,18 @@ def test_node_validation():
         Node(position=(0.0, 0.0, 0.0), spacing_fraction=0.0)
     with pytest.raises(ValueError):
         Node(position=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 0.0))
+    # a length that underflows to 0 or overflows cannot normalize the axis: the large
+    # ones normalized it to zero and stacked every antenna on one point before
+    for axis in [(1e-320, 0.0, 0.0), (1e300, 0.0, 0.0), (1e308, 1e308, 0.0),
+                 (np.nan, 1.0, 0.0)]:
+        with pytest.raises(ValueError, match="axis must be a non-zero 3-vector of finite length"):
+            Node(position=(0.0, 0.0, 0.0), n_antennas=4, axis=axis)
+
+
+def test_node_axis_is_normalized_by_its_length():
+    axis = np.array([1e150, -3e149, 2e149])
+    node = Node(position=(0.0, 0.0, 0.0), axis=axis)
+    assert np.array_equal(node.axis, axis / np.linalg.norm(axis))
 
 
 def test_los_channel_single_pair_exact():

@@ -263,6 +263,11 @@ def test_largest_realization_count_loads():
     ("realizations", 2**32 + 1, "realizations"),
     # a raw OverflowError from the linear K ratio in the pipeline before
     ("channel.k_factor_db", 1e308, "channel.k_factor_db"),
+    # an axis whose length underflows to 0 (a raw ValueError from Node before) or overflows
+    # (an overflow warning, every antenna stacked on one point and exit 0 before)
+    ("operators.1.bs.axis", [1e-320, 0.0, 0.0], "operators[1].bs.axis"),
+    ("operators.1.bs.axis", [1e300, 0.0, 0.0], "operators[1].bs.axis"),
+    ("operators.1.bs.axis", [1e308, 1e308, 0.0], "operators[1].bs.axis"),
 ])
 def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     config = tmp_path / "fig4d.json"
@@ -270,7 +275,7 @@ def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     out = tmp_path / "case.csv"
     assert main(["run", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ")
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert f"config.{field} " in err
     if field == "sweep.metrics[0]":
         assert "'degradation_ratio'" in err
@@ -437,8 +442,9 @@ def tiny_cut_config():
      ["config error: ", "config.pattern.angle_start_deg ", "angle_stop_deg "]),
     # these two wrote all-NaN patterns, exited 0 and printed numpy's overflow warnings before
     (set_field(preset_config("fig3"), "pattern.cut_radius", 1e300), 3,
-     ["numerical failure: ", "pattern power is not finite"]),
-    (tiny_cut_config(), 3, ["numerical failure: ", "pattern power is not finite"]),
+     ["numerical failure: ", "config.pattern.cut_radius", "pattern power is not finite"]),
+    (tiny_cut_config(), 3,
+     ["numerical failure: ", "config.pattern.cut_radius", "pattern power is not finite"]),
 ], ids=["sensitivity-overflow", "zero-pattern", "huge-cut-radius", "tiny-cut-radius"])
 def test_failing_pattern_study_writes_nothing(tmp_path, capsys, cfg, code, named, existing):
     config = tmp_path / "fig3.json"

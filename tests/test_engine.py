@@ -253,6 +253,42 @@ def test_mutated_presets_fail_closed(data):
     json.dumps(case.to_dict(), allow_nan=False)     # raises on a NaN or an infinity
 
 
+def _at(node, keys):
+    """The config node at ``keys``."""
+    for key in keys:
+        node = node[key]
+    return node
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e300, -1.7e308])
+@pytest.mark.parametrize("name", ["fig4d", "fig1a"])
+def test_extreme_magnitudes_fail_closed(name, value):
+    """Every float leaf of an expanded preset, the defaults included, set to the smallest
+    subnormal, a huge or the most negative magnitude: a ConfigError names the leaf's
+    section, or a NumericalError, or a finite run that prints no numpy warning."""
+    echo = load_preset(name).config_echo
+    leaves = [(path, keys) for path, keys in config_nodes(echo)
+              if isinstance(_at(echo, keys), float)]
+    for path, keys in leaves:
+        cfg = copy.deepcopy(echo)
+        cfg["realizations"] = 2
+        _at(cfg, keys[:-1])[keys[-1]] = value
+        # the object that holds the leaf: a vector's entries belong to the vector's
+        section = (path.rsplit("[", 1)[0] if path.endswith("]") else path).rsplit(".", 1)[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                case = run_case(load_scenario(cfg))
+            except ConfigError as exc:
+                assert section in str(exc), (path, str(exc))
+            except NumericalError:
+                pass
+            else:
+                json.dumps(case.to_dict(), allow_nan=False)
+        assert all(issubclass(w.category, ConfigWarning) for w in caught), \
+            (path, [str(w.message) for w in caught])
+
+
 # --- seeding -------------------------------------------------------------------
 
 def test_derive_seed_distinct_paths():
