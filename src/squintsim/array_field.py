@@ -357,9 +357,7 @@ def main_lobe_angle(pattern: np.ndarray):
     return float(peak) if peak.ndim == 0 else peak
 
 
-def pattern_to_csv(pattern: np.ndarray, path) -> None:
-    """Write a pattern as CSV with 9-significant-digit decimal fields, in one write."""
+def pattern_to_csv(pattern: np.ndarray) -> str:
+    """A pattern's CSV text, with 9-significant-digit decimal fields."""
     rows = np.asarray(pattern, dtype=float).tolist()
-    text = "".join(f"{angle:.9g},{db:.9g}\n" for angle, db in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("angle_deg,power_db\n" + text)
+    return "angle_deg,power_db\n" + "".join(f"{angle:.9g},{db:.9g}\n" for angle, db in rows)

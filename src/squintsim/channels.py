@@ -42,7 +42,9 @@ class Node:
             norm = np.linalg.norm(self.axis)
         if self.axis.shape != (3,) or not 0 < norm < np.inf:
             raise ValueError("axis must be a non-zero 3-vector of finite length")
-        self.axis = self.axis / norm
+        # scaled by a power of two, which is exact, so that no square is subnormal
+        scaled = np.ldexp(self.axis, -np.frexp(np.abs(self.axis).max())[1])
+        self.axis = scaled / np.linalg.norm(scaled)
 
     def antenna_positions(self, frequency: float) -> np.ndarray:
         """(n_antennas, 3) positions of the ULA at the given carrier."""

@@ -16,7 +16,6 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -43,6 +42,7 @@ DIRECT_LINK, BS_RIS_LINK, RIS_UE_LINK = 0, 1, 2
 _MAX_CUT_ANGLES = 100_000   # per pattern cut; fig3 evaluates 721
 _CUT_SPAN = "config.pattern.angle_start_deg to angle_stop_deg"   # named if a cut scatters nothing
 _CUT_RADIUS = "config.pattern.cut_radius"   # named if its powers overflow
+_RIS_SURFACE = "the surface at config.ris.position"   # named if a link through it fails
 
 EXPORT_COLUMNS = ("n_elements", "ris_x", "ris_y", "ris_z",
                   "sumse_target_ris", "sumse_target_noris",
@@ -417,6 +417,11 @@ def load_scenario(config) -> Scenario:
             if block is not None and span / block["angle_step_deg"] + 1 > _MAX_CUT_ANGLES:
                 raise ConfigError(f"config.{where}.angle_step_deg must leave at most "
                                   f"{_MAX_CUT_ANGLES} angles per cut")
+        files = {}
+        for k, name in enumerate(map(_pattern_file, pattern["frequencies_hz"])):
+            if files.setdefault(name, k) != k:
+                raise ConfigError(f"config.pattern.frequencies_hz[{k}] names the same file "
+                                  f"{name} as config.pattern.frequencies_hz[{files[name]}]")
 
     if ris["influence_band_hz"] is not None:
         lo, hi = ris["influence_band_hz"]
@@ -625,42 +630,42 @@ class _LinkDraws:
         return normals
 
 
-def _link_field(key: tuple) -> str:
-    """The config field whose position fails when a link cannot be evaluated."""
+def _link_field(key: tuple, surface: str | None = None) -> str:
+    """The config field whose position fails when a link cannot be evaluated, with
+    ``surface``, the surface of a surface link, when given."""
     i, slot, code = key
-    if code == BS_RIS_LINK:
-        return f"config.operators[{i}].bs.position"
-    return f"config.operators[{i}].ues[{slot - 1}].position"
+    where = f"config.operators[{i}]." + ("bs" if code == BS_RIS_LINK else f"ues[{slot - 1}]")
+    return f"{where}.position" + ("" if surface is None else f" with {surface}")
 
 
-def _los_links(cases: list) -> tuple[dict, list]:
+def _los_links(cases: list, surfaces: list) -> tuple[dict, list]:
     """The direct links, shared by every case, and per case the surface links.
 
-    Each is a dict of line-of-sight matrices keyed like the draws. The geometry
+    Each is a dict of line-of-sight matrices keyed like the draws: the run's
+    one table of links, with no direct link for a blocked UE. The geometry
     depends on no realization, so it is computed once per run and handed to
     every block. The owner's surface links are evaluated before the other
-    operators', the order a block uses them in.
+    operators', the order a block uses them in, each operator's BS-to-surface
+    link before its UEs' in slot order. ``surfaces`` names each case's surface.
     """
     operators = cases[0].operators
     owner = [op.id for op in operators].index(cases[0].ris.owner)
+    ue_nodes = [[Node(position=ue.position) for ue in op.ues] for op in operators]
 
-    def los(key, tx, rx):
-        return _in_scene(_link_field(key), los_channel, tx, rx,
+    def los(key, tx, rx, surface=None):
+        return _in_scene(_link_field(key, surface), los_channel, tx, rx,
                          operators[key[0]].carrier_hz)
 
-    direct = {(i, j + 1, DIRECT_LINK): los((i, j + 1, DIRECT_LINK), op.bs,
-                                           Node(position=ue.position))
+    direct = {(i, j + 1, DIRECT_LINK): los((i, j + 1, DIRECT_LINK), op.bs, ue_nodes[i][j])
               for i, op in enumerate(operators) for j, ue in enumerate(op.ues)
               if not ue.blocked}
     links = [{} for _ in cases]
     arrays = [build_surface(case.ris, case.owner.carrier_hz) for case in cases]
     for i in [owner] + [i for i in range(len(operators)) if i != owner]:
-        op = operators[i]
-        for case_links, array in zip(links, arrays):
-            case_links[i, 0, BS_RIS_LINK] = los((i, 0, BS_RIS_LINK), op.bs, array)
-            for j, ue in enumerate(op.ues):
-                key = (i, j + 1, RIS_UE_LINK)
-                case_links[key] = los(key, array, Node(position=ue.position))
+        for case_links, array, surface in zip(links, arrays, surfaces):
+            for key, tx, rx in [((i, 0, BS_RIS_LINK), operators[i].bs, array)] + [
+                    ((i, j + 1, RIS_UE_LINK), array, node) for j, node in enumerate(ue_nodes[i])]:
+                case_links[key] = los(key, tx, rx, surface)
     return direct, links
 
 
@@ -678,18 +683,13 @@ def _link(scenario: Scenario, los: np.ndarray, draws: _LinkDraws | None, key: tu
 
 def _direct_links(scenario: Scenario, links: dict, draws: _LinkDraws | None,
                   n_real: int) -> list:
-    """Each operator's (realizations x UEs x BS antennas) direct links.
-
-    A blocked UE has a zero row.
-    """
-    out = []
-    for i, op in enumerate(scenario.operators):
-        direct = np.zeros((n_real, len(op.ues), op.bs.n_antennas), dtype=complex)
-        for j, ue in enumerate(op.ues):
-            if not ue.blocked:
-                key = (i, j + 1, DIRECT_LINK)
-                _link(scenario, links[key], draws, key, direct[:, j:j + 1])
-        out.append(direct)
+    """Each operator's (realizations x UEs x BS antennas) direct links, UE slot s in row
+    s - 1; a UE without a link in ``links`` (``_los_links``), a blocked one, has a zero row."""
+    out = [np.zeros((n_real, len(op.ues), op.bs.n_antennas), dtype=complex)
+           for op in scenario.operators]
+    for key, los in links.items():
+        i, slot, _ = key
+        _link(scenario, los, draws, key, out[i][:, slot - 1:slot])
     return out
 
 
@@ -698,20 +698,19 @@ def _operator_channels(cases: list, links: list, i: int, draws: _LinkDraws | Non
     """Operator ``i``'s ChannelSet at its carrier, a row per UE, over a stack of cases.
 
     The cases share a surface size and are stacked case-major on the
-    realization axis; each link of every case (``links``, one dict per case)
-    is mixed with its scatter in one call, straight into the stack. The links
-    are filled one at a time, so that a link read for the last time is freed
-    before the next one is drawn.
+    realization axis; each of operator ``i``'s links of every case (``links``,
+    one dict per case) is mixed with its scatter in one call, straight into the
+    stack. The links are filled one at a time, in ``links`` order, so that a
+    link read for the last time is freed before the next one is drawn.
     """
     op = cases[0].operators[i]
     n_real, n_el = len(direct[i]), cases[0].ris.n_elements
     bs_to_ris = np.empty((len(cases), n_real, n_el, op.bs.n_antennas), dtype=complex)
     ris_to_ue = np.empty((len(cases), n_real, len(op.ues), n_el), dtype=complex)
-    fills = [((i, 0, BS_RIS_LINK), bs_to_ris)]
-    fills += [((i, j + 1, RIS_UE_LINK), ris_to_ue[:, :, j:j + 1]) for j in range(len(op.ues))]
-    for key, out in fills:
+    for key in [key for key in links[0] if key[0] == i]:
+        slot = key[1]    # 0 for the BS-to-surface link, UE slot s fills row s - 1
         _link(cases[0], np.stack([case_links[key] for case_links in links])[:, None], draws,
-              key, out)
+              key, ris_to_ue[:, :, slot - 1:slot] if slot else bs_to_ris)
     n_stack = len(cases) * n_real
     return ChannelSet(direct=np.tile(direct[i], (len(cases), 1, 1)),
                       bs_to_ris=bs_to_ris.reshape(n_stack, n_el, -1),
@@ -921,15 +920,15 @@ def _case_metrics(case: Scenario, outcomes: np.ndarray, clamp: np.ndarray,
                        per_ue=per_ue, **values)
 
 
-def _run_cases(cases: list, workers: int | None) -> list:
+def _run_cases(cases: list, workers: int | None, surfaces: list) -> list:
     """CaseMetrics of cases that differ only in their surface, block by block.
 
     Every case sees the same fixed realization blocks, and every stacked
     call gives a realization the same bits whatever else shares its stack,
     so a case's results depend neither on ``workers`` nor on the other
-    cases of the run.
+    cases of the run. ``surfaces`` names each case's surface in errors.
     """
-    direct_los, links = _los_links(cases)
+    direct_los, links = _los_links(cases, surfaces)
     tasks = [(cases, direct_los, links, start, stop) for start, stop in _blocks(cases)]
     if workers and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -947,7 +946,7 @@ def run_case(scenario: Scenario, workers: int | None = None) -> CaseMetrics:
     blocks run in parallel and are reduced in index order, so results do
     not depend on scheduling.
     """
-    return _run_cases([scenario], workers)[0]
+    return _run_cases([scenario], workers, [_RIS_SURFACE])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -980,9 +979,10 @@ def sweep(scenario: Scenario, workers: int | None = None) -> list:
     spec = scenario.sweep_spec
     if spec is None:
         raise ConfigError("no sweep specification was configured")
-    cases = [_with_surface(scenario, n, pos)
-             for n in spec.element_counts for pos in spec.positions]
-    return _run_cases(cases, workers)
+    grid = [(n, p, pos) for n in spec.element_counts for p, pos in enumerate(spec.positions)]
+    return _run_cases([_with_surface(scenario, n, pos) for n, _, pos in grid], workers,
+                      [f"the {n}-element surface at config.sweep.positions[{p}]"
+                       for n, p, _ in grid])
 
 
 # ---------------------------------------------------------------------------
@@ -1048,11 +1048,11 @@ def _temporary(path) -> str:
             return name
 
 
-def _write_all(writers: dict, out_dir=None) -> None:
-    """Write every file of ``writers``, or leave the file system as it was.
+def _write_all(texts: dict, out_dir=None) -> None:
+    """Write every file of ``texts``, or leave the file system as it was.
 
-    ``writers`` maps each path to a function that writes that file's
-    content to the name it is given: a new temporary file beside the path
+    ``texts`` maps each path to that file's text, written in UTF-8 with
+    ``\n`` line ends to a new temporary file beside the path
     (``_temporary``). The temporary files are renamed onto their paths only
     once all of them are written, and a path that names a directory, onto
     which no file can be renamed, fails the call before anything is written.
@@ -1060,10 +1060,10 @@ def _write_all(writers: dict, out_dir=None) -> None:
     failure deletes the temporary files, every renamed file that did not
     exist before and every directory this call created.
     """
-    for path in writers:
+    for path in texts:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    new = [path for path in writers if not os.path.lexists(path)]
+    new = [path for path in texts if not os.path.lexists(path)]
     missing = []
     if out_dir is not None:
         parent = os.path.abspath(out_dir)
@@ -1075,10 +1075,11 @@ def _write_all(writers: dict, out_dir=None) -> None:
         for directory in reversed(missing):
             os.mkdir(directory)
             created.append(directory)
-        for path, write in writers.items():
+        for path, text in texts.items():
             temporary[path] = _temporary(path)
-            write(temporary[path])
-        for path in writers:
+            with open(temporary[path], "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for path in texts:
             os.replace(temporary[path], path)
     except BaseException:
         for path in [*temporary.values(), *new]:
@@ -1087,11 +1088,6 @@ def _write_all(writers: dict, out_dir=None) -> None:
         for directory in reversed(created):
             os.rmdir(directory)
         raise
-
-
-def _write_text(text: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def export_results(table, fmt: str, path, scenario: Scenario) -> None:
@@ -1117,8 +1113,7 @@ def export_results(table, fmt: str, path, scenario: Scenario) -> None:
     path = str(path)
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     try:
-        _write_all({path: partial(_write_text, payload),
-                    path + ".manifest.json": partial(_write_text, manifest_text)})
+        _write_all({path: payload, path + ".manifest.json": manifest_text})
     except OSError as exc:
         raise OSError(f"failed writing results to '{path}': {exc}") from exc
 
@@ -1154,17 +1149,22 @@ def _pattern_phases(scenario: Scenario, array: RisArray) -> ScatteringState:
     f_design = scenario.ris.design_frequency_hz or owner.carrier_hz
     feed = Node(position=owner.bs.position)
     ue_node = Node(position=owner.ues[0].position)
-    where = f"config.operators[{[op.id for op in scenario.operators].index(owner.id)}]"
+    i = [op.id for op in scenario.operators].index(owner.id)
     if array.element_pattern == "cosine" and (feed.position - array.center) @ array.normal <= 0:
-        raise ConfigError(f"{where}.bs.position is not in front of the surface, so its "
-                          "cosine elements scatter nothing from the feed")
+        raise ConfigError(f"{_link_field((i, 0, BS_RIS_LINK))} is not in front of the "
+                          "surface, so its cosine elements scatter nothing from the feed")
     chs = ChannelSet(direct=np.zeros((1, 1), dtype=complex),
-                     bs_to_ris=_in_scene(where + ".bs.position", los_channel, feed, array,
-                                         f_design),
-                     ris_to_ue=_in_scene(where + ".ues[0].position", los_channel, array,
-                                         ue_node, f_design),
+                     bs_to_ris=_in_scene(_link_field((i, 0, BS_RIS_LINK), _RIS_SURFACE),
+                                         los_channel, feed, array, f_design),
+                     ris_to_ue=_in_scene(_link_field((i, 1, RIS_UE_LINK), _RIS_SURFACE),
+                                         los_channel, array, ue_node, f_design),
                      frequency=f_design)
     return align_phases_single_target(chs)
+
+
+def _pattern_file(frequency_hz: float) -> str:
+    """The name of the file that holds a pattern study's cut at one carrier."""
+    return f"pattern_{frequency_hz / 1e9:.3f}GHz.csv"
 
 
 def run_pattern(scenario: Scenario, out_dir) -> dict:
@@ -1200,7 +1200,7 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     peaks = dict(zip(carriers, main_lobe_angle(list(patterns.values())).tolist()))
 
     design_peak = peaks[cfg.frequencies_hz[0]]
-    entries = [{"frequency_hz": f, "file": f"pattern_{f / 1e9:.3f}GHz.csv",
+    entries = [{"frequency_hz": f, "file": _pattern_file(f),
                 "main_lobe_deg": peaks[f], "offset_from_design_peak_deg": peaks[f] - design_peak}
                for f in cfg.frequencies_hz]
     summary = {
@@ -1226,16 +1226,13 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
                 "closest": closest,
             }
 
-    writers = {os.path.join(out_dir, e["file"]):
-               partial(pattern_to_csv, patterns[e["frequency_hz"]]) for e in entries}
-    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    writers[os.path.join(out_dir, "pattern_summary.json")] = partial(_write_text, summary_text)
+    texts = {e["file"]: pattern_to_csv(patterns[e["frequency_hz"]]) for e in entries}
+    texts["pattern_summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if rows:
         lines = [",".join(SENSITIVITY_COLUMNS)]
         lines += [",".join(f"{row[c]:.9g}" for c in SENSITIVITY_COLUMNS) for row in rows]
-        writers[os.path.join(out_dir, "squint_sensitivity.csv")] = partial(
-            _write_text, "\n".join(lines) + "\n")
-    _write_all(writers, out_dir)
+        texts["squint_sensitivity.csv"] = "\n".join(lines) + "\n"
+    _write_all({os.path.join(out_dir, name): text for name, text in texts.items()}, out_dir)
     return summary
 
 

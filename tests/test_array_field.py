@@ -532,11 +532,9 @@ def test_main_lobe_validation():
         main_lobe_angle(np.zeros((4, 0, 2)))
 
 
-def test_pattern_to_csv_format(tmp_path):
+def test_pattern_to_csv_format():
     pattern = np.array([[-46.25, 0.0], [44.125, -12.3456789123]])
-    path = tmp_path / "pattern.csv"
-    pattern_to_csv(pattern, path)
-    text = path.read_text(encoding="utf-8")
+    text = pattern_to_csv(pattern)
     lines = text.splitlines()
     assert lines[0] == "angle_deg,power_db"
     assert lines[1] == "-46.25,0"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squintsim import (ChannelSet, Node, ScatteringState, build_array, effective_channel,
                        freespace_pathloss, los_channel)
@@ -72,6 +74,30 @@ def test_node_axis_is_normalized_by_its_length():
     axis = np.array([1e150, -3e149, 2e149])
     node = Node(position=(0.0, 0.0, 0.0), axis=axis)
     assert np.array_equal(node.axis, axis / np.linalg.norm(axis))
+
+
+def test_node_normalizes_a_tiny_axis_exactly():
+    """Squares below about 1e-154 are subnormal: (1e-160, 0, 0) gave a unit axis of
+    length 1.0000056 before. A power-of-two scaling keeps every bit of the axis's
+    direction, so a tiny axis normalizes to the bits of its exact scaling into range."""
+    assert Node(position=(0.0, 0.0, 0.0), axis=(1e-160, 0.0, 0.0)).axis.tolist() == \
+        [1.0, 0.0, 0.0]
+    tiny = np.array([1e-160, 1e-160, 0.0])
+    normal = np.ldexp(tiny, 600)
+    assert Node(position=(0.0, 0.0, 0.0), axis=tiny).axis.tobytes() == \
+        (normal / np.linalg.norm(normal)).tobytes()
+
+
+_COMPONENT = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(axis=st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(any))
+def test_node_keeps_the_bits_of_normal_range_axes(axis):
+    """Every axis whose squares stay normal normalizes to the bits of a / |a|."""
+    axis = np.array(axis)
+    assert Node(position=(0.0, 0.0, 0.0), axis=axis).axis.tobytes() == \
+        (axis / np.linalg.norm(axis)).tobytes()
 
 
 def test_los_channel_single_pair_exact():

@@ -268,6 +268,10 @@ def test_largest_realization_count_loads():
     ("operators.1.bs.axis", [1e-320, 0.0, 0.0], "operators[1].bs.axis"),
     ("operators.1.bs.axis", [1e300, 0.0, 0.0], "operators[1].bs.axis"),
     ("operators.1.bs.axis", [1e308, 1e308, 0.0], "operators[1].bs.axis"),
+    # pattern carriers that share a file name: one file held the later carrier's
+    # pattern and the summary listed both against it before
+    ("pattern.frequencies_hz", [2.5e9, 2.5004e9], "pattern.frequencies_hz[1]"),
+    ("pattern.frequencies_hz", [2.5e9, 2.75e9, 2.5e9], "pattern.frequencies_hz[2]"),
 ])
 def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
     config = tmp_path / "fig4d.json"
@@ -281,6 +285,37 @@ def test_config_hole_fails_at_load(tmp_path, capsys, path, value, field):
         assert "'degradation_ratio'" in err
     if field == "ris.owner":
         assert "role" not in err
+    if field.startswith("pattern.frequencies_hz"):
+        assert "file pattern_2.500GHz.csv as config.pattern.frequencies_hz[0]\n" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command, preset, edits, where", [
+    # a 1 x 1 surface on user u1; only the user, whose position is valid, was named before
+    ("run", "fig1a", {"ris": {"rows": 1, "cols": 1, "position": [12.0, 16.0, 0.0]}},
+     "config.operators[0].ues[0].position with the surface at config.ris.position"),
+    # the 1-element surface of the sweep's second position on user t1
+    ("sweep", "fig5", {"realizations": 2, "sweep": {"element_counts": [1, 9], "positions": [
+        [30.0, 10.0, 0.0], [55.0, 15.0, 0.0]]}},
+     "config.operators[0].ues[0].position with the 1-element surface at "
+     "config.sweep.positions[1]"),
+    ("pattern", "fig3", {"ris": {"rows": 1, "cols": 1, "position": [3.0, 3.0, 0.0]}},
+     "config.operators[0].ues[0].position with the surface at config.ris.position"),
+])
+def test_failed_surface_link_names_the_surface(tmp_path, capsys, command, preset, edits,
+                                               where):
+    cfg = preset_config(preset)
+    for key, value in edits.items():
+        cfg[key] = {**cfg[key], **value} if key == "ris" else value
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out = ["--out-dir", str(tmp_path / "patterns")] if command == "pattern" else \
+        ["--out", str(tmp_path / "out.csv")]
+    assert main([command, str(config), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: {where} cannot be evaluated: "
+                            "tx and rx antennas coincide\n")
     assert list(tmp_path.iterdir()) == [config]
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from collections import Counter
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -351,7 +352,7 @@ def test_link_draws_match_derive_seed(name, master_seed, start):
     spec = sc.sweep_spec
     cases = [sc] + ([engine._with_surface(sc, n, pos) for n in spec.element_counts
                      for pos in spec.positions] if spec else [])
-    direct_los, links = engine._los_links(cases)
+    direct_los, links = engine._los_links(cases, [None] * len(cases))
     largest = max(links, key=lambda case_links: case_links[0, 0, 1].size)
     sizes = {key: los.size for key, los in {**direct_los, **largest}.items()}
     stop = start + len(TOP)
@@ -369,6 +370,52 @@ def test_link_draws_match_derive_seed(name, master_seed, start):
             assert np.array_equal(normals[r - start], rng.standard_normal(normals.shape[1]))
             assert engine._pcg64_states(master_seed, [r], [key]) == [
                 reference_state(master_seed, r, *key)]
+
+
+@pytest.mark.parametrize("name, edits, n_blocks", [
+    ("fig5", {"realizations": 12}, 1),      # one block of several stacks
+    ("fig4d", {"realizations": 170}, 2),
+    ("fig1b", {"channel": {"k_factor_db": 10.0}}, 1),   # a blocked user has no direct link
+])
+def test_link_table_walkers_take_each_draw_its_reads(monkeypatch, name, edits, n_blocks):
+    """In each block, every seeded link is taken exactly its reads times, once for a direct
+    link and once per stack for a surface link, no other link is taken, and no draw is
+    held when the block ends."""
+    blocks = []
+
+    class CountedDraws(engine._LinkDraws):
+        def __init__(self, master_seed, start, stop, sizes, reads):
+            super().__init__(master_seed, start, stop, sizes, reads)
+            self.n_real, self.stacks, self.taken = stop - start, reads, Counter()
+            blocks.append(self)
+
+        def take(self, key):
+            self.taken[key] += 1
+            return super().take(key)
+
+    monkeypatch.setattr(engine, "_LinkDraws", CountedDraws)
+    cfg = preset_config(name)
+    cfg.update(edits)
+    sc = load_scenario(cfg)
+    spec = sc.sweep_spec
+    cases = [engine._with_surface(sc, n, pos) for n in spec.element_counts
+             for pos in spec.positions] if spec else [sc]
+    sweep(sc) if spec else run_case(sc)
+    seeded = {(i, 0, 1): "surface" for i in range(len(sc.operators))}
+    for i, op in enumerate(sc.operators):
+        for j, ue in enumerate(op.ues):
+            seeded[i, j + 1, 2] = "surface"
+            if not ue.blocked:
+                seeded[i, j + 1, 0] = "direct"
+    assert len(blocks) == n_blocks
+    for draws in blocks:
+        assert draws.stacks == len(engine._stacks(cases, draws.n_real))
+        assert sorted(draws._streams) == sorted(seeded)
+        assert draws.taken == {key: 1 if kind == "direct" else draws.stacks
+                               for key, kind in seeded.items()}
+        assert draws._drawn == {}
+    if name == "fig5":
+        assert blocks[0].stacks > 1
 
 
 def test_run_fails_when_numpy_derives_seeds_differently(tmp_path, capsys, monkeypatch):
@@ -1037,6 +1084,19 @@ def test_export_byte_identical_across_runs(tmp_path):
         (tmp_path / "b.csv.manifest.json").read_bytes()
 
 
+def test_tiny_bs_axis_exports_the_default_axis_bytes(tmp_path):
+    """An axis of (1e-160, 0, 0) normalized to a length of 1.0000056 and so moved every
+    antenna of the BS before; it now exports the bytes of the default axis."""
+    for tag, axis in (("tiny", [1e-160, 0.0, 0.0]), ("default", None)):
+        cfg = preset_config("fig4d")
+        cfg["realizations"] = 4
+        if axis is not None:
+            cfg["operators"][1]["bs"]["axis"] = axis
+        sc = load_scenario(cfg)
+        export_results([run_case(sc)], "csv", tmp_path / f"{tag}.csv", scenario=sc)
+    assert (tmp_path / "tiny.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
 def test_export_json_round_trip(tmp_path):
     sc, table = small_sweep_table()
     path = tmp_path / "out.json"
@@ -1191,9 +1251,7 @@ def test_run_pattern_files_equal_lone_calls(tmp_path):
         lone = directivity_pattern(array, evaluate_off_frequency(tuning, entry["frequency_hz"],
                                                                  params),
                                    feed, sc.pattern.angle_grid(), cut)
-        pattern_to_csv(lone, tmp_path / "lone.csv")
-        assert (tmp_path / "study" / entry["file"]).read_bytes() == \
-            (tmp_path / "lone.csv").read_bytes()
+        assert (tmp_path / "study" / entry["file"]).read_bytes() == pattern_to_csv(lone).encode()
         assert entry["main_lobe_deg"] == main_lobe_angle(lone)
     sens = sc.pattern.sensitivity
     angles = sc.pattern.angle_grid(sens["angle_step_deg"])

@@ -150,15 +150,14 @@ def test_failed_pattern_write_leaves_no_change(tmp_path, capsys, monkeypatch, ou
     before = snapshot(tmp_path)
     written = []
 
-    def second_fails(pattern, path):
+    def second_fails(path, *args, **kwargs):
         written.append(path)
         if len(written) == 2:
             raise OSError(f"injected into the write of {path}")
-        real(pattern, path)
+        return open(path, *args, **kwargs)
 
     engine = importlib.import_module("squintsim.engine")
-    real = engine.pattern_to_csv
-    monkeypatch.setattr(engine, "pattern_to_csv", second_fails)
+    monkeypatch.setattr(engine, "open", second_fails, raising=False)
     assert main(["pattern", str(config), "--out-dir", str(tmp_path / out_dir)]) == 3
     captured = capsys.readouterr()
     assert len(written) == 2
