@@ -113,7 +113,9 @@ def _terminal_positions(terminal, frequency: float) -> np.ndarray:
         return terminal.element_positions
     if isinstance(terminal, Node):
         return terminal.antenna_positions(frequency)
-    raise TypeError("terminal must be a Node or a RisArray")
+    if isinstance(terminal, np.ndarray) and terminal.ndim == 2 and terminal.shape[1] == 3:
+        return terminal
+    raise TypeError("terminal must be a Node, a RisArray or an (n, 3) position array")
 
 
 def _finite(link: np.ndarray) -> np.ndarray:
@@ -126,9 +128,12 @@ def _finite(link: np.ndarray) -> np.ndarray:
 def los_channel(tx, rx, frequency: float) -> np.ndarray:
     """Line-of-sight link matrix (rx elements x tx elements) between two terminals.
 
-    Entries carry the exact spherical propagation phase and free-space
-    amplitude per antenna pair. Entries that overflow to a non-finite value
-    raise NumericalError.
+    A terminal is a Node, a RisArray, or an (n, 3) array of element
+    positions, such as several surfaces' elements stacked to evaluate their
+    links in one call. Entries carry the exact spherical propagation phase
+    and free-space amplitude per antenna pair, each computed from its own
+    distance alone. Entries that overflow to a non-finite value raise
+    NumericalError.
     """
     tx_pos = _terminal_positions(tx, frequency)
     rx_pos = _terminal_positions(rx, frequency)

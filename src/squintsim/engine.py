@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -644,9 +643,13 @@ def _los_links(cases: list, surfaces: list) -> tuple[dict, list]:
     Each is a dict of line-of-sight matrices keyed like the draws: the run's
     one table of links, with no direct link for a blocked UE. The geometry
     depends on no realization, so it is computed once per run and handed to
-    every block. The owner's surface links are evaluated before the other
+    every block, each surface link in one call over every case's elements (an
+    entry depends on its own distance alone, so it has the bits of a call on
+    its case). The owner's surface links are evaluated before the other
     operators', the order a block uses them in, each operator's BS-to-surface
-    link before its UEs' in slot order. ``surfaces`` names each case's surface.
+    link before its UEs' in slot order; an operator whose call fails is
+    evaluated again case by case, to name the first failing link.
+    ``surfaces`` names each case's surface.
     """
     operators = cases[0].operators
     owner = [op.id for op in operators].index(cases[0].ris.owner)
@@ -661,11 +664,23 @@ def _los_links(cases: list, surfaces: list) -> tuple[dict, list]:
               if not ue.blocked}
     links = [{} for _ in cases]
     arrays = [build_surface(case.ris, case.owner.carrier_hz) for case in cases]
+    elements = np.concatenate([array.element_positions for array in arrays])
+    bounds = np.cumsum([array.n_elements for array in arrays[:-1]])
     for i in [owner] + [i for i in range(len(operators)) if i != owner]:
-        for case_links, array, surface in zip(links, arrays, surfaces):
-            for key, tx, rx in [((i, 0, BS_RIS_LINK), operators[i].bs, array)] + [
-                    ((i, j + 1, RIS_UE_LINK), array, node) for j, node in enumerate(ue_nodes[i])]:
-                case_links[key] = los(key, tx, rx, surface)
+        op, nodes = operators[i], ue_nodes[i]
+        keys = [(i, 0, BS_RIS_LINK)] + [(i, j + 1, RIS_UE_LINK) for j in range(len(nodes))]
+        try:
+            matrices = [np.split(los_channel(op.bs, elements, op.carrier_hz), bounds)] + [
+                np.split(los_channel(elements, node, op.carrier_hz), bounds, axis=1)
+                for node in nodes]
+        except (ValueError, NumericalError):
+            # case by case, each case's links in key order, to name the first that fails
+            matrices = zip(*[[los(key, tx, rx, surface) for key, tx, rx in
+                              zip(keys, [op.bs] + [array] * len(nodes), [array] + nodes)]
+                             for array, surface in zip(arrays, surfaces)])
+        for key, per_case in zip(keys, matrices):
+            for case_links, matrix in zip(links, per_case):
+                case_links[key] = matrix
     return direct, links
 
 
@@ -931,6 +946,8 @@ def _run_cases(cases: list, workers: int | None, surfaces: list) -> list:
     direct_los, links = _los_links(cases, surfaces)
     tasks = [(cases, direct_los, links, start, stop) for start, stop in _blocks(cases)]
     if workers and workers > 1 and len(tasks) > 1:
+        # imported here, so that a serial run does not import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_block_worker, tasks))
     else:

@@ -138,30 +138,33 @@ def optimize_weighted_sum_power(channel_sets, max_iters: int = 200, tol: float =
     if tol < 0:
         raise ValueError("tol must be non-negative")
     f, base, conj = _flat_terms(channel_sets)
-    theta = np.ones((len(base), len(conj)), dtype=complex)
-    residual = _residual(theta, base, conj)
+    residual = _residual(np.ones((len(base), len(conj)), dtype=complex), base, conj)
+    # element-major: the cascade's and the phases' rows are the elements
+    cascade = np.conjugate(conj, out=conj)
+    theta = np.ones((len(cascade), len(base)), dtype=complex)
     current = _power(residual)
     trace = [current]
-    converged = np.zeros(len(theta), dtype=bool)
+    converged = np.zeros(len(base), dtype=bool)
+    term, s = np.empty_like(residual), np.empty(len(base), dtype=complex)
+    mag, moved = np.empty(len(base)), np.empty(len(base), dtype=bool)
     for _ in range(max_iters):
-        for n, c in enumerate(conj):
-            cascade = c.conj()
-            residual -= theta[:, n, None] * cascade
-            # vdot(cascade, residual) as one BLAS product per realization, whose bits do not
-            # depend on the stack size; a zero correlation leaves the phase as it is
-            s = (residual[:, None, :] @ c[:, :, None])[:, 0, 0]
-            mag = np.abs(s)
-            np.divide(s, mag, out=theta[:, n], where=mag > 0)
-            residual += theta[:, n, None] * cascade
+        for theta_n, cascade_n in zip(theta, cascade):
+            residual -= np.multiply(theta_n[:, None], cascade_n, out=term)
+            # vdot(cascade_n, residual) as one BLAS product per realization, whose bits do
+            # not depend on the stack size; a zero correlation leaves the phase as it is
+            np.vecdot(cascade_n, residual, out=s)
+            np.divide(s, np.abs(s, out=mag), out=theta_n, where=np.greater(mag, 0, out=moved))
+            residual += np.multiply(theta_n[:, None], cascade_n, out=term)
         previous, current = current, _power(residual)
         trace.append(current)
         done = ~converged & (current - previous <= tol * np.maximum(previous,
                                                                     np.finfo(float).tiny))
         converged |= done
         # a converged realization's zero cascade leaves its phases and residual as they are
-        conj[:, done] = 0.0
+        cascade[:, done] = 0.0
         if converged.all():
             break
+    theta = np.ascontiguousarray(theta.T)
     stacked = channel_sets[0].direct.ndim == 3
     if log is not None:
         log.objectives.extend(trace if stacked else [float(o[0]) for o in trace])

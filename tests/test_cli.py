@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from squintsim import ConfigError, load_scenario, run_case
+from squintsim import ConfigError, Node, load_scenario, run_case
 from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS
 from squintsim.presets import preset_config
@@ -316,6 +316,29 @@ def test_failed_surface_link_names_the_surface(tmp_path, capsys, command, preset
     assert captured.out == ""
     assert captured.err == (f"config error: {where} cannot be evaluated: "
                             "tx and rx antennas coincide\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_sweep_names_its_first_failing_link(tmp_path, capsys):
+    """Of two failing links, the one named is the first of the case-by-case order: case
+    by case, each case's BS link before its UEs'. The 1- and 9-element surfaces of the
+    second position lie on victim n1, and those of the third on an antenna of its BS,
+    whose link a single call over every case meets first."""
+    cfg = preset_config("fig5")
+    victim = cfg["operators"][1]
+    antenna = Node(position=victim["bs"]["position"], n_antennas=victim["bs"]["antennas"])
+    cfg["realizations"] = 2
+    cfg["sweep"] = {"element_counts": [1, 9], "positions": [
+        [30.0, 10.0, 0.0], victim["ues"][0]["position"],
+        antenna.antenna_positions(victim["carrier_hz"])[0].tolist()]}
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["sweep", str(config), "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: config.operators[1].ues[0].position with the "
+                            "1-element surface at config.sweep.positions[1] cannot be "
+                            "evaluated: tx and rx antennas coincide\n")
     assert list(tmp_path.iterdir()) == [config]
 
 

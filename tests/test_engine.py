@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 import tracemalloc
 import warnings
@@ -639,6 +642,151 @@ def test_run_case_matches_per_realization_reference(name, precoder):
                                                             rel=1e-12, abs=0.0)
     assert case.clamp_fraction == np.mean([ref[1] for ref in refs])
     assert case.tuning_converged_fraction == np.mean([ref[2] for ref in refs])
+
+
+def reference_los_links(cases):
+    """Per case, every surface link as its own ``los_channel`` call, in the order a
+    block reads them: the owner's links first, each operator's BS link before its UEs'."""
+    operators = cases[0].operators
+    owner = [op.id for op in operators].index(cases[0].ris.owner)
+    tables = []
+    for case in cases:
+        array, table = build_surface(case.ris, case.owner.carrier_hz), {}
+        for i in [owner] + [i for i in range(len(operators)) if i != owner]:
+            op = operators[i]
+            table[(i, 0, engine.BS_RIS_LINK)] = los_channel(op.bs, array, op.carrier_hz)
+            for j, ue in enumerate(op.ues):
+                table[(i, j + 1, engine.RIS_UE_LINK)] = los_channel(
+                    array, Node(position=ue.position), op.carrier_hz)
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("name, calls", [("fig5", 12), ("fig1a", 5)])
+def test_los_links_equal_per_case_calls(monkeypatch, name, calls):
+    """One call per operator and link kind over every case gives each case's links the
+    bits, shapes and order of calls on that case alone (fig5: 16 cases, 132 calls)."""
+    sc = load_preset(name)
+    spec = sc.sweep_spec
+    cases = [sc] if spec is None else [engine._with_surface(sc, n, pos) for n in
+                                       spec.element_counts for pos in spec.positions]
+    made = Counter()
+
+    def counted(*args):
+        made["calls"] += 1
+        return los_channel(*args)
+
+    monkeypatch.setattr(engine, "los_channel", counted)
+    direct, links = engine._los_links(cases, [None] * len(cases))
+    assert made["calls"] == calls
+    for case_links, want in zip(links, reference_los_links(cases)):
+        assert list(case_links) == list(want)
+        for key, matrix in want.items():
+            assert case_links[key].shape == matrix.shape
+            assert case_links[key].tobytes() == matrix.tobytes()
+    for (i, slot, _), matrix in direct.items():
+        op = sc.operators[i]
+        want = los_channel(op.bs, Node(position=op.ues[slot - 1].position), op.carrier_hz)
+        assert matrix.tobytes() == want.tobytes()
+
+
+def expected_leakage(a, b, g, r, gammas, w, c):
+    """E|c + r^T diag(gammas) G w|^2, per realization and column of ``w``, for Rician
+    links r and G about their line-of-sight ``r`` (N,) and ``g`` (N x M), with ``a``
+    = K/(K+1) of their power in the line of sight and ``b`` = 1/(K+1) in the scatter.
+
+    ``gammas`` is (R x N), ``w`` (R x M x V) and ``c``, the direct part, (R x V).
+    """
+    rd = r * gammas
+    gw = np.swapaxes(w, 1, 2) @ g.T                             # (G w)_n at the line of sight
+    mean = (rd[:, None, :] * gw).sum(axis=-1)                  # r^T D G w at the line of sight
+    spread = np.swapaxes(np.abs(w) ** 2, 1, 2) @ (np.abs(g) ** 2).T   # sum_m |G_nm|^2 |w_m|^2
+    q = np.abs(rd[:, None, :]) ** 2
+    second = (a * (a * np.abs(mean) ** 2 + b * (q * spread).sum(axis=-1))
+              + b * (q * (a * np.abs(gw) ** 2 + b * spread)).sum(axis=-1))
+    return np.abs(c) ** 2 + 2 * (np.conj(c) * a * mean).real + second
+
+
+def leakage_z_scores(monkeypatch, sc):
+    """Per victim UE, the z-score of the mean paired difference between its sampled
+    interference power and that power's closed-form expectation given its precoders
+    and the frozen surface, over every realization of ``run_case``."""
+    tunings, channels, metrics = [], {}, []
+
+    def realize(*args):
+        tunings.append(engine_realize(*args))
+        return tunings[-1]
+
+    def effective(chs, state):
+        h = engine_effective(chs, state)
+        channels[id(h)] = (h, chs)          # held, so that no later array takes its id
+        return h
+
+    def metric(h, precoders, noise):
+        if id(h) in channels:
+            metrics.append((channels[id(h)][1], h, precoders, tunings[-1]))
+        return engine_metrics(h, precoders, noise)
+
+    engine_realize, engine_effective, engine_metrics = (
+        engine.realize_capacitances, engine.effective_channel, engine.link_metrics)
+    monkeypatch.setattr(engine, "realize_capacitances", realize)
+    monkeypatch.setattr(engine, "effective_channel", effective)
+    monkeypatch.setattr(engine, "link_metrics", metric)
+    run_case(sc)
+    monkeypatch.undo()
+    _, (links,) = engine._los_links([sc], [None])
+    k = 10.0 ** (sc.k_factor_db / 10.0)
+    owner = [op.id for op in sc.operators].index(sc.ris.owner)
+    scores = {}
+    for i, op in enumerate(sc.operators):
+        calls = [call for call in metrics if call[0].frequency == op.carrier_hz]
+        for u, ue in enumerate(op.ues if i != owner else []):
+            others = np.arange(len(op.ues)) != u
+            diffs = []
+            for chs, h, precoders, tuning in calls:
+                # the frozen surface formed anew at the victim's carrier
+                gammas = evaluate_off_frequency(tuning, op.carrier_hz, sc.ris.circuit).gammas
+                w, power = precoders.matrix, precoders.powers
+                sampled = power * np.abs((h[:, u, None, :] @ w)[:, 0]) ** 2
+                expected = power * expected_leakage(
+                    k / (k + 1.0), 1.0 / (k + 1.0), links[(i, 0, engine.BS_RIS_LINK)],
+                    links[(i, u + 1, engine.RIS_UE_LINK)][0], gammas, w,
+                    (chs.direct[:, u, None, :] @ w)[:, 0])
+                diffs.append(sampled[:, others].sum(axis=-1) - expected[:, others].sum(axis=-1))
+            d = np.concatenate(diffs)
+            assert len(d) == sc.realizations
+            scores[ue.id] = float(d.mean() / (d.std(ddof=1) / np.sqrt(len(d))))
+    return scores
+
+
+@pytest.mark.parametrize("name, edits", [
+    # at a low K factor the scatter, not the line of sight, carries the leaked power
+    ("fig4d", {"channel": {"k_factor_db": 0.0}}),
+    # fig5's N=70 case at [60, 10, 0], its preset surface, over 200 realizations
+    ("fig5", {"realizations": 200})])
+def test_stale_null_leakage_matches_its_closed_form(monkeypatch, name, edits):
+    """A victim's precoders come from its direct links, and the surface is tuned on the
+    owner's, so given both its interference through the surface has a closed-form mean
+    in the line-of-sight links; the sampled power agrees with it within 4 standard
+    errors. A scatter sqrt(2) too strong reads z = 8.8 and 11.1 on fig4d at 0 dB."""
+    cfg = preset_config(name)
+    cfg.update(edits)
+    scores = leakage_z_scores(monkeypatch, load_scenario(cfg))
+    assert len(scores) == sum(ue["role"] == "non-target"
+                              for op in cfg["operators"] for ue in op["ues"])
+    assert all(abs(z) < 4.0 for z in scores.values()), scores
+
+
+def test_import_leaves_out_the_worker_pool():
+    """Only a run with several workers imports the process pool, and multiprocessing."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, squintsim; print(sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert "'concurrent.futures.process'" not in loaded
+    assert "'multiprocessing'" not in loaded
 
 
 # --- case aggregation ---------------------------------------------------------

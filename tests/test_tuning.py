@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from squintsim import tuning
 from squintsim import (ChannelSet, CircuitParams, OptimizationLog, ScatteringState,
                        align_phases_single_target, evaluate_off_frequency,
                        optimize_weighted_sum_power, realize_capacitances,
@@ -151,6 +154,87 @@ def test_ascent_stack_matches_single_runs(rng):
         assert trace[:len(alone.objectives)] == alone.objectives
         assert set(trace[len(alone.objectives) - 1:]) == {alone.objectives[-1]}
         assert log.converged_each[r] == alone.converged
+
+
+def reference_ascent(channel_sets, max_iters=200, tol=1e-6):
+    """The ascent stepped realization-major: (realizations x elements) phases, and per
+    step a conjugated copy of the element's cascade and the correlation as a batched
+    (R, 1, E) @ (R, E, 1) product. Returns the phases, per-sweep objectives and flags."""
+    _, base, conj = tuning._flat_terms(channel_sets)
+    theta = np.ones((len(base), len(conj)), dtype=complex)
+    residual = tuning._residual(theta, base, conj)
+    current = tuning._power(residual)
+    trace = [current]
+    converged = np.zeros(len(theta), dtype=bool)
+    for _ in range(max_iters):
+        for n, c in enumerate(conj):
+            cascade = c.conj()
+            residual -= theta[:, n, None] * cascade
+            s = (residual[:, None, :] @ c[:, :, None])[:, 0, 0]
+            mag = np.abs(s)
+            np.divide(s, mag, out=theta[:, n], where=mag > 0)
+            residual += theta[:, n, None] * cascade
+        previous, current = current, tuning._power(residual)
+        trace.append(current)
+        done = ~converged & (current - previous <= tol * np.maximum(previous,
+                                                                    np.finfo(float).tiny))
+        converged |= done
+        conj[:, done] = 0.0
+        if converged.all():
+            break
+    return theta, trace, converged
+
+
+# (users, BS antennas) of each target set: 1, 7, 8 and 41 entries per row
+TARGET_SHAPES = [((1, 1),), ((1, 7),), ((2, 4),), ((1, 4), (2, 2)), ((4, 10), (1, 1))]
+
+
+@pytest.mark.parametrize("shapes", TARGET_SHAPES, ids=lambda shapes: "+".join(
+    f"{u}x{m}" for u, m in shapes))
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(n_real=st.none() | st.integers(1, 300), n_el=st.integers(1, 12),
+       max_iters=st.sampled_from([1, 2, 200]), tol=st.sampled_from([0.0, 1e-6, 1e-3]),
+       zeros=st.sampled_from(["none", "elements", "realizations", "all"]),
+       blocked=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n_real=None, n_el=5, max_iters=200, tol=1e-6, zeros="none", blocked=False, seed=1)
+@example(n_real=40, n_el=6, max_iters=1, tol=1e-6, zeros="none", blocked=True, seed=2)
+@example(n_real=40, n_el=6, max_iters=200, tol=0.0, zeros="elements", blocked=True, seed=3)
+@example(n_real=3, n_el=4, max_iters=200, tol=1e-6, zeros="all", blocked=True, seed=4)
+@example(n_real=None, n_el=4, max_iters=200, tol=0.0, zeros="all", blocked=False, seed=5)
+def test_ascent_matches_the_realization_major_reference(shapes, n_real, n_el, max_iters, tol,
+                                                       zeros, blocked, seed):
+    """Phases, every sweep's objectives and the convergence flags equal the reference's
+    bits, unstacked (``n_real`` None) or stacked, over one or two target sets; a zero
+    cascade, of some elements, some realizations or all, leaves its phases at 1."""
+    rng = np.random.default_rng(seed)
+    lead = () if n_real is None else (n_real,)
+    zero_rows = rng.random(n_real or 1) < 0.5
+    sets = []
+    for n_ue, n_bs in shapes:
+        direct = cplx(rng, lead + (n_ue, n_bs))
+        ris_to_ue = cplx(rng, lead + (n_ue, n_el))
+        if zeros == "elements":
+            ris_to_ue[..., : (n_el + 1) // 2] = 0.0
+        elif zeros == "realizations" and n_real is not None:
+            ris_to_ue[zero_rows] = 0.0
+        elif zeros == "all":
+            ris_to_ue[...] = 0.0
+        sets.append(ChannelSet(direct=0.0 * direct if blocked else direct,
+                               bs_to_ris=cplx(rng, lead + (n_el, n_bs)), ris_to_ue=ris_to_ue,
+                               frequency=F1))
+    log = OptimizationLog()
+    state = optimize_weighted_sum_power(sets, max_iters=max_iters, tol=tol, log=log)
+    theta, trace, converged = reference_ascent(sets, max_iters=max_iters, tol=tol)
+    if n_real is None:
+        assert state.gammas.shape == (n_el,)
+        assert np.array_equal(state.gammas, theta[0])
+        assert log.objectives == [float(objective[0]) for objective in trace]
+    else:
+        assert np.array_equal(state.gammas, theta)
+        assert len(log.objectives) == len(trace)
+        assert all(np.array_equal(got, want) for got, want in zip(log.objectives, trace))
+    assert np.array_equal(log.converged_each, converged)
+    assert log.converged == bool(converged.all())
 
 
 # --- hardware realization ----------------------------------------------------
