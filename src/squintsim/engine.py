@@ -738,7 +738,17 @@ def _surface_state(scenario: Scenario, tuning: TuningResult | None,
                           abs(frequency - tuning.frequency) > 1e-6 * tuning.frequency):
         return ScatteringState(gammas=np.zeros(scenario.ris.n_elements, dtype=complex),
                                frequency=float(frequency))
-    return evaluate_off_frequency(tuning, frequency, scenario.ris.circuit)
+    return _frozen_state(tuning, frequency, scenario.ris.circuit)
+
+
+def _frozen_state(tuning: TuningResult, frequency: float,
+                  params: CircuitParams) -> ScatteringState:
+    """The scattering ``tuning``'s capacitances present at ``frequency``, under the
+    constants ``params`` they were realized with: at the carrier they were tuned at,
+    the reflections already realized there."""
+    if frequency == tuning.frequency:
+        return ScatteringState(gammas=tuning.realized_gammas, frequency=float(frequency))
+    return evaluate_off_frequency(tuning, frequency, params)
 
 
 def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
@@ -1190,10 +1200,12 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     Writes ``pattern_<f>GHz.csv`` per frequency and
     ``pattern_summary.json``. When the probe-frequency main lobe misses
     the configured reference angle by more than the window, a circuit
-    sensitivity sweep runs and lands in ``squint_sensitivity.csv``. Every
-    pattern is evaluated before anything is written, and the files are
-    written together (``_write_all``), so a study that fails leaves
-    ``out_dir`` and its parents as they were.
+    sensitivity sweep is reported in ``squint_sensitivity.csv``. Every
+    pattern the study may report, the sweep's included when one is
+    configured, is evaluated in one ``directivity_pattern`` call before
+    anything is written, and the files are written together
+    (``_write_all``), so a study that fails leaves ``out_dir`` and its
+    parents as they were.
     """
     if scenario.pattern is None:
         raise ConfigError("config.pattern section is required for a pattern study")
@@ -1203,17 +1215,24 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     theta = _pattern_phases(scenario, array)
     tuning = realize_capacitances(theta, params)
     cut = _pattern_cut(scenario, array)
-    angles = cfg.angle_grid()
     carriers = list(cfg.frequencies_hz)
     if cfg.reference_angle_deg is not None:
         # the probe is the last listed carrier unless a sensitivity block names one
         probe_f = carriers[-1] if cfg.sensitivity is None else cfg.sensitivity["frequency_hz"]
         carriers.append(probe_f)
     carriers = list(dict.fromkeys(carriers))
-    patterns = dict(zip(carriers, _in_scene(
-        _CUT_SPAN, directivity_pattern, array,
-        [evaluate_off_frequency(tuning, f, params) for f in carriers],
-        scenario.owner.bs.position, angles, cut, overflow=_CUT_RADIUS)))
+    states = [_frozen_state(tuning, f, params) for f in carriers]
+    grids = [cfg.angle_grid()] * len(carriers)
+    cases = None
+    if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:
+        cases, stacks = _sensitivity_stacks(scenario, array, theta)
+        grids += [cfg.angle_grid(cfg.sensitivity["angle_step_deg"])] * len(stacks)
+        states += stacks
+        del stacks
+    # handed over one at a time, so that each stack's reflections are freed once weighed
+    evaluated = _in_scene(_CUT_SPAN, directivity_pattern, array, _handed_over(states),
+                          scenario.owner.bs.position, grids, cut, overflow=_CUT_RADIUS)
+    patterns = dict(zip(carriers, evaluated))
     peaks = dict(zip(carriers, main_lobe_angle(list(patterns.values())).tolist()))
 
     design_peak = peaks[cfg.frequencies_hz[0]]
@@ -1235,8 +1254,9 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
             "offset_deg": offset,
             "within_window": abs(offset) <= cfg.reference_window_deg,
         }
-        if abs(offset) > cfg.reference_window_deg and cfg.sensitivity is not None:
-            rows, closest = squint_sensitivity_report(scenario, array, cut, theta)
+        if abs(offset) > cfg.reference_window_deg and cases is not None:
+            rows, closest = squint_sensitivity_report(scenario, cases,
+                                                      *evaluated[len(carriers):])
             summary["sensitivity"] = {
                 "file": "squint_sensitivity.csv",
                 "cases": len(rows),
@@ -1253,38 +1273,54 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     return summary
 
 
-def squint_sensitivity_report(scenario: Scenario, array: RisArray, cut: PatternCut,
-                              theta: ScatteringState) -> tuple[list, dict]:
-    """Sweep circuit constants, tracking the probe-frequency main lobe.
+def _handed_over(items: list):
+    """``items`` in order, each dropped from the list as it is handed over, so that
+    it is freed once its consumer lets it go."""
+    while items:
+        yield items.pop(0)
+
+
+def _sensitivity_stacks(scenario: Scenario, array: RisArray,
+                        theta: ScatteringState) -> tuple[list, list]:
+    """The circuit sensitivity sweep's cases and its states at two carriers.
 
     Each (top inductance, capacitance range) case realizes the ideal phases
-    ``theta`` on ``array``; its main lobes in ``cut`` at the design and
-    probe frequencies and the probe lobe's offset from the reference angle
-    are recorded. The cases are rows of (cases, 1) circuit constants, so
-    one varactor inversion and one stacked pattern call per carrier cover
-    them all. Returns the rows and the row closest to the reference,
-    flagged with whether it falls inside the sensitivity window.
+    ``theta`` on ``array``. The cases are rows of (cases, 1) circuit
+    constants, so one varactor inversion covers them all. Returns each
+    case's (l_top, c_min, c_max, clamped fraction), and the stacks of the
+    cases' states at the design and probe carriers; the capacitances are
+    not kept.
     """
-    cfg = scenario.pattern
-    sens = cfg.sensitivity
+    sens = scenario.pattern.sensitivity
     l_top = np.repeat(sens["l_top_h"], len(sens["c_ranges_f"]))[:, None]
     c_min, c_max = np.tile(sens["c_ranges_f"], (len(sens["l_top_h"]), 1)).T[:, :, None]
     params = replace(scenario.ris.circuit, l_top=l_top, c_min=c_min, c_max=c_max)
     tuning = realize_capacitances(theta, params)
     clamped = np.bincount(tuning.clamp_report // array.n_elements,
                           minlength=len(l_top)) / array.n_elements
-    angles = cfg.angle_grid(sens["angle_step_deg"])
-    # one pattern call per carrier: a call on both stacks would hold both at once
-    f1_peaks, f3_peaks = (
-        main_lobe_angle(_in_scene(_CUT_SPAN, directivity_pattern, array,
-                                  evaluate_off_frequency(tuning, f, params),
-                                  scenario.owner.bs.position, angles, cut,
-                                  overflow=_CUT_RADIUS)).tolist()
-        for f in (theta.frequency, sens["frequency_hz"]))
-    cases = zip(l_top[:, 0].tolist(), c_min[:, 0].tolist(), c_max[:, 0].tolist(),
-                f1_peaks, f3_peaks, clamped.tolist())
-    rows = [dict(zip(SENSITIVITY_COLUMNS, (*case, f3, clamp, f3 - cfg.reference_angle_deg)))
-            for *case, f3, clamp in cases]
+    cases = list(zip(l_top[:, 0].tolist(), c_min[:, 0].tolist(), c_max[:, 0].tolist(),
+                     clamped.tolist()))
+    return cases, [_frozen_state(tuning, f, params)
+                   for f in (theta.frequency, sens["frequency_hz"])]
+
+
+def squint_sensitivity_report(scenario: Scenario, cases: list, f1_patterns: np.ndarray,
+                              f3_patterns: np.ndarray) -> tuple[list, dict]:
+    """The sensitivity sweep's rows, from its cases' patterns.
+
+    ``cases`` are ``_sensitivity_stacks``' (l_top, c_min, c_max, clamped
+    fraction) tuples, and the patterns their (cases, A, 2) stacks at the
+    design and probe frequencies. Each row records a case's main lobes at
+    both frequencies and the probe lobe's offset from the reference angle.
+    Returns the rows and the row closest to the reference, flagged with
+    whether it falls inside the sensitivity window.
+    """
+    cfg = scenario.pattern
+    f1_peaks, f3_peaks = (main_lobe_angle(p).tolist() for p in (f1_patterns, f3_patterns))
+    rows = [dict(zip(SENSITIVITY_COLUMNS, (l_top, c_min, c_max, f1, f3, clamp,
+                                           f3 - cfg.reference_angle_deg)))
+            for (l_top, c_min, c_max, clamp), f1, f3 in zip(cases, f1_peaks, f3_peaks)]
     closest = dict(min(rows, key=lambda r: abs(r["offset_from_reference_deg"])))
-    closest["within_window"] = abs(closest["offset_from_reference_deg"]) <= sens["window_deg"]
+    closest["within_window"] = abs(closest["offset_from_reference_deg"]) <= \
+        cfg.sensitivity["window_deg"]
     return rows, closest

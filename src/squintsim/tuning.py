@@ -51,9 +51,9 @@ class TuningResult:
 
 
 def _flat_terms(channel_sets):
-    """Carrier, every direct entry as (realizations x entries), and the conjugated
-    cascade laid out element-major as (elements x realizations x entries);
-    unstacked sets are one realization."""
+    """Carrier, every direct entry as (realizations x entries), and the cascade
+    laid out element-major as (elements x realizations x entries); unstacked sets
+    are one realization."""
     if len(channel_sets) == 0:
         raise ValueError("at least one target channel set is required")
     f = channel_sets[0].frequency
@@ -68,8 +68,8 @@ def _flat_terms(channel_sets):
             raise ValueError("all target channel sets must stack the same realizations")
     n_real = int(np.prod(lead))
     base = np.concatenate([chs.direct.reshape(n_real, -1) for chs in channel_sets], axis=1)
-    conj = np.empty((n_el, n_real, sum(chs.direct.shape[-2] * chs.bs_to_ris.shape[-1]
-                                       for chs in channel_sets)), dtype=complex)
+    cascade = np.empty((n_el, n_real, sum(chs.direct.shape[-2] * chs.bs_to_ris.shape[-1]
+                                          for chs in channel_sets)), dtype=complex)
     stop = 0
     for chs in channel_sets:
         n_ue, n_bs = chs.direct.shape[-2], chs.bs_to_ris.shape[-1]
@@ -77,8 +77,8 @@ def _flat_terms(channel_sets):
         # entry (n, r, (u, m)) is element n's gain from BS antenna m to row u
         np.multiply(np.moveaxis(chs.ris_to_ue.reshape(n_real, n_ue, n_el), 2, 0)[..., None],
                     np.moveaxis(chs.bs_to_ris.reshape(n_real, n_el, n_bs), 1, 0)[:, :, None],
-                    out=conj[:, :, start:stop].reshape(n_el, n_real, n_ue, n_bs))
-    return f, base, np.conjugate(conj, out=conj)
+                    out=cascade[:, :, start:stop].reshape(n_el, n_real, n_ue, n_bs))
+    return f, base, cascade
 
 
 def _power(residual: np.ndarray) -> np.ndarray:
@@ -86,9 +86,9 @@ def _power(residual: np.ndarray) -> np.ndarray:
     return (residual.real ** 2 + residual.imag ** 2).sum(axis=-1)
 
 
-def _residual(theta: np.ndarray, base: np.ndarray, conj: np.ndarray) -> np.ndarray:
+def _residual(theta: np.ndarray, base: np.ndarray, cascade: np.ndarray) -> np.ndarray:
     """``base`` plus every element's cascade weighted by its reflection ``theta``."""
-    return base + (theta.conj()[:, None, :] @ conj.transpose(1, 0, 2))[:, 0, :].conj()
+    return base + (theta[:, None, :] @ cascade.transpose(1, 0, 2))[:, 0, :]
 
 
 def weighted_sum_power(channel_sets, state: ScatteringState):
@@ -96,8 +96,9 @@ def weighted_sum_power(channel_sets, state: ScatteringState):
 
     A float, or one value per realization for stacked sets and states.
     """
-    _, base, conj = _flat_terms(channel_sets)
-    power = _power(_residual(np.broadcast_to(state.gammas, (len(base), len(conj))), base, conj))
+    _, base, cascade = _flat_terms(channel_sets)
+    power = _power(_residual(np.broadcast_to(state.gammas, (len(base), len(cascade))), base,
+                             cascade))
     return power if channel_sets[0].direct.ndim == 3 else float(power[0])
 
 
@@ -137,10 +138,9 @@ def optimize_weighted_sum_power(channel_sets, max_iters: int = 200, tol: float =
         raise ValueError("max_iters must be at least 1")
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    f, base, conj = _flat_terms(channel_sets)
-    residual = _residual(np.ones((len(base), len(conj)), dtype=complex), base, conj)
+    f, base, cascade = _flat_terms(channel_sets)
+    residual = _residual(np.ones((len(base), len(cascade)), dtype=complex), base, cascade)
     # element-major: the cascade's and the phases' rows are the elements
-    cascade = np.conjugate(conj, out=conj)
     theta = np.ones((len(cascade), len(base)), dtype=complex)
     current = _power(residual)
     trace = [current]

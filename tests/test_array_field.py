@@ -1,6 +1,7 @@
 """Array geometry, re-radiated field, pattern cuts, and CSV output."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from squintsim import (CircuitParams, PatternCut, ScatteringState, build_array,
                        directivity_pattern, main_lobe_angle, pattern_to_csv,
                        reflected_field)
-from squintsim.array_field import _block_geometry, _distances, _outgoing_block
+from squintsim import array_field
+from squintsim.array_field import (_block_geometry, _distances, _feed_geometry, _incident,
+                                   _outgoing_block, _to_db)
 from squintsim.circuit import SPEED_OF_LIGHT
 from squintsim.errors import NumericalError
 
@@ -320,6 +323,100 @@ def test_directivity_pattern_mixed_carriers_equal_lone_calls(radius, element_pat
             alone = directivity_pattern(array, ScatteringState(row, state.frequency), source,
                                         angles, cut)
             assert np.array_equal(pattern.reshape(-1, len(angles), 2)[s], alone)
+
+
+# pairs of cut grids: the second a subset of the first; sharing only their start
+# exactly; and two np.arange grids whose shared angles differ in the last bit
+GRID_STEPS = {"aligned": (0.25, 0.5), "non-aligned": (0.25, 0.3), "last-bit": (0.1, 0.05)}
+
+
+def grid_pair(name, lengths):
+    return [np.arange(-60.0, 60.0 + 1e-9, step)[:n] for step, n in zip(GRID_STEPS[name], lengths)]
+
+
+def test_grid_pairs_share_what_they_claim():
+    fine, coarse = grid_pair("aligned", (None, None))
+    assert np.isin(coarse, fine).all()
+    for name in ("non-aligned", "last-bit"):
+        a, b = grid_pair(name, (None, None))
+        close = np.isclose(a[:, None], b[None, :], rtol=0.0, atol=1e-9)
+        assert close.sum() > 50 and (a[:, None] == b[None, :]).sum() == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grids=st.sampled_from(sorted(GRID_STEPS)), radius=st.sampled_from([None, 12.0]),
+       element_pattern=st.sampled_from(["isotropic", "cosine"]),
+       shape=st.sampled_from([(1, 2), (3, 2), (8, 8), (20, 20)]),
+       block=st.integers(1, 45),
+       lengths=st.tuples(st.integers(1, 400), st.integers(1, 800)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_directivity_pattern_per_state_grids_equal_lone_calls(grids, radius, element_pattern,
+                                                              shape, block, lengths, seed):
+    """States on their own grids share one pass over the union of the grids, yet each
+    gets the bits of a call on it and its grid alone: near and far field, isotropic and
+    cosine elements, blocks of one angle and more, grids one past whole blocks."""
+    rng = np.random.default_rng(seed)
+    array = build_array(*shape, F_REF, center=rng.uniform(-2, 2, 3),
+                        element_pattern=element_pattern)
+    n = array.n_elements
+    block_terms = block * n
+    first, second = grid_pair(grids, lengths)
+    states = [ScatteringState(np.exp(1j * rng.uniform(-np.pi, np.pi, gammas)), f)
+              for gammas, f in [((3, n), F_REF), ((n,), 2.75e9), ((2, n), 2.75e9),
+                                ((n,), F_REF), ((n,), 2.52e9)]]
+    state_grids = [first, second, second, first, second]
+    source, cut = [4.0, 30.0, 2.0], axis_cut(array, radius)
+    with mock.patch.object(array_field, "_BLOCK_TERMS", block_terms):
+        patterns = directivity_pattern(array, iter(states), source, state_grids, cut)
+        assert len(patterns) == len(states)
+        for state, grid, pattern in zip(states, state_grids, patterns):
+            lone = directivity_pattern(array, state, source, grid, cut)
+            assert pattern.shape == lone.shape
+            assert np.array_equal(pattern, lone)
+
+
+def blockwise_power(array, state, source, angles, cut, block):
+    """|field|^2 per angle, taken the way a call on one sorted grid takes it: blocks of
+    ``block`` angles, one matrix-vector product per block, and a one-angle block
+    through numpy's one-row product."""
+    k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
+    d_in, cos_in = _feed_geometry(array, source)
+    weights = (_incident(k, d_in) * state.gammas)[:, None]
+    far = cut.radius is None
+    obs = cut.directions(angles) if far else array.center + cut.radius * cut.directions(angles)
+    power = [np.abs(np.matmul(_outgoing_block(k, *_block_geometry(
+                 array, obs[start:start + block], far, cos_in), far), weights)[:, 0]) ** 2
+             for start in range(0, len(angles), block)]
+    return np.concatenate(power)
+
+
+@pytest.mark.parametrize("radius", [None, 12.0])
+@pytest.mark.parametrize("n_angles", [1, 39, 40, 41, 42, 81, 721])
+def test_lone_call_keeps_its_blockwise_products(radius, n_angles, rng):
+    """A lone call on a sorted grid takes its angles block by block: a grid one past
+    whole blocks ends in a one-angle product, whose bits differ from those of a row of
+    a matrix-vector product."""
+    array = build_array(20, 20, F_REF, element_pattern="cosine")
+    state = ScatteringState(np.exp(1j * rng.uniform(-np.pi, np.pi, array.n_elements)), F_REF)
+    angles, cut = FULL_GRID[:n_angles], axis_cut(array, radius)
+    want = _to_db(blockwise_power(array, state, [4.0, 30.0, 2.0], angles, cut, 40)[None],
+                  angles)[0]
+    assert np.array_equal(directivity_pattern(array, state, [4.0, 30.0, 2.0], angles, cut), want)
+
+
+def test_directivity_pattern_takes_one_grid_per_state():
+    array = build_array(2, 2, F_REF)
+    states = [ScatteringState(np.ones(4, dtype=complex), F_REF),
+              ScatteringState(np.ones(4, dtype=complex), 2.6e9)]
+    feed, cut = [0.0, 10.0, 0.0], axis_cut(array)
+    for grids in ([FULL_GRID], [FULL_GRID] * 3, (FULL_GRID,)):
+        with pytest.raises(ValueError, match=f"{len(grids)} angle grids given for 2 states"):
+            directivity_pattern(array, states, feed, grids, cut)
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        directivity_pattern(array, states, feed, [FULL_GRID, np.zeros((2, 2))], cut)
+    # one grid as a list of angles is still one grid for every state
+    shared = directivity_pattern(array, states, feed, [0.0, 30.0], cut)
+    assert [p.shape for p in shared] == [(2, 2), (2, 2)]
 
 
 def test_directivity_pattern_sequence_checks_every_state():

@@ -22,8 +22,8 @@ from squintsim import (ChannelSet, ConfigError, ConfigWarning, Node, Optimizatio
                        optimize_weighted_sum_power, preset_config, preset_text,
                        realize_capacitances, run_case, run_pattern, sweep, zf_precoder)
 from squintsim import engine
-from squintsim.array_field import (PatternCut, directivity_pattern, main_lobe_angle,
-                                   pattern_to_csv)
+from squintsim.array_field import (PatternCut, ScatteringState, directivity_pattern,
+                                   main_lobe_angle, pattern_to_csv)
 from squintsim.channels import rician_channel
 from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS, build_surface
@@ -1385,8 +1385,9 @@ def test_run_pattern_deterministic(tmp_path):
 
 
 def test_run_pattern_files_equal_lone_calls(tmp_path):
-    """fig3's pattern files, made by one shared call over its carriers, and its
-    sensitivity lobes, made by one stacked call per carrier, equal lone calls."""
+    """fig3's pattern files, its every sensitivity row and the summary's closest lobes,
+    made by one shared call over every carrier and both sensitivity stacks, equal lone
+    calls: the files byte for byte, the closest lobes by repr."""
     sc = load_preset("fig3")
     summary = run_pattern(sc, tmp_path / "study")
     params = sc.ris.circuit
@@ -1406,14 +1407,98 @@ def test_run_pattern_files_equal_lone_calls(tmp_path):
     lines = (tmp_path / "study" / "squint_sensitivity.csv").read_text().splitlines()
     rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
     assert len(rows) == summary["sensitivity"]["cases"] == 90
-    for row in rows[::11]:
+    closest = summary["sensitivity"]["closest"]
+    matched = 0
+    for row in rows:
         case = replace(params, l_top=float(row["l_top_h"]), c_min=float(row["c_min_f"]),
                        c_max=float(row["c_max_f"]))
         tuned = realize_capacitances(theta, case)
-        for f, column in ((theta.frequency, "f1_peak_deg"), (sens["frequency_hz"], "f3_peak_deg")):
-            lone = directivity_pattern(array, evaluate_off_frequency(tuned, f, case), feed,
-                                       angles, cut)
-            assert f"{main_lobe_angle(lone):.9g}" == row[column]
+        lobes = {column: main_lobe_angle(directivity_pattern(
+                     array, evaluate_off_frequency(tuned, f, case), feed, angles, cut))
+                 for f, column in ((theta.frequency, "f1_peak_deg"),
+                                   (sens["frequency_hz"], "f3_peak_deg"))}
+        assert all(f"{lobe:.9g}" == row[column] for column, lobe in lobes.items())
+        if (case.l_top, case.c_min, case.c_max) == (closest["l_top_h"], closest["c_min_f"],
+                                                    closest["c_max_f"]):
+            matched += 1
+            assert all(repr(lobe) == repr(closest[column]) for column, lobe in lobes.items())
+            assert repr(lobes["f3_peak_deg"] - sc.pattern.reference_angle_deg) == \
+                repr(closest["offset_from_reference_deg"])
+    assert matched == 1
+
+
+def test_run_pattern_makes_one_pattern_call(tmp_path, monkeypatch):
+    """fig3's carriers and both sensitivity stacks share one directivity_pattern call:
+    each block's propagation matrix at a carrier is computed once for all of them."""
+    calls = []
+
+    def counted(array, states, *args):
+        states = list(states)
+        calls.append([np.shape(state.gammas) for state in states])
+        return directivity_pattern(array, states, *args)
+
+    monkeypatch.setattr(engine, "directivity_pattern", counted)
+    summary = run_pattern(load_preset("fig3"), tmp_path)
+    n = 20 * 20
+    assert calls == [[(n,), (n,), (n,), (90, n), (90, n)]]
+    assert summary["sensitivity"]["cases"] == 90
+
+
+def test_run_pattern_in_window_reports_no_sweep(tmp_path):
+    """A probe lobe inside its window writes no sensitivity file, although the
+    configured sweep is evaluated with the carriers, and the same pattern files."""
+    cfg = preset_config("fig3")
+    cfg["pattern"]["reference_window_deg"] = 179.0
+    summary = run_pattern(load_scenario(cfg), tmp_path / "wide")
+    assert summary["reference"]["within_window"] is True
+    assert "sensitivity" not in summary
+    run_pattern(load_preset("fig3"), tmp_path / "fig3")
+    written = sorted(p.name for p in (tmp_path / "wide").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "fig3").iterdir()
+                             if p.name != "squint_sensitivity.csv")
+    for name in written:
+        if name != "pattern_summary.json":
+            assert (tmp_path / "wide" / name).read_bytes() == \
+                (tmp_path / "fig3" / name).read_bytes()
+
+
+def test_run_pattern_in_window_still_evaluates_its_sweep(tmp_path):
+    """The configured sweep is evaluated before the window is tested, so a sweep whose
+    element circuit overflows fails the study even when the probe lobe is in its
+    window, and writes nothing; without the sweep the same study succeeds."""
+    cfg = preset_config("fig3")
+    cfg["pattern"]["reference_window_deg"] = 179.0
+    cfg["pattern"]["sensitivity"]["l_top_h"] = [4e-10, 1e300]
+    with pytest.raises(NumericalError, match="element circuit"):
+        run_pattern(load_scenario(cfg), tmp_path / "study")
+    assert not (tmp_path / "study").exists()
+    cfg["pattern"]["sensitivity"] = None
+    assert run_pattern(load_scenario(cfg), tmp_path / "study")["reference"]["within_window"]
+
+
+def test_frozen_state_reuses_the_realized_reflections(rng):
+    """At the carrier it was tuned at, a surface's state is the reflections its
+    realization made, which equal a fresh evaluation there bit for bit: on fig3's surface
+    with its own and its sensitivity sweep's (90, 1) constants, and on a random
+    (50, 70) stack. Elsewhere it is a fresh evaluation."""
+    sc = load_preset("fig3")
+    array = build_surface(sc.ris, sc.owner.carrier_hz)
+    theta = engine._pattern_phases(sc, array)
+    sens = sc.pattern.sensitivity
+    l_top = np.repeat(sens["l_top_h"], len(sens["c_ranges_f"]))[:, None]
+    c_min, c_max = np.tile(sens["c_ranges_f"], (len(sens["l_top_h"]), 1)).T[:, :, None]
+    stack = ScatteringState(np.exp(1j * rng.uniform(-np.pi, np.pi, (50, 70))), 2.6e9)
+    for phases, params in [(theta, sc.ris.circuit),
+                           (theta, replace(sc.ris.circuit, l_top=l_top, c_min=c_min,
+                                           c_max=c_max)),
+                           (stack, sc.ris.circuit)]:
+        tuning = realize_capacitances(phases, params)
+        state = engine._frozen_state(tuning, tuning.frequency, params)
+        assert state.gammas is tuning.realized_gammas
+        assert np.array_equal(state.gammas,
+                              evaluate_off_frequency(tuning, tuning.frequency, params).gammas)
+        away = engine._frozen_state(tuning, 2.75e9, params)
+        assert np.array_equal(away.gammas, evaluate_off_frequency(tuning, 2.75e9, params).gammas)
 
 
 def test_fig3_probe_lobe_is_the_straight_through_direction(tmp_path):

@@ -160,9 +160,10 @@ def reference_ascent(channel_sets, max_iters=200, tol=1e-6):
     """The ascent stepped realization-major: (realizations x elements) phases, and per
     step a conjugated copy of the element's cascade and the correlation as a batched
     (R, 1, E) @ (R, E, 1) product. Returns the phases, per-sweep objectives and flags."""
-    _, base, conj = tuning._flat_terms(channel_sets)
+    _, base, cascades = tuning._flat_terms(channel_sets)
+    conj = cascades.conj()
     theta = np.ones((len(base), len(conj)), dtype=complex)
-    residual = tuning._residual(theta, base, conj)
+    residual = tuning._residual(theta, base, cascades)
     current = tuning._power(residual)
     trace = [current]
     converged = np.zeros(len(theta), dtype=bool)
