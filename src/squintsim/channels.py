@@ -142,6 +142,7 @@ def los_channel(tx, rx, frequency: float) -> np.ndarray:
         if np.any(d < MIN_LINK_DISTANCE):
             raise ValueError("tx and rx antennas coincide")
         lam = SPEED_OF_LIGHT / frequency
+        # np.exp, not the pattern kernel's phasor: the ascent's optimum moves with these bits
         los = freespace_pathloss(d, frequency) * np.exp(-2j * np.pi * d / lam)
     return _finite(los)
 

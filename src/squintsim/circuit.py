@@ -70,6 +70,13 @@ class CapacitanceSolution:
     gamma: np.ndarray
 
 
+def _spare(fresh, result):
+    """``fresh``, a temporary array the caller owns, as the output buffer of an
+    operation that makes an array of ``result``'s shape: the same values in one
+    array fewer. None when ``fresh`` is a scalar or of another shape."""
+    return fresh if isinstance(fresh, np.ndarray) and fresh.shape == np.shape(result) else None
+
+
 def element_impedance(capacitance, frequency, params: CircuitParams):
     """Input impedance of the element; broadcasts over c and f.
 
@@ -84,7 +91,9 @@ def element_impedance(capacitance, frequency, params: CircuitParams):
     w = 2.0 * np.pi * f
     z_bottom = 1j * w * params.l_bottom
     z_top = 1j * w * params.l_top + 1.0 / (1j * w * c) + params.r_loss
-    return z_bottom * z_top / (z_bottom + z_top)
+    total = z_bottom + z_top
+    out = _spare(z_top, total)
+    return np.divide(np.multiply(z_bottom, z_top, out=out), total, out=out)
 
 
 def element_reflection(capacitance, frequency, params: CircuitParams):
@@ -100,7 +109,8 @@ def element_reflection(capacitance, frequency, params: CircuitParams):
         denom = z + params.z0
         if np.any(np.abs(denom) < 1e-12 * params.z0):
             raise NumericalError("element impedance equals -z0; reflection undefined")
-        gamma = (z - params.z0) / denom
+        out = _spare(z, denom)
+        gamma = np.divide(np.subtract(z, params.z0, out=out), denom, out=out)
     if not np.all(np.isfinite(gamma)):
         raise NumericalError("reflection is not finite; the element circuit overflows")
     return gamma
@@ -155,21 +165,32 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
         # an extremum outside the range stands in as c_min; the first of tied edges wins
         edges = [params.c_min, *(np.where((y_lo < e) & (e < y_hi), 1.0 / (w * (wl_top - e)),
                                           params.c_min) for e in extrema), params.c_max]
-        reachable = ~np.isnan(y)
+        clamped = np.isnan(y)
         cap = np.asarray(np.clip(1.0 / (w * (wl_top - y)), params.c_min, params.c_max))
-    # each edge's phase at the edge's own shape, then the search over the unreachable
-    # targets only; a leading axis lets a 0-d solution be indexed too
+        del y
+    _clamp(cap, clamped, target, edges, frequency, params)
+    return CapacitanceSolution(capacitance=cap, clamped=clamped,
+                               gamma=element_reflection(cap, frequency, params))
+
+
+def _clamp(cap: np.ndarray, unreachable: np.ndarray, target: np.ndarray, edges: list,
+           frequency, params: CircuitParams) -> None:
+    """Set the capacitances ``cap`` of the ``unreachable`` targets to the edge of
+    ``edges`` whose phase is circularly nearest; the first of tied edges wins.
+
+    Each edge's phase is taken at the edge's own shape, then the search runs
+    over the unreachable targets only; a leading axis lets a 0-d solution be
+    indexed too.
+    """
     phases = [np.angle(element_reflection(edge, frequency, params)) for edge in edges]
-    grid = (1, *reachable.shape)
-    unreachable = np.unravel_index(np.flatnonzero(~reachable), grid)
+    grid = (1, *cap.shape)
+    where = np.unravel_index(np.flatnonzero(unreachable), grid)
 
     def at(values):
-        return np.broadcast_to(values, grid)[unreachable]
+        return np.broadcast_to(values, grid)[where]
 
     goal, nearest, best = at(target), 0, np.inf
     for i, phase in enumerate(phases):
         gap = np.abs(wrap_phase(goal - at(phase)))
         nearest, best = np.where(gap < best, i, nearest), np.minimum(gap, best)
-    cap.reshape(grid)[unreachable] = np.choose(nearest, [at(edge) for edge in edges])
-    return CapacitanceSolution(capacitance=cap, clamped=~reachable,
-                               gamma=element_reflection(cap, frequency, params))
+    cap.reshape(grid)[where] = np.choose(nearest, [at(edge) for edge in edges])

@@ -1,5 +1,6 @@
 """Element circuit: impedance, reflection, and phase inversion."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,24 @@ def test_clamp_search_over_unreachable_targets_only(r_loss, frequency, cases, pe
         assert np.array_equal(got.capacitance, cap)
         assert np.array_equal(got.clamped, clamped)
         assert np.array_equal(got.gamma, gamma)
+
+
+def test_phase_inversion_of_a_case_sweep_keeps_few_temporaries(rng):
+    """fig3's sensitivity sweep, 90 (l_top, c_min, c_max) cases by 400 targets: the
+    inversion's peak stays near its result, which it once tripled."""
+    l_top = np.repeat(np.linspace(0.4e-9, 1.2e-9, 9), 10)[:, None]
+    c_min = np.tile(np.linspace(0.4e-12, 0.9e-12, 10), 9)[:, None]
+    params = replace(CircuitParams(), l_top=l_top, c_min=c_min, c_max=3.0 * c_min)
+    targets = rng.uniform(-np.pi, np.pi, 400)
+    tracemalloc.start()
+    try:
+        solution = phase_to_capacitance(targets, F_REF, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < np.count_nonzero(solution.clamped) < solution.clamped.size
+    result = solution.capacitance.nbytes + solution.clamped.nbytes + solution.gamma.nbytes
+    assert peak < 2.3 * result
 
 
 def test_wrap_phase_range():
