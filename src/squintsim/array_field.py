@@ -326,95 +326,57 @@ def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
     states at its frequency, e.g. one per tuning of the surface; its result
     is (A, 2) rows for one state and (S, A, 2) for a stack, each pattern
     normalized on its own so its peak sits at 0 dB. ``angle_grid_deg`` is
-    one grid of cut angles for every state, or, with several states, a list
-    or tuple of one grid per state. Powers more than 300 dB below the peak
-    are floored to keep the dB scale finite; a power that overflows raises
-    NumericalError. No state is kept once weighed, so the states an
-    iterator hands over one at a time can be freed during the call.
+    one grid of cut angles, shared by every state. Powers more than 300 dB
+    below the peak are floored to keep the dB scale finite; a power that
+    overflows raises NumericalError. No state is kept once weighed, so the
+    states an iterator hands over one at a time can be freed during the
+    call.
 
     The incident field at the elements is folded into every state once,
-    as per-element weights. The sorted union of the grids, their angles
-    matched by float equality, is then walked in blocks of at most
+    as per-element weights. The grid is then walked in blocks of at most
     ``_BLOCK_TERMS`` angle x element terms. Each block computes its
     observation geometry once (distances or far-field projections, and the
-    real factors: 1/d near field and the cosine element factors), and each
+    real factors: 1/d near field and the cosine element factors), each
     carrier's (angles x elements) propagation matrix once from it, through
-    ``_phasor``, over the block's angles that the carrier's states use.
-    Each state takes its rows of that matrix, gathered
-    over blocks up to a block's worth, into one matrix-vector product per
-    state of its stack. Each row is the ``reflected_field`` sum at that
-    observation up to rounding, and a state gets exactly the values of a
-    call on that state and its grid alone, whatever else shares the call.
+    ``_phasor``, and one matrix-vector product per state of every stack at
+    that carrier; numpy takes a one-angle block's product through a dot.
+    Each row is the ``reflected_field`` sum at that observation up to
+    rounding, and a state gets exactly the values of a call on that state
+    alone, whatever else shares the call.
     """
     single = isinstance(state, ScatteringState)
-    grids, per_state = _angle_grids(angle_grid_deg, single)
+    angles = np.asarray(angle_grid_deg, dtype=float)
+    if angles.ndim != 1 or len(angles) < 1:
+        raise ValueError("angle grid must be a non-empty 1-D array")
     d_in, cos_in = _feed_geometry(array, source)
-    # the states are not kept: the reflections of states handed over one at a time
-    # are freed once weighed
-    weighed = [_weigh(array, d_in, s) for s in ([state] if single else state)]
-    if per_state and len(grids) != len(weighed):
-        raise ValueError(f"{len(grids)} angle grids given for {len(weighed)} states")
-    grids = grids if per_state else grids * len(weighed)
-    union = _distinct(np.concatenate(grids)) if weighed else np.empty(0)
+    # per carrier: its wavenumber, and its states' (S, N, 1) weights with their powers,
+    # (A,) for one state and (S, A) for a stack
+    carriers, powers = {}, []
+    for frequency, k, weights in (_weigh(array, d_in, s) for s in ([state] if single else state)):
+        powers.append(np.empty(weights.shape[:-1] + angles.shape))
+        carriers.setdefault(frequency, (k, []))[1].append(
+            (weights.reshape(-1, array.n_elements, 1), powers[-1]))
+    dirs, far_field = cut.directions(angles), cut.radius is None
     block = max(1, _BLOCK_TERMS // array.n_elements)
-    edges = np.append(np.arange(0, len(union), block), len(union))
-    # per carrier: its wavenumber and its states' shares of the pass
-    carriers, shares = {}, []
-    for (frequency, k, weights), grid in zip(weighed, grids):
-        shares.append(_Share(weights, grid, union, edges, block))
-        carriers.setdefault(frequency, (k, []))[1].append(shares[-1])
-    stacked = [weights.ndim == 2 for _, _, weights in weighed]
-    del weighed
-    dirs, far_field = cut.directions(union), cut.radius is None
     # an extreme cut radius or surface scale overflows here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         obs = dirs if far_field else array.center + cut.radius * dirs
-        for b, start in enumerate(edges[:-1]):
-            path, amplitude = _block_geometry(array, obs[start:start + block], far_field, cos_in)
+        for start in range(0, len(angles), block):
+            rows = slice(start, start + block)
+            path, amplitude = _block_geometry(array, obs[rows], far_field, cos_in)
             for k, members in carriers.values():
-                spans = [(share, slice(share.bounds[b], share.bounds[b + 1])) for share in members]
-                used = _distinct(np.concatenate([share.at[span] for share, span in spans])) - start
-                if len(used) == 0:
-                    continue
-                # the rows of the block that the carrier's states use
-                part = slice(None) if len(used) == len(path) else used
-                a_out = _outgoing_block(k, path[part],
-                                        None if amplitude is None else amplitude[part], far_field)
-                for share, span in spans:
-                    share.take(a_out, np.searchsorted(used, share.at[span] - start), span)
+                a_out = _outgoing_block(k, path, amplitude, far_field)
+                for weights, power in members:
+                    power[..., rows] = np.abs(np.matmul(a_out, weights)[..., 0]) ** 2
                 # freed before the next carrier's matrix is made
                 del a_out
-        for share in shares:
-            share.flush()
-    powers = [share.power for share in shares]
-    del carriers, shares
+    del carriers
     if not all(np.all(np.isfinite(power)) for power in powers):
         raise NumericalError("pattern power is not finite: the cut radius or the surface's "
                              "scale overflows the field sum")
     # each power is freed as its rows are made
-    results = [_to_db(powers.pop(0), grid) for grid in grids]
-    results = [r if stack else r[0] for r, stack in zip(results, stacked)]
+    results = [_to_db(powers.pop(0), angles) for _ in range(len(powers))]
     return results[0] if single else results
-
-
-def _angle_grids(angle_grid_deg, single: bool) -> tuple[list, bool]:
-    """The 1-D float grids ``angle_grid_deg`` gives, and whether there is one per
-    state: a list or tuple of grids, for a sequence of states, or one grid."""
-    per_state = not single and isinstance(angle_grid_deg, (list, tuple)) and any(
-        np.ndim(g) > 0 for g in angle_grid_deg)
-    grids = [np.asarray(g, dtype=float)
-             for g in (angle_grid_deg if per_state else [angle_grid_deg])]
-    if any(g.ndim != 1 or len(g) < 1 for g in grids):
-        raise ValueError("angle grid must be a non-empty 1-D array")
-    return grids, per_state
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a 1-D array (np.unique imports numpy.ma)."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def _weigh(array: RisArray, d_in: np.ndarray, state: ScatteringState) -> tuple:
@@ -428,68 +390,10 @@ def _weigh(array: RisArray, d_in: np.ndarray, state: ScatteringState) -> tuple:
     return state.frequency, k, weights
 
 
-class _Share:
-    """One state's part of a pattern pass: its weights, where its angles sit in
-    the union grid (sorted, with their bounds in each block), and its powers.
-
-    numpy takes a one-row product through a dot, whose bits differ from a
-    matrix-vector product's, while each row of a matrix-vector product has
-    the same bits whichever rows share it. So a row that a lone call takes
-    in a one-row block (the last of a grid one past whole blocks) is taken
-    alone, and the others are gathered, over blocks, until up to ``block`` of
-    them share one product of at least two rows: a state on a coarser grid
-    than the union makes about as many products as in a lone call.
-    """
-
-    def __init__(self, weights, grid, union, edges, block):
-        self.weights = weights.reshape(-1, weights.shape[-1], 1)
-        at = np.searchsorted(union, grid)
-        self.order = np.argsort(at, kind="stable")
-        self.at = at[self.order]
-        self.bounds = np.searchsorted(self.at, edges)
-        alone = np.full(len(grid), block == 1)
-        alone[-1] |= len(grid) % block == 1
-        self.alone = alone[self.order]
-        self.distinct = bool(np.all(self.at[1:] != self.at[:-1]))
-        self.power = np.empty((len(self.weights), len(grid)))
-        self.block, self.gathered, self.waiting, self.columns = block, None, 0, []
-
-    def take(self, a_out: np.ndarray, rows: np.ndarray, span: slice) -> None:
-        """The products of rows ``rows`` of a block's matrix ``a_out``, the angles
-        ``span`` of this share's order; shared rows may wait for later blocks'."""
-        columns, alone = self.order[span], self.alone[span]
-        if alone.any():
-            for j in np.flatnonzero(alone):
-                self._product(a_out[rows[j]:rows[j] + 1], columns[j:j + 1])
-            rows, columns = rows[~alone], columns[~alone]
-        if self.waiting + len(rows) > self.block:
-            self.flush()
-        if self.waiting == 0 and len(rows) >= self.block:
-            whole = self.distinct and len(rows) == len(a_out)
-            self._product(a_out if whole else a_out[rows], columns)
-        elif len(rows):
-            if self.gathered is None:
-                self.gathered = np.empty((self.block, a_out.shape[1]), dtype=complex)
-            stop = self.waiting + len(rows)
-            self.gathered[self.waiting:stop] = a_out[rows]
-            self.waiting = stop
-            self.columns.append(columns)
-
-    def flush(self) -> None:
-        """The product of the rows gathered so far, a lone one doubled."""
-        if self.waiting:
-            rows = self.gathered[:self.waiting] if self.waiting > 1 else self.gathered[[0, 0]]
-            self._product(rows, np.concatenate(self.columns))
-            self.waiting, self.columns = 0, []
-
-    def _product(self, matrix: np.ndarray, columns: np.ndarray) -> None:
-        self.power[:, columns] = np.abs(np.matmul(matrix, self.weights)
-                                        [:, :len(columns), 0]) ** 2
-
-
 def _to_db(power: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """(S, A, 2) rows of a (S, A) power stack, each pattern in dB below its own peak."""
-    peak = np.max(power, axis=1, keepdims=True)
+    """(..., A, 2) rows of (..., A) powers, one pattern or a stack, each pattern in dB
+    below its own peak."""
+    peak = np.max(power, axis=-1, keepdims=True)
     if np.any(peak <= 0):
         raise ValueError("pattern is identically zero")
     # to dB in place: a stack of many states keeps no extra copies alive

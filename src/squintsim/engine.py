@@ -1200,12 +1200,13 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     Writes ``pattern_<f>GHz.csv`` per frequency and
     ``pattern_summary.json``. When the probe-frequency main lobe misses
     the configured reference angle by more than the window, a circuit
-    sensitivity sweep is reported in ``squint_sensitivity.csv``. Every
-    pattern the study may report, the sweep's included when one is
-    configured, is evaluated in one ``directivity_pattern`` call before
-    anything is written, and the files are written together
-    (``_write_all``), so a study that fails leaves ``out_dir`` and its
-    parents as they were.
+    sensitivity sweep is reported in ``squint_sensitivity.csv``. The
+    carriers share one ``directivity_pattern`` call on the study's grid, and
+    a reported sweep's two stacks a second on the sweep's grid; a configured
+    sweep's circuit cases are realized whether or not it is reported. Every
+    pattern is evaluated before anything is written, and the files are
+    written together (``_write_all``), so a study that fails leaves
+    ``out_dir`` and its parents as they were.
     """
     if scenario.pattern is None:
         raise ConfigError("config.pattern section is required for a pattern study")
@@ -1221,18 +1222,13 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
         probe_f = carriers[-1] if cfg.sensitivity is None else cfg.sensitivity["frequency_hz"]
         carriers.append(probe_f)
     carriers = list(dict.fromkeys(carriers))
-    states = [_frozen_state(tuning, f, params) for f in carriers]
-    grids = [cfg.angle_grid()] * len(carriers)
+    feed = scenario.owner.bs.position
     cases = None
     if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:
         cases, stacks = _sensitivity_stacks(scenario, array, theta)
-        grids += [cfg.angle_grid(cfg.sensitivity["angle_step_deg"])] * len(stacks)
-        states += stacks
-        del stacks
-    # handed over one at a time, so that each stack's reflections are freed once weighed
-    evaluated = _in_scene(_CUT_SPAN, directivity_pattern, array, _handed_over(states),
-                          scenario.owner.bs.position, grids, cut, overflow=_CUT_RADIUS)
-    patterns = dict(zip(carriers, evaluated))
+    states = [_frozen_state(tuning, f, params) for f in carriers]
+    patterns = dict(zip(carriers, _in_scene(_CUT_SPAN, directivity_pattern, array, states, feed,
+                                            cfg.angle_grid(), cut, overflow=_CUT_RADIUS)))
     peaks = dict(zip(carriers, main_lobe_angle(list(patterns.values())).tolist()))
 
     design_peak = peaks[cfg.frequencies_hz[0]]
@@ -1255,8 +1251,9 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
             "within_window": abs(offset) <= cfg.reference_window_deg,
         }
         if abs(offset) > cfg.reference_window_deg and cases is not None:
-            rows, closest = squint_sensitivity_report(scenario, cases,
-                                                      *evaluated[len(carriers):])
+            rows, closest = squint_sensitivity_report(scenario, cases, *_in_scene(
+                _CUT_SPAN, directivity_pattern, array, stacks, feed,
+                cfg.angle_grid(cfg.sensitivity["angle_step_deg"]), cut, overflow=_CUT_RADIUS))
             summary["sensitivity"] = {
                 "file": "squint_sensitivity.csv",
                 "cases": len(rows),
@@ -1271,13 +1268,6 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
         texts["squint_sensitivity.csv"] = "\n".join(lines) + "\n"
     _write_all({os.path.join(out_dir, name): text for name, text in texts.items()}, out_dir)
     return summary
-
-
-def _handed_over(items: list):
-    """``items`` in order, each dropped from the list as it is handed over, so that
-    it is freed once its consumer lets it go."""
-    while items:
-        yield items.pop(0)
 
 
 def _sensitivity_stacks(scenario: Scenario, array: RisArray,

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+import squintsim
 from squintsim import ConfigError, Node, load_scenario, run_case
 from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS
@@ -661,3 +665,91 @@ def test_exported_files_have_the_mode_of_a_plain_open(tmp_path, capsys):
     mode = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
     for name in ("case.csv", "case.csv.manifest.json"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+# --- what byte-identical covers -------------------------------------------------
+
+# fig4d's run, a 30-realization fig5 sweep, each as CSV and JSON, and fig3's study
+CPU_STUDIES = [["run", "fig4d", "--out", "fig4d.csv"],
+               ["run", "fig4d", "--out", "fig4d.json", "--format", "json"],
+               ["sweep", "fig5_30.json", "--out", "fig5.csv"],
+               ["sweep", "fig5_30.json", "--out", "fig5.json", "--format", "json"],
+               ["pattern", "fig3", "--out-dir", "fig3"]]
+CPU_VARIANTS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+
+def dispatched_features() -> list:
+    """The CPU features numpy dispatches to on this machine."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+def cli_exports(folder, variant=None):
+    """The exports of ``CPU_STUDIES`` from a child interpreter in ``folder``, with one
+    environment variable of ``CPU_VARIANTS`` set as ``variant`` gives it; skips when an
+    interpreter so set cannot start numpy and a BLAS product."""
+    src = os.path.dirname(os.path.dirname(squintsim.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in CPU_VARIANTS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env.update(variant or {})
+    probe = subprocess.run([sys.executable, "-c", "import numpy as np; "
+                            "print(float(np.ones((64, 64)) @ np.ones(64) @ np.ones(64)))"],
+                           env=env, capture_output=True, text=True)
+    if probe.returncode:
+        pytest.skip(f"{variant} cannot start: {probe.stderr.strip()[-300:]}")
+    folder.mkdir()
+    cfg = preset_config("fig5")
+    cfg["realizations"] = 30
+    (folder / "fig5_30.json").write_text(json.dumps(cfg), encoding="utf-8")
+    code = "import json, sys\nfrom squintsim.cli import main\n" \
+           "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))"
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(CPU_STUDIES)], cwd=folder,
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(CPU_STUDIES), run.stderr
+    return {p.relative_to(folder).as_posix(): p for p in folder.rglob("*")
+            if p.is_file() and p.name != "fig5_30.json"}
+
+
+def numbers_agree(a, b, close) -> bool:
+    """Two parsed JSON documents of one structure, their strings equal and their
+    numbers ``close``."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            numbers_agree(a[k], b[k], close) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(
+            numbers_agree(x, y, close) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, (int, float)):
+        return close(a, b)
+    return a == b
+
+
+@pytest.fixture(scope="module")
+def default_exports(tmp_path_factory):
+    return cli_exports(tmp_path_factory.mktemp("cpu") / "default")
+
+
+@pytest.mark.parametrize("name", CPU_VARIANTS)
+def test_exports_agree_across_cpu_kernels(default_exports, tmp_path, name):
+    """Exports are byte-identical on one machine and numpy/BLAS build, not across
+    kernels: under another OpenBLAS kernel or with numpy's SIMD dispatch turned off,
+    fig4d's and fig5's CSVs keep every byte, their JSON numbers agree within 1e-10
+    relative, and fig3's lobes within 1e-9 degrees."""
+    features = dispatched_features()
+    if name == "NPY_DISABLE_CPU_FEATURES" and not features:
+        pytest.skip("numpy dispatches to no CPU feature here")
+    value = "Haswell" if name == "OPENBLAS_CORETYPE" else " ".join(features)
+    exports = cli_exports(tmp_path / "variant", {name: value})
+    assert exports.keys() == default_exports.keys()
+    for path in ("fig4d.csv", "fig5.csv"):
+        assert exports[path].read_bytes() == default_exports[path].read_bytes(), path
+    for path in (p for p in exports if p.endswith(".json")):
+        lobes = path.startswith("fig3/")
+        assert numbers_agree(json.loads(default_exports[path].read_text(encoding="utf-8")),
+                             json.loads(exports[path].read_text(encoding="utf-8")),
+                             (lambda a, b: abs(a - b) <= 1e-9) if lobes else
+                             (lambda a, b: math.isclose(a, b, rel_tol=1e-10))), path

@@ -1385,68 +1385,81 @@ def test_run_pattern_deterministic(tmp_path):
 
 
 def test_run_pattern_files_equal_lone_calls(tmp_path):
-    """fig3's pattern files, its every sensitivity row and the summary's closest lobes,
-    made by one shared call over every carrier and both sensitivity stacks, equal lone
-    calls: the files byte for byte, the closest lobes by repr."""
-    sc = load_preset("fig3")
-    summary = run_pattern(sc, tmp_path / "study")
-    params = sc.ris.circuit
-    array = build_surface(sc.ris, sc.owner.carrier_hz)
-    theta = engine._pattern_phases(sc, array)
-    cut = engine._pattern_cut(sc, array)
-    feed = sc.owner.bs.position
-    tuning = realize_capacitances(theta, params)
-    for entry in summary["frequencies"]:
-        lone = directivity_pattern(array, evaluate_off_frequency(tuning, entry["frequency_hz"],
-                                                                 params),
-                                   feed, sc.pattern.angle_grid(), cut)
-        assert (tmp_path / "study" / entry["file"]).read_bytes() == pattern_to_csv(lone).encode()
-        assert entry["main_lobe_deg"] == main_lobe_angle(lone)
-    sens = sc.pattern.sensitivity
-    angles = sc.pattern.angle_grid(sens["angle_step_deg"])
-    lines = (tmp_path / "study" / "squint_sensitivity.csv").read_text().splitlines()
-    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
-    assert len(rows) == summary["sensitivity"]["cases"] == 90
-    closest = summary["sensitivity"]["closest"]
-    matched = 0
-    for row in rows:
-        case = replace(params, l_top=float(row["l_top_h"]), c_min=float(row["c_min_f"]),
-                       c_max=float(row["c_max_f"]))
-        tuned = realize_capacitances(theta, case)
-        lobes = {column: main_lobe_angle(directivity_pattern(
-                     array, evaluate_off_frequency(tuned, f, case), feed, angles, cut))
-                 for f, column in ((theta.frequency, "f1_peak_deg"),
-                                   (sens["frequency_hz"], "f3_peak_deg"))}
-        assert all(f"{lobe:.9g}" == row[column] for column, lobe in lobes.items())
-        if (case.l_top, case.c_min, case.c_max) == (closest["l_top_h"], closest["c_min_f"],
-                                                    closest["c_max_f"]):
-            matched += 1
-            assert all(repr(lobe) == repr(closest[column]) for column, lobe in lobes.items())
-            assert repr(lobes["f3_peak_deg"] - sc.pattern.reference_angle_deg) == \
-                repr(closest["offset_from_reference_deg"])
-    assert matched == 1
+    """A pattern study's files, its every sensitivity row and the summary's closest
+    lobes, made by one call over every carrier and one over both sensitivity stacks,
+    equal lone calls: the files byte for byte, the closest lobes by repr. On fig3, and
+    on a far-field cut whose sweep of 2 x 2 cases has its own, coarser grid."""
+    far = preset_config("fig3")
+    far["pattern"].update(cut_radius=None, angle_step_deg=0.2)
+    far["pattern"]["sensitivity"].update(angle_step_deg=0.3, l_top_h=[7e-10, 1.2e-9],
+                                         c_ranges_f=[[4.7e-13, 2.35e-12], [1.1e-12, 1.35e-12]])
+    for name, sc in [("fig3", load_preset("fig3")), ("far", load_scenario(far))]:
+        study = tmp_path / name
+        summary = run_pattern(sc, study)
+        params = sc.ris.circuit
+        array = build_surface(sc.ris, sc.owner.carrier_hz)
+        theta = engine._pattern_phases(sc, array)
+        cut = engine._pattern_cut(sc, array)
+        feed = sc.owner.bs.position
+        tuning = realize_capacitances(theta, params)
+        for entry in summary["frequencies"]:
+            lone = directivity_pattern(array, evaluate_off_frequency(
+                tuning, entry["frequency_hz"], params), feed, sc.pattern.angle_grid(), cut)
+            assert (study / entry["file"]).read_bytes() == pattern_to_csv(lone).encode()
+            assert entry["main_lobe_deg"] == main_lobe_angle(lone)
+        sens = sc.pattern.sensitivity
+        angles = sc.pattern.angle_grid(sens["angle_step_deg"])
+        lines = (study / "squint_sensitivity.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == summary["sensitivity"]["cases"] == \
+            len(sens["l_top_h"]) * len(sens["c_ranges_f"])
+        closest = summary["sensitivity"]["closest"]
+        matched = 0
+        for row in rows:
+            case = replace(params, l_top=float(row["l_top_h"]), c_min=float(row["c_min_f"]),
+                           c_max=float(row["c_max_f"]))
+            tuned = realize_capacitances(theta, case)
+            lobes = {column: main_lobe_angle(directivity_pattern(
+                         array, evaluate_off_frequency(tuned, f, case), feed, angles, cut))
+                     for f, column in ((theta.frequency, "f1_peak_deg"),
+                                       (sens["frequency_hz"], "f3_peak_deg"))}
+            assert all(f"{lobe:.9g}" == row[column] for column, lobe in lobes.items())
+            if (case.l_top, case.c_min, case.c_max) == (closest["l_top_h"], closest["c_min_f"],
+                                                        closest["c_max_f"]):
+                matched += 1
+                assert all(repr(lobe) == repr(closest[column]) for column, lobe in lobes.items())
+                assert repr(lobes["f3_peak_deg"] - sc.pattern.reference_angle_deg) == \
+                    repr(closest["offset_from_reference_deg"])
+        assert matched == 1
 
 
-def test_run_pattern_makes_one_pattern_call(tmp_path, monkeypatch):
-    """fig3's carriers and both sensitivity stacks share one directivity_pattern call:
-    each block's propagation matrix at a carrier is computed once for all of them."""
+def test_run_pattern_makes_one_call_per_grid(tmp_path, monkeypatch):
+    """fig3's carriers share one directivity_pattern call on the study's grid, and its
+    reported sweep's two stacks a second on the sweep's grid; a study whose probe lobe
+    lands in its window makes only the first."""
     calls = []
 
-    def counted(array, states, *args):
+    def counted(array, states, source, angles, *args):
         states = list(states)
-        calls.append([np.shape(state.gammas) for state in states])
-        return directivity_pattern(array, states, *args)
+        calls.append(([np.shape(state.gammas) for state in states], np.ptp(angles),
+                      np.diff(angles)[0]))
+        return directivity_pattern(array, states, source, angles, *args)
 
     monkeypatch.setattr(engine, "directivity_pattern", counted)
-    summary = run_pattern(load_preset("fig3"), tmp_path)
+    summary = run_pattern(load_preset("fig3"), tmp_path / "fig3")
     n = 20 * 20
-    assert calls == [[(n,), (n,), (n,), (90, n), (90, n)]]
+    assert calls == [([(n,)] * 3, 180.0, 0.25), ([(90, n)] * 2, 180.0, 0.5)]
     assert summary["sensitivity"]["cases"] == 90
+    cfg = preset_config("fig3")
+    cfg["pattern"]["reference_window_deg"] = 179.0
+    calls.clear()
+    run_pattern(load_scenario(cfg), tmp_path / "wide")
+    assert calls == [([(n,)] * 3, 180.0, 0.25)]
 
 
 def test_run_pattern_in_window_reports_no_sweep(tmp_path):
-    """A probe lobe inside its window writes no sensitivity file, although the
-    configured sweep is evaluated with the carriers, and the same pattern files."""
+    """A probe lobe inside its window writes no sensitivity file, and the same pattern
+    files as a study that reports its sweep."""
     cfg = preset_config("fig3")
     cfg["pattern"]["reference_window_deg"] = 179.0
     summary = run_pattern(load_scenario(cfg), tmp_path / "wide")
