@@ -288,13 +288,6 @@ def test_directivity_pattern_validation():
         directivity_pattern(array, state, source, np.zeros((2, 2)), axis_cut(array))
     with pytest.raises(ValueError):
         directivity_pattern(array, state, source, np.array([]), axis_cut(array))
-    states = [state, ScatteringState(np.ones(4, dtype=complex), 2.6e9)]
-    # a grid per state is not one grid
-    with pytest.raises(ValueError, match="non-empty 1-D"):
-        directivity_pattern(array, states, source, [FULL_GRID, FULL_GRID], axis_cut(array))
-    # one grid as a list of angles is still one grid for every state
-    shared = directivity_pattern(array, states, source, [0.0, 30.0], axis_cut(array))
-    assert [p.shape for p in shared] == [(2, 2), (2, 2)]
 
 
 def test_pattern_floor_is_finite():
@@ -432,6 +425,22 @@ def test_lone_call_keeps_its_blockwise_products(radius, n_angles, rng):
     want = _to_db(blockwise_power(array, state, [4.0, 30.0, 2.0], angles, cut, 40)[None],
                   angles)[0]
     assert np.array_equal(directivity_pattern(array, state, [4.0, 30.0, 2.0], angles, cut), want)
+
+
+def test_directivity_pattern_takes_one_grid_per_state():
+    array = build_array(2, 2, F_REF)
+    states = [ScatteringState(np.ones(4, dtype=complex), F_REF),
+              ScatteringState(np.ones(4, dtype=complex), 2.6e9)]
+    feed, cut = [0.0, 10.0, 0.0], axis_cut(array)
+    # a grid per state, or any other list of grids, is not one grid
+    for grids in ([FULL_GRID], [FULL_GRID] * 2, [FULL_GRID] * 3, (FULL_GRID,)):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            directivity_pattern(array, states, feed, grids, cut)
+    with pytest.raises(ValueError):
+        directivity_pattern(array, states, feed, [FULL_GRID, np.zeros((2, 2))], cut)
+    # one grid as a list of angles is still one grid for every state
+    shared = directivity_pattern(array, states, feed, [0.0, 30.0], cut)
+    assert [p.shape for p in shared] == [(2, 2), (2, 2)]
 
 
 def test_directivity_pattern_sequence_checks_every_state():
