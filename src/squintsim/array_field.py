@@ -337,9 +337,9 @@ def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
     ``_BLOCK_TERMS`` angle x element terms. Each block computes its
     observation geometry once (distances or far-field projections, and the
     real factors: 1/d near field and the cosine element factors), each
-    carrier's (angles x elements) propagation matrix once from it, through
-    ``_phasor``, and one matrix-vector product per state of every stack at
-    that carrier; numpy takes a one-angle block's product through a dot.
+    state's (angles x elements) propagation matrix at its carrier from it,
+    through ``_phasor``, and one matrix-vector product per state of its
+    stack; numpy takes a one-angle block's product through a dot.
     Each row is the ``reflected_field`` sum at that observation up to
     rounding, and a state gets exactly the values of a call on that state
     alone, whatever else shares the call.
@@ -349,13 +349,7 @@ def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
     if angles.ndim != 1 or len(angles) < 1:
         raise ValueError("angle grid must be a non-empty 1-D array")
     d_in, cos_in = _feed_geometry(array, source)
-    # per carrier: its wavenumber, and its states' (S, N, 1) weights with their powers,
-    # (A,) for one state and (S, A) for a stack
-    carriers, powers = {}, []
-    for frequency, k, weights in (_weigh(array, d_in, s) for s in ([state] if single else state)):
-        powers.append(np.empty(weights.shape[:-1] + angles.shape))
-        carriers.setdefault(frequency, (k, []))[1].append(
-            (weights.reshape(-1, array.n_elements, 1), powers[-1]))
+    entries = [_weigh(array, d_in, s, angles) for s in ([state] if single else state)]
     dirs, far_field = cut.directions(angles), cut.radius is None
     block = max(1, _BLOCK_TERMS // array.n_elements)
     # an extreme cut radius or surface scale overflows here; the check below reports it
@@ -364,13 +358,13 @@ def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
         for start in range(0, len(angles), block):
             rows = slice(start, start + block)
             path, amplitude = _block_geometry(array, obs[rows], far_field, cos_in)
-            for k, members in carriers.values():
+            for k, weights, power in entries:
                 a_out = _outgoing_block(k, path, amplitude, far_field)
-                for weights, power in members:
-                    power[..., rows] = np.abs(np.matmul(a_out, weights)[..., 0]) ** 2
-                # freed before the next carrier's matrix is made
+                power[..., rows] = np.abs(np.matmul(a_out, weights)[..., 0]) ** 2
+                # freed before the next state's matrix is made
                 del a_out
-    del carriers
+    powers = [power for _, _, power in entries]
+    del entries
     if not all(np.all(np.isfinite(power)) for power in powers):
         raise NumericalError("pattern power is not finite: the cut radius or the surface's "
                              "scale overflows the field sum")
@@ -379,15 +373,17 @@ def directivity_pattern(array: RisArray, state, source, angle_grid_deg,
     return results[0] if single else results
 
 
-def _weigh(array: RisArray, d_in: np.ndarray, state: ScatteringState) -> tuple:
-    """A state's carrier, wavenumber and weights: its reflections, (N,) or a stack
-    (S, N), times the incident field at the elements."""
+def _weigh(array: RisArray, d_in: np.ndarray, state: ScatteringState,
+           angles: np.ndarray) -> tuple:
+    """A state's wavenumber, its (S, N, 1) weights (its reflections, (N,) or a stack
+    (S, N), times the incident field at the elements) and its unfilled powers over
+    ``angles``, (A,) for one state and (S, A) for a stack."""
     gammas = np.asarray(state.gammas)
     if gammas.ndim not in (1, 2) or gammas.shape[-1] != array.n_elements:
         raise ValueError("scattering state does not match the array size")
     k = 2.0 * np.pi * state.frequency / SPEED_OF_LIGHT
     weights = _incident(k, d_in) * gammas
-    return state.frequency, k, weights
+    return k, weights.reshape(-1, array.n_elements, 1), np.empty(gammas.shape[:-1] + angles.shape)
 
 
 def _to_db(power: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ def _load_config(arg: str) -> Scenario:
     """A positional config: a JSON file path or an embedded preset name."""
     if os.path.isfile(arg):
         try:
-            with open(arg, "r", encoding="utf-8") as fh:
+            with open(arg, "rb") as fh:
                 return load_scenario(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config '{arg}': {exc}") from None

@@ -342,7 +342,7 @@ _CONFIG = _section({
 
 
 def load_scenario(config) -> Scenario:
-    """Validate a config (JSON text or dict) into a Scenario.
+    """Validate a config (JSON text, as str or as bytes, or a dict) into a Scenario.
 
     Unknown fields are rejected with the offending path named, defaults
     are materialized, and the fully expanded config is echoed on the
@@ -351,7 +351,9 @@ def load_scenario(config) -> Scenario:
     if isinstance(config, (str, bytes)):
         try:
             config = json.loads(config)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers bytes that do not decode and an integer past
+            # Python's digit limit, RecursionError a too deep nesting
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     if isinstance(config, dict):
         # an explicit null for a top-level section means the same as leaving
@@ -738,17 +740,7 @@ def _surface_state(scenario: Scenario, tuning: TuningResult | None,
                           abs(frequency - tuning.frequency) > 1e-6 * tuning.frequency):
         return ScatteringState(gammas=np.zeros(scenario.ris.n_elements, dtype=complex),
                                frequency=float(frequency))
-    return _frozen_state(tuning, frequency, scenario.ris.circuit)
-
-
-def _frozen_state(tuning: TuningResult, frequency: float,
-                  params: CircuitParams) -> ScatteringState:
-    """The scattering ``tuning``'s capacitances present at ``frequency``, under the
-    constants ``params`` they were realized with: at the carrier they were tuned at,
-    the reflections already realized there."""
-    if frequency == tuning.frequency:
-        return ScatteringState(gammas=tuning.realized_gammas, frequency=float(frequency))
-    return evaluate_off_frequency(tuning, frequency, params)
+    return evaluate_off_frequency(tuning, frequency, scenario.ris.circuit)
 
 
 def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
@@ -1226,7 +1218,7 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     cases = None
     if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:
         cases, stacks = _sensitivity_stacks(scenario, array, theta)
-    states = [_frozen_state(tuning, f, params) for f in carriers]
+    states = [evaluate_off_frequency(tuning, f, params) for f in carriers]
     patterns = dict(zip(carriers, _in_scene(_CUT_SPAN, directivity_pattern, array, states, feed,
                                             cfg.angle_grid(), cut, overflow=_CUT_RADIUS)))
     peaks = dict(zip(carriers, main_lobe_angle(list(patterns.values())).tolist()))
@@ -1290,7 +1282,7 @@ def _sensitivity_stacks(scenario: Scenario, array: RisArray,
                           minlength=len(l_top)) / array.n_elements
     cases = list(zip(l_top[:, 0].tolist(), c_min[:, 0].tolist(), c_max[:, 0].tolist(),
                      clamped.tolist()))
-    return cases, [_frozen_state(tuning, f, params)
+    return cases, [evaluate_off_frequency(tuning, f, params)
                    for f in (theta.frequency, sens["frequency_hz"])]
 
 

@@ -20,7 +20,6 @@ a JSON file, so `preset dump` output can be fed straight back to `run`,
   users.
 """
 
-import copy
 import json
 
 from .engine import Scenario, load_scenario
@@ -53,10 +52,6 @@ def _fig1_base() -> dict:
             }
         ],
     }
-
-
-def _fig1a() -> dict:
-    return _fig1_base()
 
 
 def _fig1b() -> dict:
@@ -229,7 +224,7 @@ def _fig5() -> dict:
 
 
 _PRESETS = {
-    "fig1a": _fig1a,
+    "fig1a": _fig1_base,
     "fig1b": _fig1b,
     "fig1c": _fig1c,
     "fig3": _fig3,
@@ -241,10 +236,10 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def preset_config(name: str) -> dict:
-    """The raw config dict of a named preset."""
+    """The raw config dict of a named preset, built anew on every call."""
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset '{name}'; available: {', '.join(PRESET_NAMES)}")
-    return copy.deepcopy(_PRESETS[name]())
+    return _PRESETS[name]()
 
 
 def preset_text(name: str) -> str:

@@ -562,6 +562,30 @@ def test_malformed_json_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [b'{"operators": "\xe9"}',
+                                  b'{"master_seed": ' + b"1" * 5000 + b"}",
+                                  b"[" * 100000],
+                         ids=["not-utf8", "long-integer", "deep-nesting"])
+def test_undecodable_json_file(tmp_path, capsys, text):
+    """Bytes that are not UTF-8, an integer past Python's digit limit and a nesting
+    deeper than the recursion limit are config errors, not tracebacks."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["run", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: config is not valid JSON")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_scenario(text)
+
+
+def test_config_file_with_a_utf8_bom_loads(tmp_path):
+    path = small_config_file(tmp_path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["run", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_correlated_channels_exit_code(capsys):
     assert main(["run", "fig1c"]) == 3
     assert "numerical failure" in capsys.readouterr().err
