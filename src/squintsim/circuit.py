@@ -60,14 +60,12 @@ class CapacitanceSolution:
     """Result of inverting a target reflection phase to a capacitance.
 
     ``clamped`` marks targets outside the achievable phase arc; those get
-    the capacitance of the circularly nearest achievable phase. ``gamma``
-    is the reflection at the chosen capacitances, so the achieved phase is
-    ``np.angle(gamma)``.
+    the capacitance of the circularly nearest achievable phase. The achieved
+    phase at a carrier is ``np.angle(element_reflection(capacitance, f, params))``.
     """
 
     capacitance: np.ndarray
     clamped: np.ndarray
-    gamma: np.ndarray
 
 
 def _spare(fresh, result):
@@ -141,7 +139,7 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     per-case constants that broadcast against them; the solution takes that shape.
     """
     target = wrap_phase(np.asarray(target_phase, dtype=float))
-    # extreme constants overflow here; element_reflection reports it
+    # extreme constants overflow here; the clamp edges' element_reflection reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = 2.0 * np.pi * frequency
         z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
@@ -169,8 +167,7 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
         cap = np.asarray(np.clip(1.0 / (w * (wl_top - y)), params.c_min, params.c_max))
         del y
     _clamp(cap, clamped, target, edges, frequency, params)
-    return CapacitanceSolution(capacitance=cap, clamped=clamped,
-                               gamma=element_reflection(cap, frequency, params))
+    return CapacitanceSolution(capacitance=cap, clamped=clamped)
 
 
 def _clamp(cap: np.ndarray, unreachable: np.ndarray, target: np.ndarray, edges: list,

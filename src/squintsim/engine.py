@@ -1198,22 +1198,29 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     sweep's circuit cases are realized whether or not it is reported. Every
     pattern is evaluated before anything is written, and the files are
     written together (``_write_all``), so a study that fails leaves
-    ``out_dir`` and its parents as they were.
+    ``out_dir`` and its parents as they were. A disabled surface, or a
+    narrowband one asked for a carrier off its tuned one, is refused.
     """
     if scenario.pattern is None:
         raise ConfigError("config.pattern section is required for a pattern study")
-    cfg = scenario.pattern
-    params = scenario.ris.circuit
-    array = build_surface(scenario.ris, scenario.owner.carrier_hz)
+    cfg, ris = scenario.pattern, scenario.ris
+    # the carriers evaluated, by field; the last is the probe when a reference angle is set
+    fields = {f"frequencies_hz[{k}]": f for k, f in enumerate(cfg.frequencies_hz)}
+    if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:
+        fields["sensitivity.frequency_hz"] = cfg.sensitivity["frequency_hz"]
+    tuned = ris.design_frequency_hz or scenario.owner.carrier_hz
+    off = [key for key, f in fields.items() if abs(f - tuned) > 1e-6 * tuned]
+    if not ris.enabled:
+        raise ConfigError("config.ris.enabled is false: a pattern study needs the surface")
+    if ris.narrowband and off:
+        raise ConfigError(f"config.ris.narrowband is true, so the surface scatters only at "
+                          f"{tuned:g} Hz, not at config.pattern.{off[0]} ({fields[off[0]]:g} Hz)")
+    params = ris.circuit
+    array = build_surface(ris, scenario.owner.carrier_hz)
     theta = _pattern_phases(scenario, array)
     tuning = realize_capacitances(theta, params)
     cut = _pattern_cut(scenario, array)
-    carriers = list(cfg.frequencies_hz)
-    if cfg.reference_angle_deg is not None:
-        # the probe is the last listed carrier unless a sensitivity block names one
-        probe_f = carriers[-1] if cfg.sensitivity is None else cfg.sensitivity["frequency_hz"]
-        carriers.append(probe_f)
-    carriers = list(dict.fromkeys(carriers))
+    probe_f, carriers = list(fields.values())[-1], list(dict.fromkeys(fields.values()))
     feed = scenario.owner.bs.position
     cases = None
     if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:

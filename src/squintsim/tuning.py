@@ -35,17 +35,15 @@ class OptimizationLog:
 
 @dataclass
 class TuningResult:
-    """Realized hardware state: frozen capacitances and their reflections.
+    """Realized hardware state: the frozen capacitances.
 
     ``clamp_report`` holds the flat indices, into the tuned phases, of the
     elements whose phase fell outside the achievable arc; for stacked
     phases element ``n`` of realization ``r`` is ``r * n_elements + n``.
-    Their targets and achieved phases are ``np.angle`` of the ideal and
-    the realized reflections at those indices.
+    Reflections at any carrier, the tuning one too, are ``evaluate_off_frequency``'s.
     """
 
     capacitances: np.ndarray            # F per element
-    realized_gammas: np.ndarray         # circuit reflections at the tuning carrier
     frequency: float
     clamp_report: np.ndarray            # flat indices of the clamped elements
 
@@ -183,15 +181,12 @@ def realize_capacitances(theta_star: ScatteringState, params: CircuitParams) -> 
     f = theta_star.frequency
     solution = phase_to_capacitance(np.angle(theta_star.gammas), f, params)
     return TuningResult(capacitances=solution.capacitance, frequency=f,
-                        clamp_report=np.flatnonzero(solution.clamped),
-                        realized_gammas=solution.gamma)
+                        clamp_report=np.flatnonzero(solution.clamped))
 
 
 def evaluate_off_frequency(result: TuningResult, f_m: float,
                            params: CircuitParams) -> ScatteringState:
-    """Scattering the frozen capacitances present to carrier ``f_m``."""
-    if f_m <= 0:
-        raise ValueError("f_m must be positive")
+    """Scattering the frozen capacitances present to carrier ``f_m`` (positive)."""
     return ScatteringState(gammas=element_reflection(result.capacitances, f_m, params),
                            frequency=float(f_m))
 

@@ -318,19 +318,28 @@ def test_criterion_6_tuning_properties(capfd):
     beats_random = margin >= 0.0
 
     chs = random_set(rng, 16)
-    result = realize_capacitances(align_phases_single_target(chs), params)
+    ideal = align_phases_single_target(chs)
+    result = realize_capacitances(ideal, params)
     identity = evaluate_off_frequency(result, 2.5e9, params)
-    exact = bool(np.array_equal(identity.gammas, result.realized_gammas)) \
+    exact = bool(np.array_equal(identity.gammas,
+                                element_reflection(result.capacitances, 2.5e9, params))) \
         and identity.frequency == 2.5e9
+    # the realized phases off the clamp report are the ideal ones
+    phase_error = np.delete(np.abs(wrap_phase(np.angle(identity.gammas)
+                                              - np.angle(ideal.gammas))), result.clamp_report)
+    worst_phase = float(phase_error.max(initial=0.0))
+    faithful = len(phase_error) > 0 and worst_phase <= 1e-9
 
-    ok = monotone and beats_random and exact
+    ok = monotone and beats_random and exact and faithful
     announce(capfd, 6, ok,
              f"ascent worst relative dip {worst_dip:.3g} over 50 two-target runs, "
              f"closed form beats 10^4 random profiles (min margin {margin:.3g} W), "
-             f"off-frequency identity {'exact' if exact else 'broken'}")
+             f"off-frequency identity {'exact' if exact else 'broken'}, "
+             f"unclamped phase error {worst_phase:.2g} rad")
     assert monotone, f"objective dipped by {worst_dip:.3g} relative"
     assert beats_random, f"a random profile beat the closed form by {-margin:.3g}"
     assert exact
+    assert faithful, f"an unclamped phase missed its target by {worst_phase:.3g} rad"
 
 
 # --- criterion 7: precoding -------------------------------------------------------

@@ -183,6 +183,52 @@ def test_pattern_bad_field_fails_at_load(tmp_path, capsys, section, key, value, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("ris, pattern, fields", [
+    ({"enabled": False}, {}, ["config.ris.enabled "]),
+    ({"narrowband": True}, {},
+     ["config.ris.narrowband ", "config.pattern.frequencies_hz[1] (2.52e+09 Hz)"]),
+    # every listed carrier is the tuned one; the sensitivity sweep's probe is not
+    ({"narrowband": True}, {"frequencies_hz": [2.5e9]},
+     ["config.ris.narrowband ", "config.pattern.sensitivity.frequency_hz (2.75e+09 Hz)"]),
+    ({"narrowband": True, "design_frequency_hz": 2.75e9}, {},
+     ["config.ris.narrowband ", "config.pattern.frequencies_hz[0] (2.5e+09 Hz)"]),
+], ids=["disabled", "narrowband", "narrowband-probe", "narrowband-design"])
+def test_pattern_study_refuses_a_surface_that_scatters_nothing(tmp_path, capsys, ris, pattern,
+                                                               fields):
+    """A disabled surface, or a narrowband one off its tuned carrier, scatters nothing;
+    fig3 reported the tuned surface's lobes (44.12, 43.26 and -46.32 deg) for both."""
+    cfg = preset_config("fig3")
+    cfg["ris"].update(ris)
+    cfg["pattern"].update(pattern)
+    path = tmp_path / "fig3.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "patterns"
+    assert main(["pattern", str(path), "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert all(field in err for field in fields)
+    assert not out_dir.exists()
+
+
+def test_narrowband_pattern_study_at_its_tuned_carrier_runs(tmp_path, capsys):
+    """A narrowband surface probed only at its tuned carrier, within 1e-6 of it, writes the
+    files of the same study without the flag."""
+    cfg = preset_config("fig3")
+    cfg["pattern"]["frequencies_hz"] = [2.5e9]
+    cfg["pattern"]["sensitivity"]["frequency_hz"] = 2.5e9 * (1 + 5e-7)
+    for narrowband in (False, True):
+        cfg["ris"]["narrowband"] = narrowband
+        path = tmp_path / f"{narrowband}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["pattern", str(path), "--out-dir", str(tmp_path / str(narrowband))]) == 0
+    names = sorted(p.name for p in (tmp_path / "False").iterdir())
+    assert "squint_sensitivity.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "True").iterdir())
+    for name in names:
+        assert (tmp_path / "True" / name).read_bytes() == (tmp_path / "False" / name).read_bytes()
+
+
 # the position of a surface element of fig4d (10 x 10) and of fig3 (20 x 20)
 ON_ELEMENT = [0.0299792458, 0.0, 0.0299792458]
 FIG3_FEED = preset_config("fig3")["operators"][0]["bs"]["position"]

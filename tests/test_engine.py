@@ -25,6 +25,7 @@ from squintsim import engine
 from squintsim.array_field import (PatternCut, ScatteringState, directivity_pattern,
                                    main_lobe_angle, pattern_to_csv)
 from squintsim.channels import rician_channel
+from squintsim.circuit import element_reflection, wrap_phase
 from squintsim.cli import main
 from squintsim.engine import EXPORT_COLUMNS, build_surface
 from squintsim.errors import CorrelatedChannelsError, NumericalError
@@ -1490,10 +1491,10 @@ def test_run_pattern_in_window_still_evaluates_its_sweep(tmp_path):
 
 
 def test_realized_reflections_equal_an_evaluation_at_the_tuned_carrier(rng):
-    """A surface's state at the carrier it was tuned at is a fresh evaluation there, and
-    that equals the reflections its realization made bit for bit: on fig3's surface with
-    its own and its sensitivity sweep's (90, 1) constants, and on a random (50, 70)
-    stack."""
+    """A surface's state at the carrier it was tuned at is the element circuit's
+    reflection at its capacitances bit for bit, and its phases are the ideal phases, to
+    1e-9 rad, wherever the inversion did not clamp: on fig3's surface with its own and
+    its sensitivity sweep's (90, 1) constants, and on a random (50, 70) stack."""
     sc = load_preset("fig3")
     array = build_surface(sc.ris, sc.owner.carrier_hz)
     theta = engine._pattern_phases(sc, array)
@@ -1506,8 +1507,12 @@ def test_realized_reflections_equal_an_evaluation_at_the_tuned_carrier(rng):
                                            c_max=c_max)),
                            (stack, sc.ris.circuit)]:
         tuning = realize_capacitances(phases, params)
-        assert np.array_equal(tuning.realized_gammas,
-                              evaluate_off_frequency(tuning, tuning.frequency, params).gammas)
+        state = evaluate_off_frequency(tuning, tuning.frequency, params)
+        assert np.array_equal(state.gammas,
+                              element_reflection(tuning.capacitances, tuning.frequency, params))
+        error = np.abs(wrap_phase(np.angle(state.gammas) - np.angle(phases.gammas))).ravel()
+        free = np.delete(error, tuning.clamp_report)
+        assert 0 < len(free) and free.max() <= 1e-9
 
 
 def test_fig3_probe_lobe_is_the_straight_through_direction(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from squintsim import (ChannelSet, CircuitParams, ScatteringState, effective_channel,
                        link_metrics, mrt_precoder, optimize_weighted_sum_power, zf_precoder)
 from squintsim import engine
-from squintsim.circuit import phase_to_capacitance
+from squintsim.circuit import element_reflection, phase_to_capacitance
 
 F = 2.5e9
 USERS, ANTENNAS, ELEMENTS = 4, 10, 4        # 40 owner entries, as fig5's owner has
@@ -62,6 +62,7 @@ def test_stacked_linear_algebra_matches_one_realization_calls(stack):
     zf, mrt = zf_precoder(laid_out(h, layout)), mrt_precoder(laid_out(h, layout))
     metrics = link_metrics(laid_out(h, layout), zf, 1e-3)
     capacitance = phase_to_capacitance(laid_out(np.angle(gammas), layout), F, CircuitParams())
+    reflection = element_reflection(capacitance.capacitance, F, CircuitParams())
     for r in sampled(rng, n_real):
         one = slice(r, r + 1)
         h_r = effective_channel(channel_set(parts, alone, one),
@@ -76,9 +77,11 @@ def test_stacked_linear_algebra_matches_one_realization_calls(stack):
         assert np.array_equal(metrics_r.se[0], metrics.se[r])
         capacitance_r = phase_to_capacitance(laid_out(np.angle(gammas[one]), alone), F,
                                              CircuitParams())
-        for field in ("capacitance", "clamped", "gamma"):
+        for field in ("capacitance", "clamped"):
             assert np.array_equal(getattr(capacitance_r, field)[0],
                                   getattr(capacitance, field)[r])
+        assert np.array_equal(element_reflection(capacitance_r.capacitance, F,
+                                                 CircuitParams())[0], reflection[r])
 
 
 @settings(derandomize=True, database=None, max_examples=4, deadline=None)

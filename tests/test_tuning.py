@@ -249,8 +249,8 @@ def test_realize_caps_reproduce_circuit(params, rng):
     assert np.all(result.capacitances >= params.c_min)
     assert np.all(result.capacitances <= params.c_max)
     again = element_reflection(result.capacitances, F1, params)
-    assert np.array_equal(result.realized_gammas, again)
-    realized = ScatteringState(gammas=result.realized_gammas, frequency=F1)
+    assert np.array_equal(evaluate_off_frequency(result, F1, params).gammas, again)
+    realized = ScatteringState(gammas=again, frequency=F1)
     assert weighted_sum_power([chs], state) >= weighted_sum_power([chs], realized) > 0.0
 
 
@@ -261,7 +261,7 @@ def test_realize_clamp_report(params):
     state = ScatteringState(gammas=np.exp(1j * targets), frequency=F1)
     result = realize_capacitances(state, params)
     assert result.clamp_report.tolist() == [1]
-    achieved = np.angle(result.realized_gammas)[1]
+    achieved = np.angle(element_reflection(result.capacitances, F1, params))[1]
     assert achieved == pytest.approx(hi, abs=1e-9)
     assert abs(wrap_phase(targets[1] - achieved)) == pytest.approx(0.05, abs=1e-9)
 
@@ -275,7 +275,8 @@ def test_realize_lossy_circuit_hits_every_unclamped_target(rng):
     free = np.ones(len(targets), dtype=bool)
     free[result.clamp_report] = False
     assert 0 < np.count_nonzero(free) < len(targets)
-    err = np.abs(wrap_phase(np.angle(result.realized_gammas) - targets))
+    err = np.abs(wrap_phase(np.angle(element_reflection(result.capacitances, F1, lossy))
+                            - targets))
     assert np.max(err[free]) <= 1e-9
 
 
@@ -293,7 +294,7 @@ def test_off_frequency_identity_at_design_carrier(params, rng):
     state = align_phases_single_target(chs)
     result = realize_capacitances(state, params)
     at_f1 = evaluate_off_frequency(result, F1, params)
-    assert np.array_equal(at_f1.gammas, result.realized_gammas)
+    assert np.array_equal(at_f1.gammas, element_reflection(result.capacitances, F1, params))
     assert at_f1.frequency == F1
 
 
@@ -303,8 +304,9 @@ def test_off_frequency_differs_off_tune(params, rng):
     result = realize_capacitances(state, params)
     shifted = evaluate_off_frequency(result, 2.75e9, params)
     assert shifted.frequency == 2.75e9
-    assert not np.allclose(shifted.gammas, result.realized_gammas, atol=1e-3)
-    with pytest.raises(ValueError):
+    assert not np.allclose(shifted.gammas, element_reflection(result.capacitances, F1, params),
+                           atol=1e-3)
+    with pytest.raises(ValueError, match="frequency must be positive"):
         evaluate_off_frequency(result, 0.0, params)
 
 
@@ -312,5 +314,6 @@ def test_off_frequency_small_shift_small_change(params, rng):
     chs = make_set(rng)
     result = realize_capacitances(align_phases_single_target(chs), params)
     nearby = evaluate_off_frequency(result, F1 * (1.0 + 1e-7), params)
-    assert np.allclose(nearby.gammas, result.realized_gammas, atol=1e-4)
+    assert np.allclose(nearby.gammas, element_reflection(result.capacitances, F1, params),
+                       atol=1e-4)
 
