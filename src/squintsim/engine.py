@@ -777,50 +777,6 @@ def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
     return PrecodeResult(matrix=matrix, powers=powers)
 
 
-def _stack_block(cases: list, links: list, draws: _LinkDraws | None, direct: list, blind: list,
-                 without: list) -> list:
-    """Per case, (outcomes, clamp fractions, converged flags) of one stack over one block.
-
-    The stack's cases share a surface size. They run case-major on the
-    realization axis through one ascent, one varactor inversion, and per
-    operator one channel evaluation, precoding and metric call. Each of
-    these gives every realization the bits of a call on it alone, whatever
-    the stack size and whichever buffers hold it, so each case's results
-    are those of a run on it alone.
-    """
-    case, n_cases, n_real = cases[0], len(cases), len(direct[0])
-    owner = [op.id for op in case.operators].index(case.ris.owner)
-    targets = [_operator_channels(cases, links, owner, draws, direct)]
-    clamp, converged = np.zeros(n_cases * n_real), np.ones(n_cases * n_real, dtype=bool)
-    tuning = None
-    if case.ris.enabled:
-        log, n_el = OptimizationLog(), case.ris.n_elements
-        tuning = realize_capacitances(optimize_weighted_sum_power(targets, log=log),
-                                      case.ris.circuit)
-        clamp = np.bincount(tuning.clamp_report // n_el, minlength=len(clamp)) / n_el
-        converged = log.converged_each
-
-    outcomes = []
-    for i, op in enumerate(case.operators):
-        # popped here and deleted below, so that no two operators' sets are held at once
-        chs = targets.pop() if i == owner else _operator_channels(cases, links, i, draws, direct)
-        actual = effective_channel(chs, _surface_state(case, tuning, op.carrier_hz))
-        # the surface owner precodes with current surface-inclusive knowledge;
-        # other operators are surface-blind: design without, traverse with
-        precoders = _precode_rows(actual, op) if i == owner else PrecodeResult(
-            matrix=np.tile(blind[i].matrix, (n_cases, 1, 1)),
-            powers=np.tile(blind[i].powers, (n_cases, 1)))
-        with_ris = link_metrics(actual, precoders, case.noise_w)
-        shape = (n_cases, n_real, len(op.ues))
-        outcomes.append(np.stack([with_ris.se.reshape(shape),
-                                  np.broadcast_to(without[i].se, shape),
-                                  with_ris.sinr.reshape(shape),
-                                  np.broadcast_to(without[i].sinr, shape)], axis=2))
-        del chs
-    return list(zip(np.concatenate(outcomes, axis=3), clamp.reshape(n_cases, n_real),
-                    converged.reshape(n_cases, n_real)))
-
-
 def _stacks(cases: list, n_real: int) -> list:
     """Runs of consecutive same-size cases of at most _BLOCK_TERMS terms (or one case).
 
@@ -838,30 +794,65 @@ def _stacks(cases: list, n_real: int) -> list:
     return stacks
 
 
-def _block_worker(args) -> list:
-    """Per case, (outcomes, clamp fractions, converged flags) of realizations [start, stop).
+def _block_worker(args) -> tuple:
+    """(outcomes, clamp fractions, converged flags) of realizations [start, stop), case-major.
 
-    ``outcomes`` is (realizations x 4 x UEs), UEs in config order; its rows
-    are SE with and without the surface, then SINR with and without it.
+    ``outcomes`` is (cases x realizations x 4 x UEs), UEs in config order; its
+    rows are SE with and without the surface, then SINR with and without it.
     The direct links, the surface-blind precoders and every metric without
     the surface depend on no surface, so they are computed once and shared
-    by every case; the cases then run stack by stack. Each surface link is
-    drawn when the first stack reads it and freed after the last stack
-    does, so a one-stack block holds no draws through its ascent.
-    ``direct_los`` and ``links`` are the line-of-sight matrices of ``_los_links``.
+    by every case. The owner's pass then tunes each stack, keeping only its
+    surface, and each other operator's pass crosses every frozen surface. A
+    surface link is drawn at its pass's first stack and freed after its last,
+    so an ascent holds only the owner's draws, and none in a one-stack block.
     """
     cases, direct_los, links, start, stop = args
-    scenario, stacks = cases[0], _stacks(cases, stop - start)
+    scenario, n_real, stacks = cases[0], stop - start, _stacks(cases, stop - start)
     largest = links[max(range(len(cases)), key=lambda k: cases[k].ris.n_elements)]
     draws = None if scenario.k_factor_db is None else _LinkDraws(
         scenario.master_seed, start, stop,
         {key: los.size for key, los in {**direct_los, **largest}.items()}, reads=len(stacks))
-    direct = _direct_links(scenario, direct_los, draws, stop - start)
+    direct = _direct_links(scenario, direct_los, draws, n_real)
     blind = [_precode_rows(h, op) for op, h in zip(scenario.operators, direct)]
     without = [link_metrics(h, p, scenario.noise_w) for h, p in zip(direct, blind)]
-    return [part for stack in stacks
-            for part in _stack_block([cases[k] for k in stack], [links[k] for k in stack],
-                                     draws, direct, blind, without)]
+    owner = [op.id for op in scenario.operators].index(scenario.ris.owner)
+    ue_bounds = np.cumsum([0] + [len(op.ues) for op in scenario.operators]).tolist()
+    outcomes = np.empty((len(cases), n_real, 4, ue_bounds[-1]))
+    clamp, converged = np.zeros((len(cases), n_real)), np.ones((len(cases), n_real), dtype=bool)
+
+    def stack_rows(i: int, stack: list, tuning: TuningResult | None = None) -> TuningResult | None:
+        """Operator ``i``'s rows of one stack and its surface, which the owner's pass tunes."""
+        case, op, n_cases = cases[stack[0]], scenario.operators[i], len(stack)
+        chs = _operator_channels([cases[k] for k in stack], [links[k] for k in stack], i, draws,
+                                 direct)
+        cut = slice(stack[0], stack[-1] + 1)
+        if i == owner and case.ris.enabled:
+            log, n_el = OptimizationLog(), case.ris.n_elements
+            tuning = realize_capacitances(optimize_weighted_sum_power([chs], log=log),
+                                          case.ris.circuit)
+            clamp[cut] = np.bincount(tuning.clamp_report // n_el, minlength=n_cases * n_real
+                                     ).reshape(n_cases, n_real) / n_el
+            converged[cut] = log.converged_each.reshape(n_cases, n_real)
+        actual = effective_channel(chs, _surface_state(case, tuning, op.carrier_hz))
+        # the surface owner precodes with current surface-inclusive knowledge;
+        # other operators are surface-blind: design without, traverse with
+        precoders = _precode_rows(actual, op) if i == owner else PrecodeResult(
+            matrix=np.tile(blind[i].matrix, (n_cases, 1, 1)),
+            powers=np.tile(blind[i].powers, (n_cases, 1)))
+        with_ris = link_metrics(actual, precoders, case.noise_w)
+        rows = outcomes[cut, :, :, ue_bounds[i]:ue_bounds[i + 1]]
+        rows[:, :, 0] = with_ris.se.reshape(n_cases, n_real, -1)
+        rows[:, :, 1] = without[i].se
+        rows[:, :, 2] = with_ris.sinr.reshape(n_cases, n_real, -1)
+        rows[:, :, 3] = without[i].sinr
+        return tuning
+
+    tunings = [stack_rows(owner, stack) for stack in stacks]
+    for i in range(len(scenario.operators)):
+        if i != owner:
+            for stack, tuning in zip(stacks, tunings):
+                stack_rows(i, stack, tuning)
+    return outcomes, clamp, converged
 
 
 def _blocks(cases: list) -> list:
@@ -945,6 +936,10 @@ def _run_cases(cases: list, workers: int | None, surfaces: list) -> list:
     so a case's results depend neither on ``workers`` nor on the other
     cases of the run. ``surfaces`` names each case's surface in errors.
     """
+    design, carrier = cases[0].ris.design_frequency_hz, cases[0].owner.carrier_hz
+    if design and abs(design - carrier) > 1e-6 * carrier:
+        raise ConfigError(f"config.ris.design_frequency_hz ({design:g} Hz) must be null or the "
+                          f"owner's carrier ({carrier:g} Hz), the surface's tuned carrier")
     direct_los, links = _los_links(cases, surfaces)
     tasks = [(cases, direct_los, links, start, stop) for start, stop in _blocks(cases)]
     if workers and workers > 1 and len(tasks) > 1:
@@ -954,7 +949,8 @@ def _run_cases(cases: list, workers: int | None, surfaces: list) -> list:
             blocks = list(pool.map(_block_worker, tasks))
     else:
         blocks = [_block_worker(task) for task in tasks]
-    return [_case_metrics(case, *(np.concatenate(part) for part in zip(*(b[k] for b in blocks))))
+    outcomes, clamp, converged = (np.concatenate(part, axis=1) for part in zip(*blocks))
+    return [_case_metrics(case, outcomes[k], clamp[k], converged[k])
             for k, case in enumerate(cases)]
 
 

@@ -129,6 +129,28 @@ def test_sweep_without_spec_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_refuse_a_design_carrier_they_would_ignore(tmp_path, capsys, command):
+    """Both tune the surface at the owner's carrier, so a design carrier more than 1e-6
+    off it is refused with nothing written."""
+    path = small_config_file(tmp_path, extra={
+        "sweep": {"element_counts": [4], "positions": [[0.0, 0.0, 0.0]]}})
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["ris"]["design_frequency_hz"] = 2.52e9
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "cases.csv"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
+    assert all(text in captured.err for text in (
+        "config.ris.design_frequency_hz (2.52e+09 Hz)", "carrier (2.5e+09 Hz)"))
+    assert list(tmp_path.iterdir()) == [path]
+    cfg["ris"]["design_frequency_hz"] = 2.5e9 * (1 + 5e-7)
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, str(path), "--out", str(out)]) == 0
+
+
 def test_pattern_command(tmp_path, capsys):
     cfg = small_config_file(tmp_path, extra={
         "realizations": 1,

@@ -384,20 +384,27 @@ def test_link_draws_match_derive_seed(name, master_seed, start):
 def test_link_table_walkers_take_each_draw_its_reads(monkeypatch, name, edits, n_blocks):
     """In each block, every seeded link is taken exactly its reads times, once for a direct
     link and once per stack for a surface link, no other link is taken, and no draw is
-    held when the block ends."""
+    held when the block ends. An ascent holds only the owner's draws, and none in a
+    one-stack block."""
     blocks = []
 
     class CountedDraws(engine._LinkDraws):
         def __init__(self, master_seed, start, stop, sizes, reads):
             super().__init__(master_seed, start, stop, sizes, reads)
-            self.n_real, self.stacks, self.taken = stop - start, reads, Counter()
+            self.n_real, self.stacks, self.taken, self.held = stop - start, reads, Counter(), []
             blocks.append(self)
 
         def take(self, key):
             self.taken[key] += 1
             return super().take(key)
 
+    def ascent(*args, **kwargs):
+        blocks[-1].held.append(set(blocks[-1]._drawn))
+        return optimize(*args, **kwargs)
+
+    optimize = engine.optimize_weighted_sum_power
     monkeypatch.setattr(engine, "_LinkDraws", CountedDraws)
+    monkeypatch.setattr(engine, "optimize_weighted_sum_power", ascent)
     cfg = preset_config(name)
     cfg.update(edits)
     sc = load_scenario(cfg)
@@ -405,6 +412,7 @@ def test_link_table_walkers_take_each_draw_its_reads(monkeypatch, name, edits, n
     cases = [engine._with_surface(sc, n, pos) for n in spec.element_counts
              for pos in spec.positions] if spec else [sc]
     sweep(sc) if spec else run_case(sc)
+    owner = [op.id for op in sc.operators].index(sc.ris.owner)
     seeded = {(i, 0, 1): "surface" for i in range(len(sc.operators))}
     for i, op in enumerate(sc.operators):
         for j, ue in enumerate(op.ues):
@@ -418,6 +426,9 @@ def test_link_table_walkers_take_each_draw_its_reads(monkeypatch, name, edits, n
         assert draws.taken == {key: 1 if kind == "direct" else draws.stacks
                                for key, kind in seeded.items()}
         assert draws._drawn == {}
+        assert len(draws.held) == draws.stacks
+        assert all(key[0] == owner for held in draws.held for key in held)
+        assert draws.stacks > 1 or draws.held == [set()]
     if name == "fig5":
         assert blocks[0].stacks > 1
 
@@ -944,17 +955,26 @@ def test_blocks_are_the_fewest_equal_ranges(realizations, counts):
     assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
 
 
-def test_fig4d_run_holds_no_draws_through_its_ascent():
+@pytest.mark.parametrize("name, realizations, bound", [
+    pytest.param("fig4d", None, 5.0e6, id="fig4d"),
+    pytest.param("fig5", 30, 5.2e6, id="fig5"),
+])
+def test_fig4d_run_holds_no_draws_through_its_ascent(name, realizations, bound):
     """Drawing each link at its first read and freeing it after its last keeps a
-    one-stack block's peak below 5.0 MB (5.13 MB with every draw held per block)."""
-    sc = load_preset("fig4d")
+    one-stack block's peak below 5.0 MB (5.13 MB with every draw held per block).
+    fig5's one block of nine stacks holds only the owner's draws through its
+    ascents: 4.86 MB, 5.57 MB with every operator's surface links held."""
+    cfg = preset_config(name)
+    if realizations is not None:
+        cfg["realizations"] = realizations
+    sc = load_scenario(cfg)
     tracemalloc.start()
     try:
-        run_case(sc)
+        sweep(sc) if sc.sweep_spec else run_case(sc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.0e6
+    assert peak < bound
 
 
 def block_spanning_config(cfg, counts, entries):
