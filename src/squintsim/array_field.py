@@ -162,9 +162,13 @@ def build_array(rows, cols, f_design, spacing_fraction=0.5, center=(0.0, 0.0, 0.
 
 def _distances(points: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """(P, N) distances from (P, 3) points to (N, 3) positions, summed per coordinate
-    in np.linalg.norm's order: no (P, N, 3) temporary, and the norm's bits."""
+    in np.linalg.norm's order, in place in the differences: no (P, N, 3)
+    temporary, and the norm's bits."""
     dx, dy, dz = (points[:, i, None] - positions[:, i] for i in range(3))
-    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+    dx *= dx
+    dx += np.multiply(dy, dy, out=dy)
+    dx += np.multiply(dz, dz, out=dz)
+    return np.sqrt(dx, out=dx)
 
 
 def _phasor_table() -> np.ndarray:
@@ -434,5 +438,6 @@ def main_lobe_angle(pattern: np.ndarray):
 
 def pattern_to_csv(pattern: np.ndarray) -> str:
     """A pattern's CSV text, with 9-significant-digit decimal fields."""
-    rows = np.asarray(pattern, dtype=float).tolist()
-    return "angle_deg,power_db\n" + "".join(f"{angle:.9g},{db:.9g}\n" for angle, db in rows)
+    rows = np.asarray(pattern, dtype=float)
+    fields = tuple(rows.ravel().tolist())
+    return "angle_deg,power_db\n" + ("%.9g,%.9g\n" * len(rows)) % fields

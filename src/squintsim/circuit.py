@@ -68,18 +68,8 @@ class CapacitanceSolution:
     clamped: np.ndarray
 
 
-def _spare(fresh, result):
-    """``fresh``, a temporary array the caller owns, as the output buffer of an
-    operation that makes an array of ``result``'s shape: the same values in one
-    array fewer. None when ``fresh`` is a scalar or of another shape."""
-    return fresh if isinstance(fresh, np.ndarray) and fresh.shape == np.shape(result) else None
-
-
-def element_impedance(capacitance, frequency, params: CircuitParams):
-    """Input impedance of the element; broadcasts over c and f.
-
-    Requires capacitance > 0 and frequency > 0.
-    """
+def _reactance(capacitance, frequency, params: CircuitParams):
+    """w = 2 pi f and the series branch's reactance y = wL2 - 1/(wc), for c, f > 0."""
     c = np.asarray(capacitance, dtype=float)
     f = np.asarray(frequency, dtype=float)
     if np.any(c <= 0):
@@ -87,11 +77,22 @@ def element_impedance(capacitance, frequency, params: CircuitParams):
     if np.any(f <= 0):
         raise ValueError("frequency must be positive")
     w = 2.0 * np.pi * f
-    z_bottom = 1j * w * params.l_bottom
-    z_top = 1j * w * params.l_top + 1.0 / (1j * w * c) + params.r_loss
-    total = z_bottom + z_top
-    out = _spare(z_top, total)
-    return np.divide(np.multiply(z_bottom, z_top, out=out), total, out=out)
+    return w, w * params.l_top - 1.0 / (w * c)
+
+
+def _mobius(w, params: CircuitParams):
+    """(a, b, c, d) of gamma = (a*y + b) / (c*y + d) at angular frequency ``w``: Z's
+    series branch is jy + R, so (Z - z0) / (Z + z0) is a Mobius map of y."""
+    z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
+    return 1j * (z_b - z0), r * (z_b - z0) - z0 * z_b, 1j * (z_b + z0), r * (z_b + z0) + z0 * z_b
+
+
+def element_impedance(capacitance, frequency, params: CircuitParams):
+    """Input impedance of the element, the circuit's reference form; broadcasts over
+    c and f, both positive."""
+    w, y = _reactance(capacitance, frequency, params)
+    z_bottom, z_top = 1j * w * params.l_bottom, 1j * y + params.r_loss
+    return np.divide(z_bottom * z_top, z_bottom + z_top)
 
 
 def element_reflection(capacitance, frequency, params: CircuitParams):
@@ -99,16 +100,16 @@ def element_reflection(capacitance, frequency, params: CircuitParams):
 
     |gamma| <= 1 whenever r_loss >= 0, and |gamma| == 1 in the lossless
     limit r_loss == 0. A non-finite reflection, from constants so extreme
-    that the impedance overflows, raises NumericalError.
+    that the circuit overflows, raises NumericalError.
     """
     # constants near the float range overflow here; the finite check below reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = element_impedance(capacitance, frequency, params)
-        denom = z + params.z0
-        if np.any(np.abs(denom) < 1e-12 * params.z0):
-            raise NumericalError("element impedance equals -z0; reflection undefined")
-        out = _spare(z, denom)
-        gamma = np.divide(np.subtract(z, params.z0, out=out), denom, out=out)
+        w, y = _reactance(capacitance, frequency, params)
+        a, b, c, d = _mobius(w, params)
+        num = np.asarray(a * y + b)
+        # np.divide in place, also for a scalar, whose gamma then has its array's bits
+        # (Python's complex division rounds otherwise); [()] unwraps a 0-d result
+        gamma = np.divide(num, c * y + d, out=num)[()]
     if not np.all(np.isfinite(gamma)):
         raise NumericalError("reflection is not finite; the element circuit overflows")
     return gamma
@@ -142,9 +143,7 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     # extreme constants overflow here; the clamp edges' element_reflection reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = 2.0 * np.pi * frequency
-        z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
-        a, b = 1j * (z_b - z0), r * (z_b - z0) - z0 * z_b
-        c, d = 1j * (z_b + z0), r * (z_b + z0) + z0 * z_b
+        a, b, c, d = _mobius(w, params)
         # (a*y + b) conj(c*y + d) = p2 y^2 + p1 y + p0 for real y
         p2, p1, p0 = a * np.conj(c), a * np.conj(d) + b * np.conj(c), b * np.conj(d)
         # the phase is stationary where Im((ad - bc) conj((a*y + b)(c*y + d))) = 0
@@ -176,18 +175,25 @@ def _clamp(cap: np.ndarray, unreachable: np.ndarray, target: np.ndarray, edges: 
     ``edges`` whose phase is circularly nearest; the first of tied edges wins.
 
     Each edge's phase is taken at the edge's own shape, then the search runs
-    over the unreachable targets only; a leading axis lets a 0-d solution be
-    indexed too.
+    over the unreachable targets only, gathered by flat index into ``cap``: an
+    (S, 1) constant at row ``flat // N``, an (N,) target at column ``flat % N``,
+    a scalar as it is and any other value from its broadcast to ``cap``'s shape.
     """
     phases = [np.angle(element_reflection(edge, frequency, params)) for edge in edges]
-    grid = (1, *cap.shape)
-    where = np.unravel_index(np.flatnonzero(unreachable), grid)
+    flat = np.flatnonzero(unreachable)
+    n = cap.shape[-1] if cap.ndim else 1
+    rows = flat // n
 
     def at(values):
-        return np.broadcast_to(values, grid)[where]
+        values = np.asarray(values)
+        if values.shape == (*cap.shape[:-1], 1):
+            return values.reshape(-1)[rows]
+        if values.shape == (n,):
+            return values[flat % n]
+        return values if values.ndim == 0 else np.broadcast_to(values, cap.shape).reshape(-1)[flat]
 
     goal, nearest, best = at(target), 0, np.inf
     for i, phase in enumerate(phases):
         gap = np.abs(wrap_phase(goal - at(phase)))
         nearest, best = np.where(gap < best, i, nearest), np.minimum(gap, best)
-    cap.reshape(grid)[where] = np.choose(nearest, [at(edge) for edge in edges])
+    cap.reshape(-1)[flat] = np.choose(nearest, [at(edge) for edge in edges])

@@ -8,6 +8,8 @@ channels, and then evaluates everyone on the channels that actually
 exist, with the frozen surface state re-evaluated at each carrier.
 """
 
+from __future__ import annotations
+
 import contextlib
 import errno
 import itertools

@@ -663,3 +663,24 @@ def test_pattern_to_csv_format():
     assert text.endswith("\n")
     parsed = np.array([line.split(",") for line in lines[1:]], dtype=float)
     assert np.allclose(parsed, pattern, atol=1e-7)
+
+
+# signed zeros, the smallest subnormal, the largest magnitudes, non-finite dB, and
+# exact binary values whose 10th significant digit is a 5: 9-digit rounding ties
+CSV_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan, 1.0,
+                   1234567.125, -1234567.375, 123456788.5, 123456789.5, 0.0078125, 2.0 ** -30]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(fields=st.lists(st.floats(), max_size=40), seed=st.integers(0, 2 ** 32 - 1))
+def test_pattern_to_csv_equals_row_by_row_text(fields, seed):
+    """The one-call CSV text is byte-equal to formatting each row with an f-string:
+    on any floats, on a random 361-angle pattern, and on the edge values."""
+    rng = np.random.default_rng(seed)
+    patterns = [np.array(fields[:len(fields) // 2 * 2], dtype=float).reshape(-1, 2),
+                np.column_stack([np.linspace(-90.0, 90.0, 361),
+                                 rng.normal(size=361) * 10.0 ** rng.uniform(-8, 8, 361)]),
+                np.array(CSV_EDGE_VALUES).reshape(-1, 2)]
+    for pattern in patterns:
+        rows = "".join(f"{angle:.9g},{db:.9g}\n" for angle, db in pattern.tolist())
+        assert pattern_to_csv(pattern) == "angle_deg,power_db\n" + rows

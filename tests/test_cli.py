@@ -172,6 +172,22 @@ def test_pattern_command(tmp_path, capsys):
     assert summary["design_frequency_hz"] == 2.5e9
 
 
+def test_import_and_pattern_study_leave_numpy_random_unloaded(tmp_path):
+    """A pattern study never draws, so neither ``import squintsim`` nor the study
+    loads numpy.random (and the hashing modules it brings) into a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(squintsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys\nimport squintsim\nfrom squintsim.cli import main\n"
+            "loaded = ['numpy.random' in sys.modules]\n"
+            "assert main(['pattern', 'fig3', '--out-dir', sys.argv[1]]) == 0\n"
+            "print(loaded + ['numpy.random' in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[False, False]"
+    assert (tmp_path / "out" / "squint_sensitivity.csv").exists()
+
+
 @pytest.mark.parametrize("section, key, value, field", [
     ("sensitivity", "l_top_h", 0.7e-9, "pattern.sensitivity.l_top_h"),
     ("sensitivity", "l_top_h", [], "pattern.sensitivity.l_top_h"),
