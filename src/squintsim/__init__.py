@@ -12,8 +12,7 @@ from .array_field import (PatternCut, RisArray, ScatteringState, build_array,
                           directivity_pattern, main_lobe_angle, pattern_to_csv,
                           reflected_field)
 from .channels import ChannelSet, Node, effective_channel, freespace_pathloss, los_channel
-from .circuit import (CapacitanceSolution, CircuitParams, element_impedance,
-                      element_reflection, phase_to_capacitance)
+from .circuit import CircuitParams, element_reflection, phase_to_capacitance
 from .engine import (CaseMetrics, OperatorConfig, RisConfig, Scenario, SweepSpec,
                      UeConfig, derive_seed, export_results, fractional_boi,
                      grid_shape, load_scenario, run_case, run_pattern, sweep)
@@ -30,8 +29,7 @@ from .tuning import (OptimizationLog, TuningResult, align_phases_single_target,
 __all__ = [
     "__version__",
     # circuit
-    "CircuitParams", "CapacitanceSolution",
-    "element_impedance", "element_reflection", "phase_to_capacitance",
+    "CircuitParams", "element_reflection", "phase_to_capacitance",
     # array field
     "RisArray", "ScatteringState", "PatternCut",
     "build_array", "reflected_field",

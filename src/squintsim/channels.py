@@ -173,13 +173,18 @@ def rician_channel(los: np.ndarray, k_factor_db: float, normals: np.ndarray,
         return _finite(mixed)
 
 
+def _off_carrier(f: float, reference: float) -> bool:
+    """Whether ``f`` lies off the ``reference`` carrier by more than 1e-6 relative."""
+    return abs(f - reference) > 1e-6 * reference
+
+
 def effective_channel(chs: ChannelSet, state: ScatteringState) -> np.ndarray:
     """Direct-plus-scattered channel at the ChannelSet's carrier.
 
     Computes direct + ris_to_ue . diag(gammas) . bs_to_ris, one row per
     row of the set; a stacked set or state gives one matrix per realization.
     """
-    if abs(state.frequency - chs.frequency) > 1e-6 * chs.frequency:
+    if _off_carrier(state.frequency, chs.frequency):
         raise FrequencyMismatchError(
             f"scattering state is at {state.frequency} Hz but channels are at {chs.frequency} Hz")
     if state.gammas.shape[-1] != chs.ris_to_ue.shape[-1]:

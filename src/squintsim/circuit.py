@@ -55,44 +55,11 @@ class CircuitParams:
             raise ValueError("capacitance range must satisfy 0 < c_min < c_max")
 
 
-@dataclass(frozen=True)
-class CapacitanceSolution:
-    """Result of inverting a target reflection phase to a capacitance.
-
-    ``clamped`` marks targets outside the achievable phase arc; those get
-    the capacitance of the circularly nearest achievable phase. The achieved
-    phase at a carrier is ``np.angle(element_reflection(capacitance, f, params))``.
-    """
-
-    capacitance: np.ndarray
-    clamped: np.ndarray
-
-
-def _reactance(capacitance, frequency, params: CircuitParams):
-    """w = 2 pi f and the series branch's reactance y = wL2 - 1/(wc), for c, f > 0."""
-    c = np.asarray(capacitance, dtype=float)
-    f = np.asarray(frequency, dtype=float)
-    if np.any(c <= 0):
-        raise ValueError("capacitance must be positive")
-    if np.any(f <= 0):
-        raise ValueError("frequency must be positive")
-    w = 2.0 * np.pi * f
-    return w, w * params.l_top - 1.0 / (w * c)
-
-
 def _mobius(w, params: CircuitParams):
     """(a, b, c, d) of gamma = (a*y + b) / (c*y + d) at angular frequency ``w``: Z's
     series branch is jy + R, so (Z - z0) / (Z + z0) is a Mobius map of y."""
     z_b, z0, r = 1j * w * params.l_bottom, params.z0, params.r_loss
     return 1j * (z_b - z0), r * (z_b - z0) - z0 * z_b, 1j * (z_b + z0), r * (z_b + z0) + z0 * z_b
-
-
-def element_impedance(capacitance, frequency, params: CircuitParams):
-    """Input impedance of the element, the circuit's reference form; broadcasts over
-    c and f, both positive."""
-    w, y = _reactance(capacitance, frequency, params)
-    z_bottom, z_top = 1j * w * params.l_bottom, 1j * y + params.r_loss
-    return np.divide(z_bottom * z_top, z_bottom + z_top)
 
 
 def element_reflection(capacitance, frequency, params: CircuitParams):
@@ -104,7 +71,13 @@ def element_reflection(capacitance, frequency, params: CircuitParams):
     """
     # constants near the float range overflow here; the finite check below reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w, y = _reactance(capacitance, frequency, params)
+        cap, f = np.asarray(capacitance, dtype=float), np.asarray(frequency, dtype=float)
+        if np.any(cap <= 0):
+            raise ValueError("capacitance must be positive")
+        if np.any(f <= 0):
+            raise ValueError("frequency must be positive")
+        w = 2.0 * np.pi * f
+        y = w * params.l_top - 1.0 / (w * cap)     # the series branch's reactance
         a, b, c, d = _mobius(w, params)
         num = np.asarray(a * y + b)
         # np.divide in place, also for a scalar, whose gamma then has its array's bits
@@ -127,7 +100,7 @@ def _real_roots(p2, p1, p0):
     return q / p2, p0 / q
 
 
-def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> CapacitanceSolution:
+def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> tuple:
     """Invert a reflection phase to the capacitance realizing it, in closed form.
 
     With y = wL2 - 1/(wc) real, gamma = (a*y + b) / (c*y + d), so arg gamma
@@ -137,7 +110,7 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
     nearest achievable phase, which is the phase at c_min, at c_max or at
     a phase extremum inside the range (ties go to c_min), and flagged.
     Accepts target phases of any shape, a scalar as 0-d, at one frequency, and
-    per-case constants that broadcast against them; the solution takes that shape.
+    per-case constants that broadcast against them; (capacitance, clamped) take that shape.
     """
     target = wrap_phase(np.asarray(target_phase, dtype=float))
     # extreme constants overflow here; the clamp edges' element_reflection reports it
@@ -166,7 +139,7 @@ def phase_to_capacitance(target_phase, frequency, params: CircuitParams) -> Capa
         cap = np.asarray(np.clip(1.0 / (w * (wl_top - y)), params.c_min, params.c_max))
         del y
     _clamp(cap, clamped, target, edges, frequency, params)
-    return CapacitanceSolution(capacitance=cap, clamped=clamped)
+    return cap, clamped
 
 
 def _clamp(cap: np.ndarray, unreachable: np.ndarray, target: np.ndarray, edges: list,

@@ -24,7 +24,8 @@ from ._version import __version__
 from .array_field import (PLANE_AXES, PatternCut, RisArray, ScatteringState,
                           build_array, directivity_pattern, main_lobe_angle,
                           pattern_to_csv)
-from .channels import ChannelSet, Node, effective_channel, los_channel, rician_channel
+from .channels import (ChannelSet, Node, _off_carrier, effective_channel, los_channel,
+                       rician_channel)
 from .circuit import CircuitParams
 from .errors import (ConfigError, ConfigWarning, CorrelatedChannelsError, NumericalError,
                      SquintSimError)
@@ -432,8 +433,9 @@ def load_scenario(config) -> Scenario:
             if not (lo <= op["carrier_hz"] <= hi):
                 warnings.warn(ConfigWarning(
                     f"operator '{op['id']}' carrier {op['carrier_hz']:g} Hz lies outside "
-                    f"the surface influence band [{lo:g}, {hi:g}] Hz; scattering impact "
-                    "there is negligible"))
+                    f"the surface influence band [{lo:g}, {hi:g}] Hz declared in "
+                    "config.ris.influence_band_hz; the frozen surface's scattering there is "
+                    "still computed from its circuit"))
 
     with np.errstate(over="ignore", under="ignore"):
         noise_w = noise_power(**cfg["noise"])
@@ -738,11 +740,10 @@ def _operator_channels(cases: list, links: list, i: int, draws: _LinkDraws | Non
 
 def _surface_state(scenario: Scenario, tuning: TuningResult | None,
                    frequency: float) -> ScatteringState:
-    if tuning is None or (scenario.ris.narrowband and
-                          abs(frequency - tuning.frequency) > 1e-6 * tuning.frequency):
+    if tuning is None or (scenario.ris.narrowband and _off_carrier(frequency, tuning.frequency)):
         return ScatteringState(gammas=np.zeros(scenario.ris.n_elements, dtype=complex),
                                frequency=float(frequency))
-    return evaluate_off_frequency(tuning, frequency, scenario.ris.circuit)
+    return evaluate_off_frequency(tuning, frequency)
 
 
 def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
@@ -829,11 +830,10 @@ def _block_worker(args) -> tuple:
                                  direct)
         cut = slice(stack[0], stack[-1] + 1)
         if i == owner and case.ris.enabled:
-            log, n_el = OptimizationLog(), case.ris.n_elements
+            log = OptimizationLog()
             tuning = realize_capacitances(optimize_weighted_sum_power([chs], log=log),
                                           case.ris.circuit)
-            clamp[cut] = np.bincount(tuning.clamp_report // n_el, minlength=n_cases * n_real
-                                     ).reshape(n_cases, n_real) / n_el
+            clamp[cut] = tuning.clamped.mean(axis=-1).reshape(n_cases, n_real)
             converged[cut] = log.converged_each.reshape(n_cases, n_real)
         actual = effective_channel(chs, _surface_state(case, tuning, op.carrier_hz))
         # the surface owner precodes with current surface-inclusive knowledge;
@@ -939,7 +939,7 @@ def _run_cases(cases: list, workers: int | None, surfaces: list) -> list:
     cases of the run. ``surfaces`` names each case's surface in errors.
     """
     design, carrier = cases[0].ris.design_frequency_hz, cases[0].owner.carrier_hz
-    if design and abs(design - carrier) > 1e-6 * carrier:
+    if design and _off_carrier(design, carrier):
         raise ConfigError(f"config.ris.design_frequency_hz ({design:g} Hz) must be null or the "
                           f"owner's carrier ({carrier:g} Hz), the surface's tuned carrier")
     direct_los, links = _los_links(cases, surfaces)
@@ -1207,23 +1207,22 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:
         fields["sensitivity.frequency_hz"] = cfg.sensitivity["frequency_hz"]
     tuned = ris.design_frequency_hz or scenario.owner.carrier_hz
-    off = [key for key, f in fields.items() if abs(f - tuned) > 1e-6 * tuned]
+    off = [key for key, f in fields.items() if _off_carrier(f, tuned)]
     if not ris.enabled:
         raise ConfigError("config.ris.enabled is false: a pattern study needs the surface")
     if ris.narrowband and off:
         raise ConfigError(f"config.ris.narrowband is true, so the surface scatters only at "
                           f"{tuned:g} Hz, not at config.pattern.{off[0]} ({fields[off[0]]:g} Hz)")
-    params = ris.circuit
     array = build_surface(ris, scenario.owner.carrier_hz)
     theta = _pattern_phases(scenario, array)
-    tuning = realize_capacitances(theta, params)
+    tuning = realize_capacitances(theta, ris.circuit)
     cut = _pattern_cut(scenario, array)
     probe_f, carriers = list(fields.values())[-1], list(dict.fromkeys(fields.values()))
     feed = scenario.owner.bs.position
     cases = None
     if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:
-        cases, stacks = _sensitivity_stacks(scenario, array, theta)
-    states = [evaluate_off_frequency(tuning, f, params) for f in carriers]
+        cases, stacks = _sensitivity_stacks(scenario, theta)
+    states = [evaluate_off_frequency(tuning, f) for f in carriers]
     patterns = dict(zip(carriers, _in_scene(_CUT_SPAN, directivity_pattern, array, states, feed,
                                             cfg.angle_grid(), cut, overflow=_CUT_RADIUS)))
     peaks = dict(zip(carriers, main_lobe_angle(list(patterns.values())).tolist()))
@@ -1235,7 +1234,7 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     summary = {
         "design_frequency_hz": tuning.frequency,
         "target_angle_deg": cut.angle_of(array, scenario.owner.ues[0].position),
-        "clamped_fraction": len(tuning.clamp_report) / array.n_elements,
+        "clamped_fraction": float(np.mean(tuning.clamped)),
         "frequencies": entries,
     }
     rows = []
@@ -1267,12 +1266,11 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     return summary
 
 
-def _sensitivity_stacks(scenario: Scenario, array: RisArray,
-                        theta: ScatteringState) -> tuple[list, list]:
+def _sensitivity_stacks(scenario: Scenario, theta: ScatteringState) -> tuple[list, list]:
     """The circuit sensitivity sweep's cases and its states at two carriers.
 
-    Each (top inductance, capacitance range) case realizes the ideal phases
-    ``theta`` on ``array``. The cases are rows of (cases, 1) circuit
+    Each (top inductance, capacitance range) case realizes the surface's
+    ideal phases ``theta``. The cases are rows of (cases, 1) circuit
     constants, so one varactor inversion covers them all. Returns each
     case's (l_top, c_min, c_max, clamped fraction), and the stacks of the
     cases' states at the design and probe carriers; the capacitances are
@@ -1281,14 +1279,12 @@ def _sensitivity_stacks(scenario: Scenario, array: RisArray,
     sens = scenario.pattern.sensitivity
     l_top = np.repeat(sens["l_top_h"], len(sens["c_ranges_f"]))[:, None]
     c_min, c_max = np.tile(sens["c_ranges_f"], (len(sens["l_top_h"]), 1)).T[:, :, None]
-    params = replace(scenario.ris.circuit, l_top=l_top, c_min=c_min, c_max=c_max)
-    tuning = realize_capacitances(theta, params)
-    clamped = np.bincount(tuning.clamp_report // array.n_elements,
-                          minlength=len(l_top)) / array.n_elements
+    tuning = realize_capacitances(theta, replace(scenario.ris.circuit, l_top=l_top,
+                                                 c_min=c_min, c_max=c_max))
     cases = list(zip(l_top[:, 0].tolist(), c_min[:, 0].tolist(), c_max[:, 0].tolist(),
-                     clamped.tolist()))
-    return cases, [evaluate_off_frequency(tuning, f, params)
-                   for f in (theta.frequency, sens["frequency_hz"])]
+                     tuning.clamped.mean(axis=-1).tolist()))
+    return cases, [evaluate_off_frequency(tuning, f) for f in (theta.frequency,
+                                                               sens["frequency_hz"])]
 
 
 def squint_sensitivity_report(scenario: Scenario, cases: list, f1_patterns: np.ndarray,

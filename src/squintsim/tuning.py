@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_field import ScatteringState
-from .channels import ChannelSet
+from .channels import ChannelSet, _off_carrier
 from .circuit import CircuitParams, element_reflection, phase_to_capacitance
 from .errors import DegenerateChannelError
 
@@ -33,19 +33,20 @@ class OptimizationLog:
     converged_each: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TuningResult:
-    """Realized hardware state: the frozen capacitances.
-
-    ``clamp_report`` holds the flat indices, into the tuned phases, of the
-    elements whose phase fell outside the achievable arc; for stacked
-    phases element ``n`` of realization ``r`` is ``r * n_elements + n``.
+    """A frozen surface: capacitances realized at ``frequency`` through the circuit
+    ``params`` (scalars, or the (S, 1) constants of S stacked cases), and the mask
+    ``clamped`` of the elements whose phase fell outside the achievable arc.
     Reflections at any carrier, the tuning one too, are ``evaluate_off_frequency``'s.
     """
 
     capacitances: np.ndarray            # F per element
     frequency: float
-    clamp_report: np.ndarray            # flat indices of the clamped elements
+    params: CircuitParams
+    clamped: np.ndarray
+    # flat indices of the clamped elements, which perfbench/tracing.py counts
+    clamp_report = property(lambda self: np.flatnonzero(self.clamped))
 
 
 def _flat_terms(channel_sets):
@@ -58,7 +59,7 @@ def _flat_terms(channel_sets):
     lead = channel_sets[0].direct.shape[:-2]
     n_el = channel_sets[0].ris_to_ue.shape[-1]
     for chs in channel_sets:
-        if abs(chs.frequency - f) > 1e-6 * f:
+        if _off_carrier(chs.frequency, f):
             raise ValueError("all target channel sets must share one carrier")
         if chs.ris_to_ue.shape[-1] != n_el:
             raise ValueError("all target channel sets must share the element count")
@@ -174,19 +175,16 @@ def optimize_weighted_sum_power(channel_sets, max_iters: int = 200, tol: float =
 def realize_capacitances(theta_star: ScatteringState, params: CircuitParams) -> TuningResult:
     """Invert ideal phases to capacitances through the element circuit.
 
-    Unreachable phases clamp to the nearest achievable phase; the clamp
-    report lists their flat element indices. Stacked phases, and (S, 1)
-    per-case circuit constants as S stacked cases, are inverted in one call.
+    Unreachable phases clamp to the nearest achievable phase and are marked
+    in ``clamped``. Stacked phases, and (S, 1) per-case circuit constants as
+    S stacked cases, are inverted in one call.
     """
     f = theta_star.frequency
-    solution = phase_to_capacitance(np.angle(theta_star.gammas), f, params)
-    return TuningResult(capacitances=solution.capacitance, frequency=f,
-                        clamp_report=np.flatnonzero(solution.clamped))
+    cap, clamped = phase_to_capacitance(np.angle(theta_star.gammas), f, params)
+    return TuningResult(capacitances=cap, frequency=f, params=params, clamped=clamped)
 
 
-def evaluate_off_frequency(result: TuningResult, f_m: float,
-                           params: CircuitParams) -> ScatteringState:
-    """Scattering the frozen capacitances present to carrier ``f_m`` (positive)."""
-    return ScatteringState(gammas=element_reflection(result.capacitances, f_m, params),
+def evaluate_off_frequency(result: TuningResult, f_m: float) -> ScatteringState:
+    """The frozen capacitances' scattering at carrier ``f_m`` (positive), through their circuit."""
+    return ScatteringState(gammas=element_reflection(result.capacitances, f_m, result.params),
                            frequency=float(f_m))
-

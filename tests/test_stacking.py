@@ -61,8 +61,9 @@ def test_stacked_linear_algebra_matches_one_realization_calls(stack):
     h = effective_channel(channel_set(parts, layout), ScatteringState(laid_out(gammas, layout), F))
     zf, mrt = zf_precoder(laid_out(h, layout)), mrt_precoder(laid_out(h, layout))
     metrics = link_metrics(laid_out(h, layout), zf, 1e-3)
-    capacitance = phase_to_capacitance(laid_out(np.angle(gammas), layout), F, CircuitParams())
-    reflection = element_reflection(capacitance.capacitance, F, CircuitParams())
+    capacitance, clamped = phase_to_capacitance(laid_out(np.angle(gammas), layout), F,
+                                                CircuitParams())
+    reflection = element_reflection(capacitance, F, CircuitParams())
     for r in sampled(rng, n_real):
         one = slice(r, r + 1)
         h_r = effective_channel(channel_set(parts, alone, one),
@@ -75,12 +76,11 @@ def test_stacked_linear_algebra_matches_one_realization_calls(stack):
         metrics_r = link_metrics(h_r, zf_r, 1e-3)
         assert np.array_equal(metrics_r.sinr[0], metrics.sinr[r])
         assert np.array_equal(metrics_r.se[0], metrics.se[r])
-        capacitance_r = phase_to_capacitance(laid_out(np.angle(gammas[one]), alone), F,
-                                             CircuitParams())
-        for field in ("capacitance", "clamped"):
-            assert np.array_equal(getattr(capacitance_r, field)[0],
-                                  getattr(capacitance, field)[r])
-        assert np.array_equal(element_reflection(capacitance_r.capacitance, F,
+        capacitance_r, clamped_r = phase_to_capacitance(laid_out(np.angle(gammas[one]), alone),
+                                                        F, CircuitParams())
+        assert np.array_equal(capacitance_r[0], capacitance[r])
+        assert np.array_equal(clamped_r[0], clamped[r])
+        assert np.array_equal(element_reflection(capacitance_r, F,
                                                  CircuitParams())[0], reflection[r])
 
 

@@ -6,8 +6,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from squintsim import engine
 from squintsim.cli import main
 from squintsim.presets import preset_config
 
@@ -76,3 +78,38 @@ def test_count_hooks_read_what_the_cli_runs(tmp_path, capsys):
     assert not [name for name in tracer.counts if name.endswith(".failed")]
     after = bindings(module.TRACED)
     assert all(after[key] is fn for key, fn in before.items())
+
+
+def test_clamp_counter_counts_each_realized_clamp_mask(tmp_path, capsys):
+    """``circuit.elements_clamped`` reads ``TuningResult.clamp_report``, which must stay
+    the flat indices of the clamp mask: over the same three CLI runs, the counter is
+    the number of clamped elements of every realized surface."""
+    module = tracing()
+    paths = {}
+    for name, realizations in (("fig4d", 20), ("fig5", 5)):
+        cfg = preset_config(name)
+        cfg["realizations"] = realizations
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(cfg), encoding="utf-8")
+    tracer = module.Tracer()
+    tracer.install()
+    traced, results = engine.realize_capacitances, []
+
+    def recorded(*args, **kwargs):
+        results.append(traced(*args, **kwargs))
+        return results[-1]
+
+    engine.realize_capacitances = recorded
+    try:
+        codes = [main(["run", str(paths["fig4d"])]), main(["sweep", str(paths["fig5"])]),
+                 main(["pattern", "fig3", "--out-dir", str(tmp_path / "fig3")])]
+    finally:
+        engine.realize_capacitances = traced
+        tracer.remove()
+    assert codes == [0, 0, 0]
+    capsys.readouterr()
+    assert len(results) == tracer.counts["tuning.realize_capacitances.calls"] > 0
+    assert tracer.counts["circuit.elements_clamped"] == \
+        sum(np.count_nonzero(result.clamped) for result in results) > 0
+    for result in results:
+        assert np.array_equal(result.clamp_report, np.flatnonzero(result.clamped))
