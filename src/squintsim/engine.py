@@ -413,6 +413,9 @@ def load_scenario(config) -> Scenario:
         if pattern["angle_stop_deg"] <= pattern["angle_start_deg"]:
             raise ConfigError("config.pattern.angle_stop_deg must exceed angle_start_deg")
         sens = pattern["sensitivity"]
+        if sens is not None and pattern["reference_angle_deg"] is None:
+            raise ConfigError("config.pattern.reference_angle_deg is null, but "
+                              "config.pattern.sensitivity sweeps only against a reference")
         if sens is not None and sens["angle_step_deg"] is None:
             sens["angle_step_deg"] = pattern["angle_step_deg"]
         span = pattern["angle_stop_deg"] - pattern["angle_start_deg"]
@@ -767,14 +770,12 @@ def _precode_rows(h: np.ndarray, op: OperatorConfig) -> PrecodeResult:
         try:
             res = zf_precoder(sub, total_power=power, condition_limit=op.zf_condition_limit)
         except CorrelatedChannelsError as exc:
-            if exc.ue_pair is not None:
-                # report indices in the full user list, not the active subset
-                pair = (int(idx[exc.ue_pair[0]]), int(idx[exc.ue_pair[1]]))
-                raise CorrelatedChannelsError(
-                    f"user channels {pair[0]} and {pair[1]} are too correlated "
-                    f"for zero-forcing (condition number {exc.condition_number:.3g})",
-                    ue_pair=pair, condition_number=exc.condition_number) from None
-            raise
+            # report indices in the full user list, not the active subset
+            pair = (int(idx[exc.ue_pair[0]]), int(idx[exc.ue_pair[1]]))
+            raise CorrelatedChannelsError(
+                f"user channels {pair[0]} and {pair[1]} are too correlated "
+                f"for zero-forcing (condition number {exc.condition_number:.3g})",
+                ue_pair=pair, condition_number=exc.condition_number) from None
     matrix[:, :, idx] = res.matrix
     powers[:, idx] = res.powers
     return PrecodeResult(matrix=matrix, powers=powers)
@@ -942,6 +943,9 @@ def _run_cases(cases: list, workers: int | None, surfaces: list) -> list:
     if design and _off_carrier(design, carrier):
         raise ConfigError(f"config.ris.design_frequency_hz ({design:g} Hz) must be null or the "
                           f"owner's carrier ({carrier:g} Hz), the surface's tuned carrier")
+    if cases[0].ris.element_pattern != "isotropic":
+        raise ConfigError("config.ris.element_pattern must be 'isotropic' for run and sweep: "
+                          "only a pattern study applies element factors")
     direct_los, links = _los_links(cases, surfaces)
     tasks = [(cases, direct_los, links, start, stop) for start, stop in _blocks(cases)]
     if workers and workers > 1 and len(tasks) > 1:
@@ -1204,8 +1208,9 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     cfg, ris = scenario.pattern, scenario.ris
     # the carriers evaluated, by field; the last is the probe when a reference angle is set
     fields = {f"frequencies_hz[{k}]": f for k, f in enumerate(cfg.frequencies_hz)}
-    if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:
-        fields["sensitivity.frequency_hz"] = cfg.sensitivity["frequency_hz"]
+    sens = cfg.sensitivity
+    if sens is not None:
+        fields["sensitivity.frequency_hz"] = sens["frequency_hz"]
     tuned = ris.design_frequency_hz or scenario.owner.carrier_hz
     off = [key for key, f in fields.items() if _off_carrier(f, tuned)]
     if not ris.enabled:
@@ -1219,9 +1224,14 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     cut = _pattern_cut(scenario, array)
     probe_f, carriers = list(fields.values())[-1], list(dict.fromkeys(fields.values()))
     feed = scenario.owner.bs.position
-    cases = None
-    if cfg.reference_angle_deg is not None and cfg.sensitivity is not None:
-        cases, stacks = _sensitivity_stacks(scenario, theta)
+    if sens is not None:
+        # the (cases, 1) circuit constants of every (top inductance, capacitance range)
+        # case, realized in one varactor inversion and frozen at both of its carriers
+        l_top = np.repeat(sens["l_top_h"], len(sens["c_ranges_f"]))[:, None]
+        c_min, c_max = np.tile(sens["c_ranges_f"], (len(sens["l_top_h"]), 1)).T[:, :, None]
+        sweep = realize_capacitances(theta, replace(ris.circuit, l_top=l_top, c_min=c_min,
+                                                    c_max=c_max))
+        stacks = [evaluate_off_frequency(sweep, f) for f in (sweep.frequency, probe_f)]
     states = [evaluate_off_frequency(tuning, f) for f in carriers]
     patterns = dict(zip(carriers, _in_scene(_CUT_SPAN, directivity_pattern, array, states, feed,
                                             cfg.angle_grid(), cut, overflow=_CUT_RADIUS)))
@@ -1246,10 +1256,10 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
             "offset_deg": offset,
             "within_window": abs(offset) <= cfg.reference_window_deg,
         }
-        if abs(offset) > cfg.reference_window_deg and cases is not None:
-            rows, closest = squint_sensitivity_report(scenario, cases, *_in_scene(
+        if abs(offset) > cfg.reference_window_deg and sens is not None:
+            rows, closest = squint_sensitivity_report(scenario, sweep, *_in_scene(
                 _CUT_SPAN, directivity_pattern, array, stacks, feed,
-                cfg.angle_grid(cfg.sensitivity["angle_step_deg"]), cut, overflow=_CUT_RADIUS))
+                cfg.angle_grid(sens["angle_step_deg"]), cut, overflow=_CUT_RADIUS))
             summary["sensitivity"] = {
                 "file": "squint_sensitivity.csv",
                 "cases": len(rows),
@@ -1266,43 +1276,23 @@ def run_pattern(scenario: Scenario, out_dir) -> dict:
     return summary
 
 
-def _sensitivity_stacks(scenario: Scenario, theta: ScatteringState) -> tuple[list, list]:
-    """The circuit sensitivity sweep's cases and its states at two carriers.
-
-    Each (top inductance, capacitance range) case realizes the surface's
-    ideal phases ``theta``. The cases are rows of (cases, 1) circuit
-    constants, so one varactor inversion covers them all. Returns each
-    case's (l_top, c_min, c_max, clamped fraction), and the stacks of the
-    cases' states at the design and probe carriers; the capacitances are
-    not kept.
-    """
-    sens = scenario.pattern.sensitivity
-    l_top = np.repeat(sens["l_top_h"], len(sens["c_ranges_f"]))[:, None]
-    c_min, c_max = np.tile(sens["c_ranges_f"], (len(sens["l_top_h"]), 1)).T[:, :, None]
-    tuning = realize_capacitances(theta, replace(scenario.ris.circuit, l_top=l_top,
-                                                 c_min=c_min, c_max=c_max))
-    cases = list(zip(l_top[:, 0].tolist(), c_min[:, 0].tolist(), c_max[:, 0].tolist(),
-                     tuning.clamped.mean(axis=-1).tolist()))
-    return cases, [evaluate_off_frequency(tuning, f) for f in (theta.frequency,
-                                                               sens["frequency_hz"])]
-
-
-def squint_sensitivity_report(scenario: Scenario, cases: list, f1_patterns: np.ndarray,
+def squint_sensitivity_report(scenario: Scenario, sweep: TuningResult, f1_patterns: np.ndarray,
                               f3_patterns: np.ndarray) -> tuple[list, dict]:
-    """The sensitivity sweep's rows, from its cases' patterns.
+    """The sensitivity sweep's rows, from its frozen surfaces' patterns.
 
-    ``cases`` are ``_sensitivity_stacks``' (l_top, c_min, c_max, clamped
-    fraction) tuples, and the patterns their (cases, A, 2) stacks at the
-    design and probe frequencies. Each row records a case's main lobes at
-    both frequencies and the probe lobe's offset from the reference angle.
-    Returns the rows and the row closest to the reference, flagged with
-    whether it falls inside the sensitivity window.
+    ``sweep`` is the cases' one record, with (cases, 1) circuit constants,
+    and the patterns their (cases, A, 2) stacks at the design and probe
+    frequencies. Each row records a case's constants, its clamped fraction,
+    its main lobes at both frequencies and the probe lobe's offset from the
+    reference angle. Returns the rows and the row closest to the reference,
+    flagged with whether it falls inside the sensitivity window.
     """
-    cfg = scenario.pattern
-    f1_peaks, f3_peaks = (main_lobe_angle(p).tolist() for p in (f1_patterns, f3_patterns))
-    rows = [dict(zip(SENSITIVITY_COLUMNS, (l_top, c_min, c_max, f1, f3, clamp,
-                                           f3 - cfg.reference_angle_deg)))
-            for (l_top, c_min, c_max, clamp), f1, f3 in zip(cases, f1_peaks, f3_peaks)]
+    cfg, params = scenario.pattern, sweep.params
+    f3 = main_lobe_angle(f3_patterns)
+    columns = (params.l_top[:, 0], params.c_min[:, 0], params.c_max[:, 0],
+               main_lobe_angle(f1_patterns), f3, sweep.clamped.mean(axis=-1),
+               f3 - cfg.reference_angle_deg)
+    rows = [dict(zip(SENSITIVITY_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
     closest = dict(min(rows, key=lambda r: abs(r["offset_from_reference_deg"])))
     closest["within_window"] = abs(closest["offset_from_reference_deg"]) <= \
         cfg.sensitivity["window_deg"]

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import copy
+import dataclasses
 import json
 import math
 import os
@@ -152,6 +154,66 @@ def test_run_and_sweep_refuse_a_design_carrier_they_would_ignore(tmp_path, capsy
     assert main([command, str(path), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_refuse_cosine_elements(tmp_path, capsys, command):
+    """Only the pattern study applies element factors; the links of run and sweep have
+    none, so fig4d's export was byte-identical for cosine and isotropic elements before."""
+    path = small_config_file(tmp_path, extra={
+        "sweep": {"element_counts": [4], "positions": [[0.0, 0.0, 0.0]]}})
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["ris"]["element_pattern"] = "cosine"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "cases.csv"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
+    assert "config.ris.element_pattern " in captured.err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# a changed value for every field of the surface section; a new field needs one here
+SURFACE_CHANGES = {"rows": 9, "cols": 11, "position": [1.0, 0.0, 0.5], "plane": "yz",
+                   "spacing_fraction": 0.4, "design_frequency_hz": 2.52e9, "enabled": False,
+                   "narrowband": True, "element_pattern": "cosine"}
+SURFACE_UNCHANGED = {
+    # it decides the users' roles, which the role tests cover
+    "owner",
+    # declared metadata, whose only effect is the out-of-band warning
+    "influence_band_hz",
+}
+
+
+def test_run_reads_or_refuses_every_surface_field(tmp_path, capsys):
+    """fig4d at 20 realizations with each surface field, and each circuit constant, changed
+    in turn: the JSON export moves, or the run exits 2 naming the field. A field that
+    ``run`` ignores without a word fails here."""
+    cfg = squintsim.load_preset("fig4d").config_echo
+    cfg["realizations"] = 20
+    names = {f.name for f in dataclasses.fields(squintsim.RisConfig)}
+    missing = names - set(SURFACE_CHANGES) - SURFACE_UNCHANGED - {"circuit"}
+    assert not missing, f"give these surface fields a changed value: {sorted(missing)}"
+    changes = {f"ris.{name}": value for name, value in SURFACE_CHANGES.items()}
+    changes.update({f"ris.circuit.{key}": value * 1.1
+                    for key, value in cfg["ris"]["circuit"].items()})
+
+    def export(cfg):
+        path = tmp_path / "fig4d.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["run", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    code, unchanged, _ = export(cfg)
+    assert code == 0
+    for field, value in changes.items():
+        code, out, err = export(set_field(copy.deepcopy(cfg), field, value))
+        if code == 2:
+            assert f"config.{field} " in err and err.count("\n") == 1, (field, err)
+        else:
+            assert code == 0 and out != unchanged, field
+
+
 def test_pattern_command(tmp_path, capsys):
     cfg = small_config_file(tmp_path, extra={
         "realizations": 1,
@@ -204,6 +266,8 @@ def test_import_and_pattern_study_leave_numpy_random_unloaded(tmp_path):
     ("pattern", "angle_step_deg", 0, "pattern.angle_step_deg"),
     ("pattern", "reference_angle_deg", "x", "pattern.reference_angle_deg"),
     ("pattern", "reference_window_deg", float("nan"), "pattern.reference_window_deg"),
+    # the sensitivity sweep runs only against a reference; it was skipped without a word
+    ("pattern", "reference_angle_deg", None, "pattern.reference_angle_deg"),
     # cuts of 1.8e9 angles: a raw MemoryError before
     ("pattern", "angle_step_deg", 1e-7, "pattern.angle_step_deg"),
     ("sensitivity", "angle_step_deg", 1e-7, "pattern.sensitivity.angle_step_deg"),
@@ -567,7 +631,8 @@ def zero_pattern_config():
     cfg = preset_config("fig3")
     cfg["ris"]["element_pattern"] = "cosine"
     cfg["operators"][0]["bs"]["position"] = [50.0, 50.0, 18.0]
-    cfg["pattern"].update(angle_start_deg=95.0, angle_stop_deg=170.0, reference_angle_deg=None)
+    cfg["pattern"].update(angle_start_deg=95.0, angle_stop_deg=170.0, reference_angle_deg=None,
+                          sensitivity=None)
     return cfg
 
 

@@ -1410,6 +1410,19 @@ def test_run_pattern_requires_pattern_block(tmp_path):
         run_pattern(sc, tmp_path)
 
 
+def test_load_refuses_a_sensitivity_sweep_without_a_reference_angle():
+    """The sweep runs only against a reference angle, so a sensitivity block with a null
+    reference was skipped without a word before; now the load names both fields."""
+    cfg = preset_config("fig3")
+    cfg["pattern"]["reference_angle_deg"] = None
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(cfg)
+    assert "config.pattern.sensitivity " in str(exc.value)
+    assert "config.pattern.reference_angle_deg" in str(exc.value)
+    cfg["pattern"]["sensitivity"] = None
+    assert load_scenario(cfg).pattern.reference_angle_deg is None
+
+
 def test_run_pattern_deterministic(tmp_path):
     sc = load_scenario(mini_pattern_config())
     run_pattern(sc, tmp_path / "a")

@@ -1,12 +1,14 @@
 """Physics invariances: what a case's metrics must not depend on.
 
-A translated scene, a scene whose transmit powers and noise power scale
-together, and a scene whose users are listed in another order describe the
-same physics. Each gives the metrics of the original scene, to within the
-rounding that the moved, rescaled or reordered arithmetic brings.
+A translated scene, a scene mirrored across the surface's plane, a scene
+whose transmit powers and noise power scale together, and a scene whose
+users are listed in another order describe the same physics. Each gives the
+metrics of the original scene, to within the rounding that the moved,
+mirrored, rescaled or reordered arithmetic brings.
 """
 
 import copy
+import json
 from functools import cache
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squintsim import load_scenario, preset_config, run_case
+from squintsim import load_scenario, preset_config, run_case, sweep
 
 
 def scene(name: str, realizations: int | None = None, **top) -> dict:
@@ -75,6 +77,39 @@ def test_translating_the_scene_keeps_every_metric(name, shift):
     """Only distances enter the channels, so moving every node by one vector moves no
     metric beyond rounding (5.5e-12 relative measured at a 130 m shift)."""
     assert_close(metrics(moved(scene(name, 40), shift)), reference(name, 40), rel=1e-9)
+
+
+def mirrored(cfg: dict) -> dict:
+    """The config reflected across the plane of its xz surface: y -> 2 y_ris - y for the
+    surface, every BS, every UE and every swept surface position. The BS arrays lie
+    along x, which the reflection keeps."""
+    cfg = copy.deepcopy(cfg)
+    assert cfg["ris"]["plane"] == "xz" and all("axis" not in op["bs"] for op in cfg["operators"])
+    y_ris = cfg["ris"]["position"][1]
+    points = [cfg["ris"]["position"]] + [op["bs"]["position"] for op in cfg["operators"]] + \
+        [ue["position"] for op in cfg["operators"] for ue in op["ues"]] + \
+        (cfg["sweep"]["positions"] if cfg.get("sweep") else [])
+    for point in points:
+        point[1] = 2 * y_ris - point[1]
+    return cfg
+
+
+def exports(cfg: dict) -> str:
+    """The JSON text of every case the config describes: its sweep, or its one case."""
+    scenario = load_scenario(cfg)
+    cases = sweep(scenario) if scenario.sweep_spec is not None else [run_case(scenario)]
+    return json.dumps([case.to_dict() for case in cases], sort_keys=True)
+
+
+@pytest.mark.parametrize("name, realizations", [("fig4d", 40), ("fig5", 40), ("fig1a", None),
+                                                ("fig1b", None)])
+def test_mirroring_the_scene_across_the_surface_keeps_every_metric(name, realizations):
+    """A scene and its mirror image across the surface's plane have the same distances, so
+    every exported metric is equal bit for bit: the presets' coordinates reflect exactly in
+    binary. The pattern study is not held to this: its cut is measured from the surface's
+    fixed broadside, and fig3's feed lies behind the surface."""
+    cfg = scene(name, realizations)
+    assert exports(mirrored(cfg)) == exports(cfg)
 
 
 def scaled(cfg: dict, factor: float) -> dict:
